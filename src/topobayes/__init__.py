@@ -45,8 +45,6 @@ from .intensity import (
 )
 from .posterior import (
     PosteriorConfig,
-    config_from_json,
-    config_to_json,
     default_clutter,
     default_prior,
     posterior_intensity,
@@ -82,8 +80,6 @@ __all__ = [
     "add_noise",
     "bottleneck_distance",
     "classify",
-    "config_from_json",
-    "config_to_json",
     "cross_validate",
     "default_clutter",
     "default_prior",

@@ -1,7 +1,8 @@
 """Poisson-density scoring of diagrams and Bayes-factor classification.
 
-A fitted class model is a posterior intensity together with its total mass.
-A diagram D is scored by the Poisson point-process log density
+A fitted class model is a posterior intensity, whose total mass lambda is
+the expected number of points. A diagram D is scored by the Poisson
+point-process log density
 
     log p(D) = -lambda - log(|D|!) + sum_{x in D} log intensity(x)
 
@@ -32,17 +33,15 @@ from .posterior import PosteriorConfig, posterior_intensity
 
 @dataclass(frozen=True, eq=False)
 class ClassModel:
-    """A fitted class: posterior intensity plus its cached total mass."""
+    """A fitted class: a label and its posterior intensity."""
 
     label: str
     posterior: GaussianMixtureIntensity
-    lam: float
 
-    def __post_init__(self):
-        lam = float(self.lam)
-        if abs(lam - total_mass(self.posterior)) > 1e-12 * max(1.0, abs(lam)):
-            raise ValidationError("lam must equal the posterior's total mass")
-        object.__setattr__(self, "lam", lam)
+    @property
+    def lam(self) -> float:
+        """Total mass of the posterior, the expected number of points."""
+        return total_mass(self.posterior)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +53,8 @@ class LabeledDataset:
 
     def __post_init__(self):
         entries = tuple((d, str(lab)) for d, lab in self.entries)
-        if self.k_folds < 1:
-            raise ValidationError("k_folds must be a positive integer")
+        if not isinstance(self.k_folds, int) or self.k_folds < 2:
+            raise ValidationError("k_folds must be an integer of at least 2")
         counts = {}
         for _, lab in entries:
             counts[lab] = counts.get(lab, 0) + 1
@@ -77,7 +76,7 @@ def fit_class_model(training, prior: GaussianMixtureIntensity,
     if len(training) == 0:
         raise ValidationError("training set is empty")
     post = posterior_intensity(prior, training, cfg)
-    return ClassModel(label=str(label), posterior=post, lam=total_mass(post))
+    return ClassModel(label=str(label), posterior=post)
 
 
 def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
@@ -235,6 +234,11 @@ def model_to_json(model: ClassModel) -> dict:
 def model_from_json(obj) -> ClassModel:
     if not isinstance(obj, dict) or "label" not in obj or "posterior" not in obj:
         raise ValidationError("model JSON needs 'label' and 'posterior'")
-    posterior = mixture_from_json(obj["posterior"])
-    lam = float(obj.get("lambda", total_mass(posterior)))
-    return ClassModel(label=str(obj["label"]), posterior=posterior, lam=lam)
+    model = ClassModel(label=str(obj["label"]), posterior=mixture_from_json(obj["posterior"]))
+    # "lambda" is redundant with the posterior; a file whose value disagrees
+    # was edited or corrupted, so it is rejected rather than ignored
+    mass = model.lam
+    lam = obj.get("lambda", mass)
+    if not (isinstance(lam, (int, float)) and abs(lam - mass) <= 1e-12 * max(1.0, mass)):
+        raise ValidationError("model JSON 'lambda' must equal the posterior's total mass")
+    return model

@@ -3,17 +3,12 @@
 Subcommands: generate, pd, fit, classify, cv, heatmap, pipeline. Structured
 artifacts are JSON; signals and heatmap grids are CSV. Exit codes are stable
 for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
-Within a subcommand, file-level work may run on a thread pool capped by the
-TOPOBAYES_THREADS environment variable (default 1); outputs are assembled in
-input order either way.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .classifier import (
@@ -31,13 +26,6 @@ from .posterior import PosteriorConfig, default_clutter, default_prior
 from .signals import ALPHA_BAND, BETA_BAND, generate_band_signal, add_noise, load_signal
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("TOPOBAYES_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_json(path, obj):
@@ -73,8 +61,9 @@ def _write_signal_csv(path, signal):
 
 def _load_manifest(path):
     obj = _read_json(path)
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise DataFileError(f"{path}: manifest needs an 'entries' list")
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise DataFileError(f"{path}: manifest needs an 'entries' list of objects")
     return obj, Path(path).parent
 
 
@@ -85,100 +74,83 @@ def _load_mixture_file(path):
         raise DataFileError(f"{path}: {e}") from None
 
 
-def _posterior_config(args):
-    clutter = _load_mixture_file(args.clutter) if args.clutter else default_clutter()
-    return PosteriorConfig(alpha=args.alpha, sigma_obs=args.sigma_obs, clutter=clutter)
+def _prior_and_config(prior, clutter, alpha, sigma_obs):
+    """The prior and posterior config from optional mixture files."""
+    prior = _load_mixture_file(prior) if prior else default_prior()
+    clutter = _load_mixture_file(clutter) if clutter else default_clutter()
+    return prior, PosteriorConfig(alpha=alpha, sigma_obs=sigma_obs, clutter=clutter)
 
 
-def _prior(args):
-    return _load_mixture_file(args.prior) if args.prior else default_prior()
+def _kwargs(args):
+    """Parsed arguments as keywords for a plain command function."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
-def cmd_generate(args) -> int:
+def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
     """Write n band-limited signals as CSV plus a merged dataset manifest."""
-    band = _BANDS[args.band]
-    outdir = Path(args.out)
+    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i in range(args.n):
-        sig = generate_band_signal(band, args.duration, args.rate, args.seed + 2 * i)
-        if args.snr is not None:
-            sig = add_noise(sig, args.snr, args.seed + 2 * i + 1)
-        name = f"{args.band}_{i:03d}.csv"
+    for i in range(n):
+        sig = generate_band_signal(_BANDS[band], duration, rate, seed + 2 * i)
+        if snr is not None:
+            sig = add_noise(sig, snr, seed + 2 * i + 1)
+        name = f"{band}_{i:03d}.csv"
         _write_signal_csv(outdir / name, sig)
-        entries.append({"signal": name, "label": args.band})
+        entries.append({"signal": name, "label": band})
 
     manifest_path = outdir / "manifest.json"
-    manifest = {"rate": args.rate, "entries": []}
+    manifest = {"rate": rate, "entries": []}
     if manifest_path.exists():
-        previous = _read_json(manifest_path)
-        if previous.get("rate") not in (None, args.rate):
+        previous, _ = _load_manifest(manifest_path)
+        if previous.get("rate") not in (None, rate):
             raise ValidationError(
                 f"manifest {manifest_path} has rate {previous.get('rate')}, "
-                f"refusing to mix with {args.rate}"
+                f"refusing to mix with {rate}"
             )
-        manifest["entries"] = [
-            e for e in previous.get("entries", []) if e.get("label") != args.band
-        ]
+        manifest["entries"] = [e for e in previous["entries"] if e.get("label") != band]
     manifest["entries"].extend(entries)
     manifest["entries"].sort(key=lambda e: (e["label"], e.get("signal", "")))
     _write_json(manifest_path, manifest)
     return 0
 
 
-def _signal_tasks(args):
-    if args.manifest:
-        manifest, base = _load_manifest(args.manifest)
-        rate = args.rate if args.rate is not None else manifest.get("rate")
+def cmd_generate(args) -> int:
+    return generate(**_kwargs(args))
+
+
+def _signal_tasks(manifest, inputs, rate):
+    if manifest:
+        obj, base = _load_manifest(manifest)
+        rate = rate if rate is not None else obj.get("rate")
         tasks = []
-        for e in manifest["entries"]:
+        for e in obj["entries"]:
             if "signal" not in e:
-                raise DataFileError(f"{args.manifest}: entry without a 'signal' path")
+                raise DataFileError(f"{manifest}: entry without a 'signal' path")
             tasks.append((base / e["signal"], e.get("label"), rate))
         return tasks
-    if not args.inputs:
+    if not inputs:
         raise ValidationError("pd needs --manifest or signal files")
-    return [(Path(p), None, args.rate) for p in args.inputs]
+    return [(Path(p), None, rate) for p in inputs]
 
 
-def _pd_one(task):
-    path, label, rate = task
-    fmt = "json" if path.suffix == ".json" else "csv"
-    sig = load_signal(path, format=fmt, rate=rate if fmt == "csv" else None)
-    return tilt(sublevel_pd(sig)), label
-
-
-def cmd_pd(args) -> int:
+def pd(out, manifest=None, inputs=(), rate=None) -> int:
     """Convert signals to tilted persistence diagram JSON files."""
-    tasks = _signal_tasks(args)
-    outdir = Path(args.out)
+    tasks = _signal_tasks(manifest, inputs, rate)
+    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    threads = _thread_cap()
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_pd_one, t) for t in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    results.append((task, fut.result(), None))
-                except (DataFileError, ValidationError, OSError) as e:
-                    results.append((task, None, e))
-    else:
-        for task in tasks:
-            try:
-                results.append((task, _pd_one(task), None))
-            except (DataFileError, ValidationError, OSError) as e:
-                results.append((task, None, e))
 
     entries = []
     failures = 0
-    for (path, _, _), result, err in results:
-        if err is not None:
+    for path, label, task_rate in tasks:
+        fmt = "json" if path.suffix == ".json" else "csv"
+        try:
+            sig = load_signal(path, format=fmt, rate=task_rate if fmt == "csv" else None)
+            diagram = tilt(sublevel_pd(sig))
+        except (DataFileError, ValidationError, OSError) as err:
             failures += 1
             print(f"error: {path}: {err}", file=sys.stderr)
             continue
-        diagram, label = result
         name = path.stem + ".pd.json"
         _write_json(outdir / name, diagram_to_json(diagram))
         entry = {"diagram": name}
@@ -187,6 +159,10 @@ def cmd_pd(args) -> int:
         entries.append(entry)
     _write_json(outdir / "manifest.json", {"entries": entries})
     return 2 if failures else 0
+
+
+def cmd_pd(args) -> int:
+    return pd(**_kwargs(args))
 
 
 def _load_diagram_entries(manifest_path):
@@ -209,7 +185,8 @@ def cmd_fit(args) -> int:
     training = [d for d, lab in entries if lab == args.label]
     if not training:
         raise ValidationError(f"no diagrams labeled {args.label!r} in manifest")
-    model = fit_class_model(training, _prior(args), _posterior_config(args), args.label)
+    prior, cfg = _prior_and_config(args.prior, args.clutter, args.alpha, args.sigma_obs)
+    model = fit_class_model(training, prior, cfg, args.label)
     _write_json(args.out, model_to_json(model))
     return 0
 
@@ -235,20 +212,28 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    """Cross-validate the classifier on a labeled diagram manifest."""
-    manifest, entries = _load_diagram_entries(args.manifest)
+def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
+       threshold=1.0, seed=0, out=None) -> dict:
+    """Cross-validate the classifier on a labeled diagram manifest.
+
+    Writes the report to `out`, or prints it when `out` is None, and returns it.
+    """
+    obj, entries = _load_diagram_entries(manifest)
     if any(lab is None for _, lab in entries):
         raise ValidationError("cv needs a label on every manifest entry")
-    k = args.k_folds if args.k_folds is not None else manifest.get("k_folds", 10)
+    k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
-    report = cross_validate(
-        data, _prior(args), _posterior_config(args), args.threshold, args.seed
-    )
-    if args.out:
-        _write_json(args.out, report)
+    prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
+    report = cross_validate(data, prior, cfg, threshold, seed)
+    if out:
+        _write_json(out, report)
     else:
         print(json.dumps(_json_safe(report), indent=2, sort_keys=True))
+    return report
+
+
+def cmd_cv(args) -> int:
+    cv(**_kwargs(args))
     return 0
 
 
@@ -283,30 +268,17 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     sig_dir = out / "signals"
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
-        cmd_generate(
-            argparse.Namespace(
-                band=band, n=args.n, duration=args.duration, rate=args.rate,
-                snr=args.snr, seed=args.seed + seed_offset, out=str(sig_dir),
-            )
-        )
-    code = cmd_pd(
-        argparse.Namespace(
-            manifest=str(sig_dir / "manifest.json"), inputs=[], rate=None,
-            out=str(out / "diagrams"),
-        )
-    )
+        code = generate(band, args.n, sig_dir, duration=args.duration, rate=args.rate,
+                        snr=args.snr, seed=args.seed + seed_offset)
+        if code != 0:
+            return code
+    code = pd(out / "diagrams", manifest=sig_dir / "manifest.json")
     if code != 0:
         return code
     report_path = out / "cv_report.json"
-    cmd_cv(
-        argparse.Namespace(
-            manifest=str(out / "diagrams" / "manifest.json"), k_folds=args.k_folds,
-            alpha=args.alpha, sigma_obs=args.sigma_obs, prior=args.prior,
-            clutter=args.clutter, threshold=args.threshold, seed=args.seed,
-            out=str(report_path),
-        )
-    )
-    report = _read_json(report_path)
+    report = cv(out / "diagrams" / "manifest.json", k_folds=args.k_folds, alpha=args.alpha,
+                sigma_obs=args.sigma_obs, prior=args.prior, clutter=args.clutter,
+                threshold=args.threshold, seed=args.seed, out=report_path)
     print(f"cv accuracy: {report['accuracy']:.4f} ({report_path})")
     return 0
 

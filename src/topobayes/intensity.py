@@ -163,17 +163,23 @@ def total_mass(g: GaussianMixtureIntensity) -> float:
     return float(g.weights.sum())
 
 
+def wedge_rectangle(bounds):
+    """Validated (b_lo, p_lo, b_hi, p_hi) floats of a rectangle inside the wedge."""
+    b_lo, p_lo, b_hi, p_hi = (float(v) for v in bounds)
+    if b_lo < 0 or p_lo < 0:
+        raise ValidationError("grid bounds must lie inside the wedge")
+    if not (b_hi > b_lo and p_hi > p_lo):
+        raise ValidationError("grid bounds are degenerate")
+    return b_lo, p_lo, b_hi, p_hi
+
+
 def grid_axes(bounds, resolution):
     """Inclusive linspace axes for a rectangle inside the wedge.
 
     bounds is (b_lo, p_lo, b_hi, p_hi); resolution an int or (nb, np) pair,
     each at least 2. Returns (b_axis, p_axis).
     """
-    b_lo, p_lo, b_hi, p_hi = (float(v) for v in bounds)
-    if b_lo < 0 or p_lo < 0:
-        raise ValidationError("grid bounds must lie inside the wedge")
-    if not (b_hi > b_lo and p_hi > p_lo):
-        raise ValidationError("grid bounds are degenerate")
+    b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
     if isinstance(resolution, int):
         nb = npts = resolution
     else:
@@ -210,7 +216,7 @@ def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
 
 
 def mixture_from_json(obj) -> GaussianMixtureIntensity:
-    if not isinstance(obj, dict) or "components" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValidationError("mixture JSON needs a 'components' list")
     comps = obj["components"]
     if len(comps) == 0:

@@ -30,9 +30,8 @@ from .intensity import (
     GaussianMixtureIntensity,
     eval_intensity,
     log_wedge_mass,
-    mixture_from_json,
-    mixture_to_json,
     restricted_normal_pdf,
+    wedge_rectangle,
 )
 
 
@@ -169,11 +168,7 @@ def _pruned_mixture(W, MU, V, cfg) -> GaussianMixtureIntensity:
 
 def quadrature_nodes(bounds, resolution):
     """Cell-center axes of the evaluation grid used by posterior_quadrature."""
-    b_lo, p_lo, b_hi, p_hi = (float(v) for v in bounds)
-    if b_lo < 0 or p_lo < 0:
-        raise ValidationError("grid bounds must lie inside the wedge")
-    if not (b_hi > b_lo and p_hi > p_lo):
-        raise ValidationError("grid bounds are degenerate")
+    b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
     nb, npts = (resolution, resolution) if isinstance(resolution, int) else resolution
     hb = (b_hi - b_lo) / nb
     hp = (p_hi - p_lo) / npts
@@ -229,23 +224,3 @@ def posterior_quadrature(prior: GaussianMixtureIntensity, observations,
             continue
         out += (cfg.alpha / m) * restricted_normal_pdf(X, y, so) * prior_at_X / denom
     return out
-
-
-def config_to_json(cfg: PosteriorConfig) -> dict:
-    """Wire format: {"alpha": a, "sigma_obs": s, "clutter": <mixture JSON>}."""
-    return {
-        "alpha": float(cfg.alpha),
-        "sigma_obs": float(cfg.sigma_obs),
-        "clutter": mixture_to_json(cfg.clutter),
-    }
-
-
-def config_from_json(obj) -> PosteriorConfig:
-    if not isinstance(obj, dict) or "alpha" not in obj or "sigma_obs" not in obj:
-        raise ValidationError("config JSON needs 'alpha' and 'sigma_obs'")
-    clutter = mixture_from_json(obj["clutter"]) if "clutter" in obj else default_clutter()
-    return PosteriorConfig(
-        alpha=float(obj["alpha"]),
-        sigma_obs=float(obj["sigma_obs"]),
-        clutter=clutter,
-    )

@@ -104,17 +104,35 @@ def separable_grid_mass(mixture, box, n):
 
     For isotropic components the double sum over the grid is a product of two
     single-axis sums, so this equals the naive double sum up to float
-    reassociation while scaling to mixtures with tens of thousands of
-    components.
+    reassociation. Components sharing a variance (a fitted model has only a
+    few distinct ones) are summed together, 256 components at a time,
+    which keeps mixtures with tens of thousands of components affordable.
     """
     h = box / n
     axis = (np.arange(n) + 0.5) * h
+
+    def axis_sums(centers, v):
+        # exp(x) is exactly 0.0 in double precision for x < -745.2, so nodes
+        # farther than `reach` from every center of a chunk add nothing
+        reach = np.sqrt(2.0 * v * 746.0)
+        order = np.argsort(centers)
+        sums = np.empty(len(centers))
+        for idx in np.array_split(order, -(-len(order) // 256)):
+            c = centers[idx]
+            lo, hi = np.searchsorted(axis, [c[0] - reach, c[-1] + reach])
+            d = np.subtract.outer(c, axis[lo:hi])  # in place from here: exp is the cost
+            d *= d
+            d *= -0.5 / v
+            sums[idx] = np.exp(d, out=d).sum(axis=1) * h
+        return sums
+
     total = 0.0
-    for w, mu, v in zip(mixture.weights, mixture.means, mixture.variances):
-        gb = float(np.exp(-((axis - mu[0]) ** 2) / (2.0 * v)).sum()) * h
-        gp = float(np.exp(-((axis - mu[1]) ** 2) / (2.0 * v)).sum()) * h
-        z = float(ndtr(mu[0] / np.sqrt(v)) * ndtr(mu[1] / np.sqrt(v)))
-        total += w * gb * gp / (2.0 * np.pi * v * z)
+    for v in np.unique(mixture.variances):
+        sel = mixture.variances == v
+        w, mu = mixture.weights[sel], mixture.means[sel]
+        z = ndtr(mu[:, 0] / np.sqrt(v)) * ndtr(mu[:, 1] / np.sqrt(v))
+        gb, gp = axis_sums(mu[:, 0], v), axis_sums(mu[:, 1], v)
+        total += float((w * gb * gp / (2.0 * np.pi * v * z)).sum())
     return total
 
 

@@ -35,7 +35,6 @@ from topobayes import (
     stratified_folds,
     sublevel_pd,
     tilt,
-    total_mass,
 )
 from conftest import brute_sublevel_pairs, sample_ppp_diagram, separable_grid_mass
 
@@ -262,8 +261,8 @@ def test_criterion_7_density_sanity():
     shifted = GaussianMixtureIntensity(
         [4.0, 3.0], np.array([[2.0, 2.0], [5.0, 1.5]]) + shift, [var, var]
     )
-    m_t = ClassModel("true", truth, total_mass(truth))
-    m_s = ClassModel("shifted", shifted, total_mass(shifted))
+    m_t = ClassModel("true", truth)
+    m_s = ClassModel("shifted", shifted)
     diffs = np.array([
         diagram_log_density(d, m_t) - diagram_log_density(d, m_s)
         for d in (sample_ppp_diagram(rng, truth) for _ in range(1000))

@@ -14,6 +14,7 @@ from topobayes import (
     fit_class_model,
     log_bayes_factor,
     log_eval_intensity,
+    mixture_to_json,
     model_from_json,
     model_to_json,
     stratified_folds,
@@ -24,7 +25,7 @@ from conftest import sample_ppp_diagram, separable_grid_mass
 
 def model_at(mean, label="m", lam=5.0, var=0.5):
     g = GaussianMixtureIntensity.single(lam, mean, var)
-    return ClassModel(label=label, posterior=g, lam=total_mass(g))
+    return ClassModel(label=label, posterior=g)
 
 
 def diagram(*points):
@@ -53,7 +54,7 @@ class TestDiagramLogDensity:
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_empty_model_scores_minus_inf(self):
-        empty_model = ClassModel("none", GaussianMixtureIntensity.empty(), 0.0)
+        empty_model = ClassModel("none", GaussianMixtureIntensity.empty())
         assert diagram_log_density(diagram((1.0, 1.0)), empty_model) == -np.inf
         assert diagram_log_density(EMPTY, empty_model) == 0.0
 
@@ -66,8 +67,8 @@ class TestDiagramLogDensity:
         shifted = GaussianMixtureIntensity(
             [4.0, 3.0], [[3.5, 3.5], [6.5, 2.5]], [0.5, 0.5]
         )
-        m_true = ClassModel("t", truth, total_mass(truth))
-        m_shift = ClassModel("s", shifted, total_mass(shifted))
+        m_true = ClassModel("t", truth)
+        m_shift = ClassModel("s", shifted)
         diffs = []
         for _ in range(300):
             d = sample_ppp_diagram(rng, truth)
@@ -97,8 +98,8 @@ class TestLogBayesFactor:
         assert log_bayes_factor(d, a, b) > 0
 
     def test_double_minus_inf_defined_as_zero(self):
-        none_a = ClassModel("a", GaussianMixtureIntensity.empty(), 0.0)
-        none_b = ClassModel("b", GaussianMixtureIntensity.empty(), 0.0)
+        none_a = ClassModel("a", GaussianMixtureIntensity.empty())
+        none_b = ClassModel("b", GaussianMixtureIntensity.empty())
         assert log_bayes_factor(diagram((1.0, 1.0)), none_a, none_b) == 0.0
 
 
@@ -162,8 +163,8 @@ class TestClassify:
 
     def test_identical_models_tie_breaks_to_first_label(self):
         g = GaussianMixtureIntensity.single(2.0, (2.0, 2.0), 1.0)
-        m1 = ClassModel("x", g, total_mass(g))
-        m2 = ClassModel("y", g, total_mass(g))
+        m1 = ClassModel("x", g)
+        m2 = ClassModel("y", g)
         result = classify(diagram((2.0, 2.0)), [m1, m2])
         assert result.votes == {"x": 0, "y": 0}  # exact tie casts no vote
         assert result.label == "x"  # broken by label order
@@ -194,8 +195,7 @@ class TestClassify:
             ClassModel(m.label,
                        GaussianMixtureIntensity(m.posterior.weights * 1.0,
                                                 m.posterior.means,
-                                                m.posterior.variances),
-                       m.lam)
+                                                m.posterior.variances))
             for m in models
         ]
         for _ in range(10):
@@ -277,6 +277,8 @@ class TestCrossValidate:
         entries += [(sample_ppp_diagram(rng, g), "b") for _ in range(10)]
         with pytest.raises(ValidationError):
             LabeledDataset(tuple(entries), 5)
+        with pytest.raises(ValidationError):  # one fold leaves nothing to train on
+            LabeledDataset(tuple(entries), 1)
 
     def test_single_class_rejected(self, rng):
         g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)
@@ -289,5 +291,9 @@ class TestCrossValidate:
 class TestClassModelType:
     def test_lambda_must_match_mass(self):
         g = GaussianMixtureIntensity.single(2.0, (1.0, 1.0), 1.0)
-        with pytest.raises(ValidationError):
-            ClassModel("x", g, 3.0)
+        obj = {"label": "x", "posterior": mixture_to_json(g)}
+        assert model_from_json(obj).lam == 2.0
+        assert model_from_json({**obj, "lambda": 2.0}).lam == 2.0
+        for bad in (3.0, 2.0 + 1e-9, "x", "2.0", None, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                model_from_json({**obj, "lambda": bad})

@@ -117,21 +117,6 @@ class TestPd:
         d = diagram_from_json(read_json(out / "sig.pd.json"))
         assert sorted(map(tuple, d.points)) == [(0.0, 2.0), (1.0, 1.0)]
 
-    def test_thread_pool_gives_identical_output(self, tmp_path, monkeypatch):
-        files = []
-        rng = np.random.default_rng(0)
-        for i in range(6):
-            p = tmp_path / f"s{i}.csv"
-            p.write_text("\n".join(str(v) for v in rng.normal(size=40)) + "\n")
-            files.append(p)
-        out1, out4 = tmp_path / "pd1", tmp_path / "pd4"
-        monkeypatch.setenv("TOPOBAYES_THREADS", "1")
-        assert run("pd", *files, "--rate", 100, "--out", out1) == 0
-        monkeypatch.setenv("TOPOBAYES_THREADS", "4")
-        assert run("pd", *files, "--rate", 100, "--out", out4) == 0
-        for p in sorted(out1.iterdir()):
-            assert p.read_bytes() == (out4 / p.name).read_bytes()
-
 
 class TestFitClassifyRoundtrip:
     def test_fit_alpha_zero_emits_prior(self, dataset):
@@ -233,9 +218,12 @@ class TestCv:
                        "--k-folds", 3, "--seed", 5, "--out", p) == 0
         assert a_path.read_bytes() == b_path.read_bytes()
 
-    def test_k_too_large_rejected(self, dataset):
-        assert run("cv", "--manifest", dataset / "diagrams" / "manifest.json",
-                   "--k-folds", 50) == 1
+    def test_k_too_large_rejected(self, dataset, capsys):
+        for k in (50, 1):  # 1 is too small: every fold trains on nothing
+            assert run("cv", "--manifest", dataset / "diagrams" / "manifest.json",
+                       "--k-folds", k) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestHeatmap:
@@ -266,6 +254,45 @@ class TestHeatmap:
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
         assert run("heatmap", "--model", model_path, "--bounds", "0,0,0,4",
                    "--res", "8x8", "--out", tmp_path / "hm") == 1
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _list_manifest(d):
+    _write(d / "manifest.json", [])
+    return ("generate", "--band", "alpha", "--n", 1, "--out", d)
+
+
+def _non_object_manifest_entry(d):
+    return ("pd", "--manifest", _write(d / "m.json", {"entries": ["signal"]}), "--out", d / "pd")
+
+
+def _components_not_a_list(d):
+    _write(d / "a.pd.json", {"points": [[1.0, 1.0]]})
+    manifest = _write(d / "m.json", {"entries": [{"diagram": "a.pd.json", "label": "a"}]})
+    return ("fit", "--manifest", manifest, "--label", "a",
+            "--prior", _write(d / "prior.json", {"components": 5}), "--out", d / "model.json")
+
+
+def _lambda_not_a_number(d):
+    g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
+    model = _write(d / "m.json", {"label": "x", "lambda": "x", "posterior": mixture_to_json(g)})
+    return ("classify", "--models", model, model,
+            "--diagram", _write(d / "d.json", {"points": [[1.0, 1.0]]}))
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("make_argv", [
+        _list_manifest, _non_object_manifest_entry, _components_not_a_list, _lambda_not_a_number,
+    ], ids=lambda f: f.__name__.lstrip("_"))
+    def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, make_argv):
+        assert run(*make_argv(tmp_path)) in (1, 2)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -172,6 +172,19 @@ class TestBottleneck:
             d2 = tilt(sublevel_pd(vals + noise))
             assert bottleneck_distance(d1, d2) <= eps + 1e-12
 
+    def test_large_interleaved_ring(self):
+        # 1,200 vs 1,200 points alternating around a circle far above the
+        # diagonal: every point must be matched, and augmenting paths can run
+        # the length of the ring
+        theta = 2 * np.pi * np.arange(2400) / 2400
+        ring = np.column_stack([50 * np.cos(theta), 200 + 50 * np.sin(theta)])
+        gap = np.abs(np.diff(ring, axis=0, append=ring[:1])).max()
+        d1, d2 = tilt(RawDiagram(ring[0::2])), tilt(RawDiagram(ring[1::2]))
+        dist = bottleneck_distance(d1, d2)
+        assert np.isfinite(dist)
+        assert dist == bottleneck_distance(d2, d1)
+        assert dist <= gap + 1e-12
+
 
 class TestDiagramJSON:
     def test_roundtrip(self):

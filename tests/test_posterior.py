@@ -8,8 +8,6 @@ from topobayes import (
     PersistenceDiagram,
     PosteriorConfig,
     ValidationError,
-    config_from_json,
-    config_to_json,
     eval_intensity,
     posterior_intensity,
     posterior_quadrature,
@@ -166,13 +164,6 @@ class TestPosteriorStructure:
             PosteriorConfig(alpha=1.5, sigma_obs=1.0)
         with pytest.raises(ValidationError):
             PosteriorConfig(alpha=0.5, sigma_obs=0.0)
-
-    def test_config_json_roundtrip(self):
-        cfg = PosteriorConfig(alpha=0.3, sigma_obs=0.8)
-        back = config_from_json(config_to_json(cfg))
-        assert back.alpha == cfg.alpha
-        assert back.sigma_obs == cfg.sigma_obs
-        assert np.array_equal(back.clutter.weights, cfg.clutter.weights)
 
 
 class TestQuadratureOracle:
