@@ -108,9 +108,12 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
                 f"manifest {manifest_path} has rate {previous.get('rate')}, "
                 f"refusing to mix with {rate}"
             )
-        manifest["entries"] = [e for e in previous["entries"] if e.get("label") != band]
+        if not all(isinstance(e.get("label"), str) and isinstance(e.get("signal"), str)
+                   for e in previous["entries"]):
+            raise DataFileError(f"{manifest_path}: entry without a 'label' and 'signal' string")
+        manifest["entries"] = [e for e in previous["entries"] if e["label"] != band]
     manifest["entries"].extend(entries)
-    manifest["entries"].sort(key=lambda e: (e["label"], e.get("signal", "")))
+    manifest["entries"].sort(key=lambda e: (e["label"], e["signal"]))
     _write_json(manifest_path, manifest)
     return 0
 

@@ -6,17 +6,25 @@ to W and renormalized to unit mass there, so a component's weight is the
 expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
-Evaluation is vectorized over points; a log-space variant is provided for
-densities far below the double-precision underflow threshold. Everything is
-immutable and pure, hence thread-safe.
+All evaluation goes through one log-space kernel sum, log_eval_intensity;
+eval_intensity is its exp, restricted_normal_pdf its one-component case. One
+matrix product per chunk of rows keeps its working memory O(chunk x K), about
+2 MB, for any number of points. Per-component constants are cached on the
+mixture at first use. Everything is immutable or pure, hence thread-safe:
+threads that race to fill the cache compute the same constants.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ValidationError
+
+# rows per chunk of log_eval_intensity: its (rows, K) work array stays near
+# 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
+_CHUNK_ELEMENTS = 2 ** 18
 
 
 def wedge_mass(mean_b, mean_p, var):
@@ -39,28 +47,6 @@ def log_wedge_mass(mean_b, mean_p, var):
     return log_ndtr(np.asarray(mean_b, dtype=float) / s) + log_ndtr(
         np.asarray(mean_p, dtype=float) / s
     )
-
-
-def restricted_normal_pdf(x, mean, var):
-    """Density of the wedge-restricted Gaussian at x.
-
-    Zero outside the wedge; inside, the isotropic normal density divided by
-    its wedge mass, so the function integrates to one over the wedge. x may
-    be a single (b, p) point or an array of shape (..., 2).
-    """
-    if var <= 0:
-        raise ValidationError("variance must be positive")
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    scalar = x.ndim == 1
-    pts = x.reshape(-1, 2)
-    inside = (pts[:, 0] >= 0) & (pts[:, 1] >= 0)
-    d2 = ((pts - mean) ** 2).sum(axis=1)
-    dens = np.exp(-d2 / (2.0 * var)) / (
-        2.0 * np.pi * var * wedge_mass(mean[0], mean[1], var)
-    )
-    out = np.where(inside, dens, 0.0)
-    return float(out[0]) if scalar else out.reshape(x.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,50 +95,61 @@ class GaussianMixtureIntensity:
     def n_components(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def _log_kernel_constants(self):
+        """(4, K) coefficients of each log kernel, log_norm - |x - mu|^2 / (2v),
+        in (b, p, b^2 + p^2, 1), and log_norm, the kernel's maximum (at mu)."""
+        v = self.variances
+        log_norm = (np.log(self.weights) - np.log(2.0 * np.pi * v)
+                    - log_wedge_mass(self.means[:, 0], self.means[:, 1], v))
+        s = -0.5 / v
+        coef = np.vstack([-2.0 * s * self.means.T, s,
+                          s * (self.means ** 2).sum(axis=1) + log_norm])
+        return coef, log_norm
+
+
+def log_eval_intensity(g: GaussianMixtureIntensity, x):
+    """log of the mixture intensity at x, stable far below underflow.
+
+    x may be one point or an array of shape (..., 2); returns a float or an
+    array of shape x.shape[:-1]. -inf outside the wedge and for the empty
+    mixture. Each chunk of rows takes one matrix product against the
+    cached coefficients, then a max-shifted log-sum-exp per row.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, 2)
+    out = np.full(len(pts), -np.inf)
+    if g.n_components:
+        coef, log_norm = g._log_kernel_constants
+        step = max(1, _CHUNK_ELEMENTS // g.n_components)
+        for lo in range(0, len(pts), step):
+            p = pts[lo:lo + step]
+            t = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))]) @ coef
+            # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
+            np.minimum(t, log_norm, out=t)
+            peak = t.max(axis=1)
+            t -= peak[:, None]
+            np.exp(t, out=t)
+            out[lo:lo + step] = peak + np.log(t.sum(axis=1))
+        out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
+    return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+
 
 def eval_intensity(g: GaussianMixtureIntensity, x):
     """Mixture intensity at x: sum_j c_j * restricted_normal_pdf(x; mu_j, var_j).
 
-    x may be one point or an array of shape (..., 2); returns a float or an
-    array of shape x.shape[:-1]. Exactly zero outside the wedge.
+    Same shapes as log_eval_intensity; exactly zero outside the wedge.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x.reshape(-1, 2)
-    if g.n_components == 0:
-        out = np.zeros(len(pts))
-    else:
-        d2 = ((pts[:, None, :] - g.means[None, :, :]) ** 2).sum(axis=2)
-        norm = 2.0 * np.pi * g.variances * wedge_mass(
-            g.means[:, 0], g.means[:, 1], g.variances
-        )
-        out = (np.exp(-d2 / (2.0 * g.variances)) / norm) @ g.weights
-        inside = (pts[:, 0] >= 0) & (pts[:, 1] >= 0)
-        out = np.where(inside, out, 0.0)
-    return float(out[0]) if scalar else out.reshape(x.shape[:-1])
+    return np.exp(log_eval_intensity(g, x))
 
 
-def log_eval_intensity(g: GaussianMixtureIntensity, x):
-    """log of eval_intensity, evaluated stably via logsumexp.
+def restricted_normal_pdf(x, mean, var):
+    """Density at x of N(mean, var*I) restricted and renormalized to the wedge.
 
-    Returns -inf outside the wedge and for the empty mixture.
+    Zero outside the wedge; x is one (b, p) point or an array of shape
+    (..., 2). Raises ValidationError unless var > 0.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x.reshape(-1, 2)
-    if g.n_components == 0:
-        out = np.full(len(pts), -np.inf)
-    else:
-        d2 = ((pts[:, None, :] - g.means[None, :, :]) ** 2).sum(axis=2)
-        log_comp = (
-            -np.log(2.0 * np.pi * g.variances)
-            - d2 / (2.0 * g.variances)
-            - log_wedge_mass(g.means[:, 0], g.means[:, 1], g.variances)
-        )
-        out = logsumexp(log_comp + np.log(g.weights), axis=1)
-        inside = (pts[:, 0] >= 0) & (pts[:, 1] >= 0)
-        out = np.where(inside, out, -np.inf)
-    return float(out[0]) if scalar else out.reshape(x.shape[:-1])
+    return eval_intensity(GaussianMixtureIntensity.single(1.0, mean, var), x)
 
 
 def total_mass(g: GaussianMixtureIntensity) -> float:

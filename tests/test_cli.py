@@ -69,6 +69,14 @@ class TestGenerate:
         labels = [e["label"] for e in read_json(out / "manifest.json")["entries"]]
         assert labels == ["alpha", "alpha", "beta", "beta"]
 
+    @pytest.mark.parametrize("entry", [{"signal": "x.csv"}, {"label": 3, "signal": "x.csv"}])
+    def test_merge_rejects_entry_without_label(self, tmp_path, capsys, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"rate": 256.0, "entries": [entry]}))
+        assert run("generate", "--band", "alpha", "--n", 1, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {manifest}:")
+
     def test_unknown_flag_exits_one(self, tmp_path):
         assert run("generate", "--nonsense") == 1
 

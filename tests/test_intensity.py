@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,16 +116,127 @@ class TestEvalIntensity:
         outside = (pts[:, 0] < 0) | (pts[:, 1] < 0)
         assert np.all(vals[outside] == 0)
 
-    def test_log_matches_linear(self, rng):
-        g = random_mixture(rng)
-        pts = rng.uniform(0, 8, (50, 2))
-        assert np.allclose(np.exp(log_eval_intensity(g, pts)), eval_intensity(g, pts), rtol=1e-10)
-
     def test_log_survives_underflow(self):
         g = GaussianMixtureIntensity.single(1.0, (1.0, 1.0), 0.01)
         far = (400.0, 400.0)
         assert eval_intensity(g, far) == 0.0  # linear evaluation underflows
         assert np.isfinite(log_eval_intensity(g, far))
+
+
+def oracle_log_intensity(g, pts):
+    """log intensity by a loop over components with direct differences.
+
+    Each component contributes log(w) - log(2 pi v) - |x - mu|^2 / (2v)
+    - log Phi(mu_b / s) - log Phi(mu_p / s); the terms are reduced per point
+    with a max shift. Uses math and numpy only, no package code.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    terms = []
+    for w, (mb, mp), v in zip(g.weights, g.means, g.variances):
+        s = math.sqrt(v)
+        log_phi = sum(math.log(0.5 * math.erfc(-m / (s * math.sqrt(2.0)))) for m in (mb, mp))
+        d2 = (pts[:, 0] - mb) ** 2 + (pts[:, 1] - mp) ** 2
+        terms.append(math.log(w) - math.log(2.0 * math.pi * v) - d2 / (2.0 * v) - log_phi)
+    if not terms:
+        return np.full(len(pts), -np.inf)
+    terms = np.array(terms)
+    peak = terms.max(axis=0)
+    out = peak + np.log(np.exp(terms - peak).sum(axis=0))
+    out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
+    return out
+
+
+class TestLogKernelOracle:
+    """log_eval_intensity against oracle_log_intensity.
+
+    The core expands |x - mu|^2 = |x|^2 - 2 x.mu + |mu|^2, which costs a few
+    ulps of the largest term divided by 2v: below 1e-12 absolute for points
+    and means within [0, 8]^2 and variances of at least 0.2.
+    """
+
+    def test_random_mixtures(self, rng):
+        for _ in range(20):
+            g = random_mixture(rng, max_components=12)
+            pts = rng.uniform(0, 8, (60, 2))
+            assert np.allclose(log_eval_intensity(g, pts), oracle_log_intensity(g, pts),
+                               rtol=0, atol=1e-12)
+            assert np.allclose(eval_intensity(g, pts), np.exp(oracle_log_intensity(g, pts)),
+                               rtol=1e-12, atol=0)
+
+    def test_far_outside_the_support(self):
+        g = GaussianMixtureIntensity([1.0, 2.0], [[1.0, 1.0], [2.0, 0.5]], [0.01, 0.02])
+        far = np.array([[400.0, 400.0], [0.0, 900.0], [1e4, 3.0]])
+        got = log_eval_intensity(g, far)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, oracle_log_intensity(g, far), rtol=1e-12, atol=0)
+        assert np.all(eval_intensity(g, far) == 0.0)
+
+    def test_at_a_mean_with_large_coordinates(self, rng):
+        # |x|^2 ~ 1e8 here, so the expanded distance is off by ~1e-8 and may
+        # come out negative; clamped, no term can exceed its value at the mean
+        means = rng.uniform(1e3, 1e4, (40, 2))
+        for mean in means:
+            g = GaussianMixtureIntensity.single(1.5, mean, 0.5)
+            got = log_eval_intensity(g, mean)
+            want = float(oracle_log_intensity(g, mean)[0])
+            assert got <= want + 1e-13
+            assert got == pytest.approx(want, abs=1e-6)
+
+    def test_wedge_boundary_and_outside(self, rng):
+        g = random_mixture(rng, max_components=6)
+        pts = np.array([[0.0, 0.0], [0.0, 2.5], [3.0, 0.0], [-1e-12, 1.0], [1.0, -0.5], [-2.0, -2.0]])
+        got = log_eval_intensity(g, pts)
+        want = oracle_log_intensity(g, pts)
+        assert np.all(np.isfinite(got[:3]))
+        assert np.allclose(got[:3], want[:3], rtol=0, atol=1e-12)
+        assert np.all(got[3:] == -np.inf) and np.all(want[3:] == -np.inf)
+        assert np.all(eval_intensity(g, pts[3:]) == 0.0)
+
+    def test_empty_mixture(self):
+        g = GaussianMixtureIntensity.empty()
+        pts = np.ones((3, 4, 2))
+        assert log_eval_intensity(g, pts).shape == (3, 4)
+        assert np.all(log_eval_intensity(g, pts) == -np.inf)
+        assert np.all(oracle_log_intensity(g, pts) == -np.inf)
+        assert np.all(eval_intensity(g, pts) == 0.0)
+
+    def test_scalar_input(self, rng):
+        g = random_mixture(rng)
+        got = log_eval_intensity(g, (1.25, 2.5))
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(oracle_log_intensity(g, (1.25, 2.5))[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("n_points", [5, 6, 7, 12, 13, 19])
+    def test_point_counts_straddling_a_chunk(self, rng, monkeypatch, n_points):
+        # 10 components and 64-element chunks give 6 rows per chunk
+        monkeypatch.setattr("topobayes.intensity._CHUNK_ELEMENTS", 64)
+        g = GaussianMixtureIntensity(rng.uniform(0.5, 3.0, 10), rng.uniform(0, 8, (10, 2)),
+                                     rng.uniform(0.2, 4.0, 10))
+        pts = rng.uniform(-1, 8, (n_points, 2))
+        got = log_eval_intensity(g, pts)
+        want = oracle_log_intensity(g, pts)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
+def test_scoring_memory_is_bounded():
+    # 150 points against 100k components: the full (points, K) array alone
+    # would be 120 MB; the chunked core keeps its work array near 2 MB
+    rng = np.random.default_rng(7)
+    k = 100_000
+    g = GaussianMixtureIntensity(rng.uniform(1e-6, 1e-4, k), rng.uniform(0, 6, (k, 2)),
+                                 rng.uniform(0.05, 0.3, k))
+    pts = rng.uniform(0, 6, (150, 2))
+    tracemalloc.start()
+    try:
+        logs = log_eval_intensity(g, pts)
+        vals = eval_intensity(g, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(logs)) and np.all(vals > 0)
+    assert peak < 64 * 2**20
 
 
 class TestTotalMass:
