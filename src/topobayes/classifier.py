@@ -95,6 +95,11 @@ def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
     return float(-model.lam - gammaln(len(pts) + 1) + logs.sum())
 
 
+def _log_ratio(li: float, lj: float) -> float:
+    """li - lj for two log densities; 0 when both densities are zero."""
+    return 0.0 if li == lj == -math.inf else li - lj
+
+
 def log_bayes_factor(d: PersistenceDiagram, model_i: ClassModel,
                      model_j: ClassModel) -> float:
     """log of the ratio of posterior predictive densities, i over j.
@@ -102,11 +107,7 @@ def log_bayes_factor(d: PersistenceDiagram, model_i: ClassModel,
     When both densities are zero there is no evidence either way and the
     result is defined as 0.
     """
-    li = diagram_log_density(d, model_i)
-    lj = diagram_log_density(d, model_j)
-    if li == float("-inf") and lj == float("-inf"):
-        return 0.0
-    return li - lj
+    return _log_ratio(diagram_log_density(d, model_i), diagram_log_density(d, model_j))
 
 
 class ClassifyResult(NamedTuple):
@@ -127,8 +128,8 @@ def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> Classif
     """
     if len(models) < 2:
         raise ValidationError("need at least 2 class models")
-    if threshold_c <= 0:
-        raise ValidationError("threshold_c must be positive")
+    if not 0 < threshold_c < math.inf:
+        raise ValidationError("threshold_c must be positive and finite")
     labels = [m.label for m in models]
     if len(set(labels)) != len(labels):
         raise ValidationError("class labels must be distinct")
@@ -139,11 +140,7 @@ def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> Classif
     ld = {lab: diagram_log_density(d, by_label[lab]) for lab in order}
     votes = {lab: 0 for lab in order}
     for a, b in itertools.combinations(order, 2):
-        la, lb = ld[a], ld[b]
-        if la == float("-inf") and lb == float("-inf"):
-            lbf = 0.0
-        else:
-            lbf = la - lb
+        lbf = _log_ratio(ld[a], ld[b])
         if lbf > log_c:
             votes[a] += 1
         elif lbf < log_c:

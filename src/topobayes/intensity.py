@@ -73,8 +73,12 @@ class GaussianMixtureIntensity:
             raise ValidationError("means must have one (b, p) pair per weight") from None
         if len(v) != len(w):
             raise ValidationError("weights and variances must have equal length")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
-            raise ValidationError("mixture parameters must be finite")
+        # a finite total mass implies finite weights, and keeps a model's lambda finite;
+        # a sum that overflows is rejected here rather than warned about
+        with np.errstate(over="ignore"):
+            mass = w.sum()
+        if not (np.isfinite(mass) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
+            raise ValidationError("mixture parameters and total mass must be finite")
         if np.any(w <= 0):
             raise ValidationError("component weights must be strictly positive")
         if np.any(v <= 0):
@@ -165,8 +169,8 @@ def wedge_rectangle(bounds):
     b_lo, p_lo, b_hi, p_hi = (float(v) for v in bounds)
     if b_lo < 0 or p_lo < 0:
         raise ValidationError("grid bounds must lie inside the wedge")
-    if not (b_hi > b_lo and p_hi > p_lo):
-        raise ValidationError("grid bounds are degenerate")
+    if not (b_lo < b_hi < np.inf and p_lo < p_hi < np.inf):
+        raise ValidationError("grid bounds must be finite and non-degenerate")
     return b_lo, p_lo, b_hi, p_hi
 
 

@@ -66,8 +66,8 @@ class PosteriorConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError("alpha must lie in [0, 1]")
-        if not self.sigma_obs > 0:
-            raise ValidationError("sigma_obs must be positive")
+        if not 0 < self.sigma_obs < np.inf:
+            raise ValidationError("sigma_obs must be positive and finite")
         if self.max_components < 1:
             raise ValidationError("max_components must be positive")
 

@@ -85,8 +85,8 @@ def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
     [0, 2*pi), amplitudes uniformly in [0.5, 1.5] (unit mean). The sum is
     rescaled to unit RMS power. Deterministic for a fixed seed.
     """
-    if sample_rate <= 0:
-        raise ValidationError("sample_rate must be positive")
+    if not (0 < duration < np.inf and 0 < sample_rate < np.inf):
+        raise ValidationError("duration and sample_rate must be positive and finite")
     if band.f_high >= sample_rate / 2:
         raise ValidationError(
             f"f_high {band.f_high} Hz is not below the Nyquist rate "
@@ -117,6 +117,9 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     seed and the sample count; the signal content enters through the scale
     factor alone.
     """
+    # a bound far past any physical SNR keeps 10**(snr_db/10) and the noise inside float range
+    if not -3000.0 <= snr_db <= 3000.0:
+        raise ValidationError("snr_db must lie in [-3000, 3000] dB")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(len(signal.samples))
     sigma = np.sqrt(signal.power() / 10.0 ** (snr_db / 10.0))
@@ -158,7 +161,11 @@ def load_signal(path, format: str = "csv", rate: float | None = None) -> Signal:
 def _parse_csv(p: Path) -> list:
     values = []
     seen_data = False
-    for ln, raw in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as e:
+        raise DataFileError(f"{p}: not UTF-8 text ({e})") from None
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -175,7 +182,7 @@ def _parse_csv(p: Path) -> list:
 def _parse_json(p: Path):
     try:
         obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
     if not isinstance(obj, dict) or "rate" not in obj or "samples" not in obj:
         raise DataFileError(f"{p}: expected an object with 'rate' and 'samples'")

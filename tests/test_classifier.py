@@ -208,8 +208,9 @@ class TestClassify:
 
     def test_threshold_must_be_positive(self):
         models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "b")]
-        with pytest.raises(ValidationError):
-            classify(EMPTY, models, threshold_c=0.0)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                classify(EMPTY, models, threshold_c=c)
 
     def test_duplicate_labels_rejected(self):
         models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "a")]

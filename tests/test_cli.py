@@ -1,8 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from topobayes import (
     GaussianMixtureIntensity,
@@ -12,6 +20,7 @@ from topobayes import (
     diagram_from_json,
     fit_class_model,
     mixture_to_json,
+    model_to_json,
     PosteriorConfig,
 )
 from topobayes.cli import main
@@ -23,6 +32,37 @@ def run(*argv):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Module-wide inputs: two small bands of signals, their diagrams, one model per band."""
+    root = tmp_path_factory.mktemp("cli_files")
+    for band, seed in (("alpha", 0), ("beta", 1000)):
+        assert run("generate", "--band", band, "--n", 4, "--duration", 1.0, "--rate", 128,
+                   "--snr", 10, "--seed", seed, "--out", root / "signals") == 0
+    assert run("pd", "--manifest", root / "signals" / "manifest.json",
+               "--out", root / "diagrams") == 0
+    for band in ("alpha", "beta"):
+        assert run("fit", "--manifest", root / "diagrams" / "manifest.json", "--label", band,
+                   "--out", root / f"{band}.json") == 0
+    return root
+
+
+def _base_argv(command, files, out):
+    """A run of command that succeeds on the module-wide inputs, writing under out."""
+    manifest = files / "diagrams" / "manifest.json"
+    return {
+        "generate": ["generate", "--band", "alpha", "--n", 1, "--out", out / "sig"],
+        "pd": ["pd", files / "signals" / "alpha_000.csv", "--rate", 128, "--out", out / "pd"],
+        "fit": ["fit", "--manifest", manifest, "--label", "alpha", "--out", out / "m.json"],
+        "classify": ["classify", "--models", files / "alpha.json", files / "beta.json",
+                     "--diagram", files / "diagrams" / "alpha_000.pd.json"],
+        "cv": ["cv", "--manifest", manifest, "--k-folds", 2],
+        "heatmap": ["heatmap", "--model", files / "alpha.json", "--bounds", "0,0,3,4",
+                    "--res", "8x8", "--out", out / "hm"],
+        "pipeline": ["pipeline", "--n", 4, "--k-folds", 2, "--out", out / "run"],
+    }[command]
 
 
 @pytest.fixture
@@ -181,6 +221,28 @@ class TestFitClassifyRoundtrip:
         assert report["label"] == "alpha"
         assert report["votes"] == {"alpha": 0, "zeta": 0}
 
+    def test_model_file_is_sorted_indented_json_of_the_model(self, dataset):
+        manifest = dataset / "diagrams" / "manifest.json"
+        model_path = dataset / "alpha.model.json"
+        assert run("fit", "--manifest", manifest, "--label", "alpha", "--alpha", 0.6,
+                   "--sigma-obs", 0.3, "--out", model_path) == 0
+        training = [diagram_from_json(read_json(dataset / "diagrams" / e["diagram"]))
+                    for e in read_json(manifest)["entries"] if e["label"] == "alpha"]
+        cfg = PosteriorConfig(alpha=0.6, sigma_obs=0.3, clutter=default_clutter())
+        model = fit_class_model(training, default_prior(), cfg, "alpha")
+        want = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+        assert model_path.read_text() == want
+
+    def test_classify_writes_zero_density_as_string(self, cli_files, tmp_path, capsys):
+        void = _write(tmp_path / "void.json",
+                      {"label": "void", "lambda": 0.0, "posterior": {"components": []}})
+        assert run("classify", "--models", cli_files / "alpha.json", void,
+                   "--diagram", cli_files / "diagrams" / "beta_000.pd.json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["log_densities"]["void"] == "-inf"
+        assert isinstance(report["log_densities"]["alpha"], float)
+        assert report["label"] == "alpha" and report["votes"] == {"alpha": 1, "void": 0}
+
     def test_fit_unknown_label(self, dataset):
         assert run("fit", "--manifest", dataset / "diagrams" / "manifest.json",
                    "--label", "gamma", "--out", dataset / "m.json") == 1
@@ -269,38 +331,149 @@ def _write(path, obj):
     return path
 
 
-def _list_manifest(d):
-    _write(d / "manifest.json", [])
-    return ("generate", "--band", "alpha", "--n", 1, "--out", d)
+def _list_manifest(d, files):
+    manifest = _write(d / "manifest.json", [])
+    return ("generate", "--band", "alpha", "--n", 1, "--out", d), 2, manifest
 
 
-def _non_object_manifest_entry(d):
-    return ("pd", "--manifest", _write(d / "m.json", {"entries": ["signal"]}), "--out", d / "pd")
+def _non_object_manifest_entry(d, files):
+    manifest = _write(d / "m.json", {"entries": ["signal"]})
+    return ("pd", "--manifest", manifest, "--out", d / "pd"), 2, manifest
 
 
-def _components_not_a_list(d):
+def _components_not_a_list(d, files):
     _write(d / "a.pd.json", {"points": [[1.0, 1.0]]})
     manifest = _write(d / "m.json", {"entries": [{"diagram": "a.pd.json", "label": "a"}]})
+    prior = _write(d / "prior.json", {"components": 5})
     return ("fit", "--manifest", manifest, "--label", "a",
-            "--prior", _write(d / "prior.json", {"components": 5}), "--out", d / "model.json")
+            "--prior", prior, "--out", d / "model.json"), 2, prior
 
 
-def _lambda_not_a_number(d):
+def _lambda_not_a_number(d, files):
     g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
     model = _write(d / "m.json", {"label": "x", "lambda": "x", "posterior": mixture_to_json(g)})
     return ("classify", "--models", model, model,
-            "--diagram", _write(d / "d.json", {"points": [[1.0, 1.0]]}))
+            "--diagram", _write(d / "d.json", {"points": [[1.0, 1.0]]})), 2, model
+
+
+def _model_without_label(d, files):
+    model = _write(d / "m.json", {"lambda": 0.0, "posterior": {"components": []}})
+    return ("classify", "--models", model, files / "beta.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
+def _model_nested_too_deep(d, files):
+    model = d / "m.json"
+    model.write_text("[" * 100_000 + "]" * 100_000)
+    return ("classify", "--models", model, files / "beta.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
+def _signal_not_utf8(d, files):
+    signal = d / "s.csv"
+    signal.write_bytes(b"\xff\xfe0\n1\n")
+    return ("pd", signal, "--rate", 100, "--out", d / "pd"), 2, signal
+
+
+def _signal_nested_too_deep(d, files):
+    signal = d / "s.json"
+    signal.write_text("[" * 100_000 + "]" * 100_000)
+    return ("pd", signal, "--out", d / "pd"), 2, signal
+
+
+def _bad_flag(command, flag):
+    """A run that would succeed but for one appended flag that must be rejected."""
+    def make(d, files):
+        return (*_base_argv(command, files, d), flag), 1, None
+    make.__name__ = f"_{command}{flag}"
+    return make
+
+
+# flag -> strategy for the value text of each numeric option of each subcommand:
+# the non-finite, zero and negative edge cases, or a small finite number
+_EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-1"])
+_REAL = _EDGES | st.floats(-4.0, 4.0).map(repr)
+_INT = _EDGES | st.integers(0, 64).map(str)  # --n and --res stay small: a run must stay cheap
+_POSTERIOR = {"--alpha": _REAL, "--sigma-obs": _REAL}
+_CV = {"--k-folds": _INT, "--threshold": _REAL, "--seed": _INT}
+_SAMPLING = {"--duration": _REAL, "--rate": _REAL, "--snr": _REAL, "--seed": _INT, "--n": _INT}
+_NUMERIC_FLAGS = {
+    "generate": _SAMPLING,
+    "pd": {"--rate": _REAL},
+    "fit": _POSTERIOR,
+    "classify": {"--threshold": _REAL},
+    "cv": {**_POSTERIOR, **_CV},
+    "heatmap": {"--bounds": st.lists(_REAL, min_size=4, max_size=4).map(",".join),
+                "--res": st.lists(_INT, min_size=2, max_size=2).map("x".join)},
+    "pipeline": {**_SAMPLING, **_POSTERIOR, **_CV},
+}
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("make_argv", [
+    @pytest.mark.parametrize("make_case", [
         _list_manifest, _non_object_manifest_entry, _components_not_a_list, _lambda_not_a_number,
+        _model_without_label, _model_nested_too_deep, _signal_not_utf8, _signal_nested_too_deep,
+        _bad_flag("generate", "--duration=inf"), _bad_flag("generate", "--duration=nan"),
+        _bad_flag("generate", "--rate=inf"), _bad_flag("generate", "--rate=nan"),
+        _bad_flag("generate", "--snr=-inf"), _bad_flag("generate", "--seed=-1"),
+        _bad_flag("fit", "--sigma-obs=inf"),
+        _bad_flag("classify", "--threshold=nan"), _bad_flag("classify", "--threshold=inf"),
+        _bad_flag("heatmap", "--bounds=0,0,inf,3"), _bad_flag("cv", "--seed=-1"),
     ], ids=lambda f: f.__name__.lstrip("_"))
-    def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, make_argv):
-        assert run(*make_argv(tmp_path)) in (1, 2)
+    def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, cli_files, make_case):
+        argv, code, bad_file = make_case(tmp_path, cli_files)
+        assert run(*argv) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+        if bad_file is not None:  # a data-file error names the file
+            assert err.startswith(f"error: {bad_file}:")
+
+    @pytest.mark.parametrize("command", sorted(_NUMERIC_FLAGS))
+    def test_base_runs_succeed(self, tmp_path, cli_files, capsys, command):
+        # each rejected flag above and each drawn one below is the only fault in its run
+        assert run(*_base_argv(command, cli_files, tmp_path)) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is one more stderr line
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flags_exit_cleanly(self, cli_files, data):
+        command = data.draw(st.sampled_from(sorted(_NUMERIC_FLAGS)), label="command")
+        flags = []
+        for flag, values in _NUMERIC_FLAGS[command].items():
+            value = data.draw(st.none() | values, label=flag)
+            if value is not None:
+                flags.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            code = run(*_base_argv(command, cli_files, Path(tmp)), *flags)
+        event(f"{command}: exit {code}")  # shown by --hypothesis-show-statistics
+        assert code in (0, 1, 2)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
+class TestEntrypoint:
+    """`python -m topobayes.cli`, the path the installed script takes."""
+
+    def _run(self, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        return subprocess.run([sys.executable, "-m", "topobayes.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_exit_codes(self, tmp_path):
+        assert self._run("--help").returncode == 0
+        proc = self._run("generate", "--band", "alpha", "--n", 1, "--out", tmp_path,
+                         "--nonsense")
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        model = tmp_path / "absent.json"
+        proc = self._run("classify", "--models", model, model, "--diagram", tmp_path / "d.json")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {model}: no such file\n"
 
 
 class TestPipeline:

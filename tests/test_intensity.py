@@ -291,6 +291,8 @@ class TestIntensityGrid:
         with pytest.raises(ValidationError):
             intensity_grid(g, (-1, 0, 4, 4), 16)
         with pytest.raises(ValidationError):
+            intensity_grid(g, (0, 0, np.inf, 3), 16)
+        with pytest.raises(ValidationError):
             intensity_grid(g, (0, 0, 4, 4), 1)
 
 
@@ -302,6 +304,8 @@ class TestMixtureType:
             GaussianMixtureIntensity([1.0], [[1, 1]], [-1.0])
         with pytest.raises(ValidationError):
             GaussianMixtureIntensity([1.0, 2.0], [[1, 1]], [1.0, 1.0])
+        with pytest.raises(ValidationError):  # finite weights, total mass overflows
+            GaussianMixtureIntensity([1e308, 1e308], [[1, 1], [2, 2]], [1.0, 1.0])
 
     def test_json_roundtrip(self, rng):
         g = random_mixture(rng)

@@ -164,6 +164,8 @@ class TestPosteriorStructure:
             PosteriorConfig(alpha=1.5, sigma_obs=1.0)
         with pytest.raises(ValidationError):
             PosteriorConfig(alpha=0.5, sigma_obs=0.0)
+        with pytest.raises(ValidationError):
+            PosteriorConfig(alpha=0.5, sigma_obs=np.inf)
 
 
 class TestQuadratureOracle:
