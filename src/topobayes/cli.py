@@ -10,16 +10,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import (
     LabeledDataset,
     classify as classify_diagram,
     cross_validate,
     fit_class_model,
     model_from_json,
-    model_to_json,
 )
 from .errors import DataFileError, ValidationError
-from .filtration import diagram_from_json, diagram_to_json, sublevel_pd, tilt
+from .filtration import diagram_from_json, sublevel_pd, tilt
 from .intensity import intensity_grid, mixture_from_json
 from .posterior import PosteriorConfig, default_clutter, default_prior
 from .signals import ALPHA_BAND, BETA_BAND, generate_band_signal, add_noise, load_signal
@@ -40,19 +41,46 @@ def _read(path, decode):
         raise DataFileError(f"{p}: {e}") from None
 
 
-def _emit(obj, out):
-    """obj as indented, key-sorted strict JSON (finite floats only) to the file out, or stdout."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _emit(obj, out, row=None, rows=()):
+    """obj as indented, key-sorted strict JSON (finite floats only) to the file out, or stdout.
+
+    The rows of a 2-D float array fill obj's last value in key order, an empty list, each as the
+    JSON shape row with its None leaves in key order: the bytes of json.dumps, since a float's
+    repr is its JSON text, without running its slow indenting encoder over every row."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    parts = [text]
+    if len(rows):
+        at = text.rindex("[]")  # the last value is followed by closing brackets only
+        line = text[text.rindex("\n", 0, at) + 1:at]
+        pad = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
+        item = json.dumps(row, indent=2, sort_keys=True).replace("\n", pad).replace("null", "%r")
+        items = ("," + pad).join([item] * len(rows)) % tuple(rows.ravel().tolist())
+        parts = [text[:at], "[", pad, items, pad[:-2], "]", text[at + 2:]]
     if not out:
-        print(text)
+        sys.stdout.writelines(parts)
         return
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(text + "\n")
+    with open(out, "w") as f:
+        f.writelines(parts)
 
 
-def _write_csv(path, rows):
-    """One line per row, its values comma-separated at round-trip precision."""
-    Path(path).write_text("".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows))
+def _write_csv(path, table):
+    """One line per row of the 2-D array table, its values comma-separated, round-trip exact."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    Path(path).write_text(line * len(table) % tuple(table.ravel().tolist()))
+
+
+def _emit_model(model, out):
+    """_emit(model_to_json(model), out), without a dict per component."""
+    g = model.posterior
+    _emit({"label": model.label, "lambda": model.lam, "posterior": {"components": []}}, out,
+          {"mu": [None, None], "var": None, "w": None},
+          np.column_stack([g.means, g.variances, g.weights]))
+
+
+def _emit_diagram(diagram, out):
+    """_emit(diagram_to_json(diagram), out), without a list per point."""
+    _emit({"b_min": diagram.b_min, "points": []}, out, [None, None], diagram.points)
 
 
 def _manifest(obj):
@@ -132,10 +160,11 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
             diagram = tilt(sublevel_pd(sig))
         except (DataFileError, ValidationError, OSError) as err:
             failures += 1
-            print(f"error: {path}: {err}", file=sys.stderr)
+            named = isinstance(err, (DataFileError, OSError))  # these name the file already
+            print("error:", err if named else f"{path}: {err}", file=sys.stderr)
             continue
         name = path.stem + ".pd.json"
-        _emit(diagram_to_json(diagram), outdir / name)
+        _emit_diagram(diagram, outdir / name)
         entry = {"diagram": name}
         if label is not None:
             entry["label"] = label
@@ -144,25 +173,23 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
     return 2 if failures else 0
 
 
-def _load_diagram_entries(manifest_path):
+def _load_diagram_entries(manifest_path, label=None):
+    """The manifest and its (diagram, label) entries; only those labeled label, if given."""
     manifest = _read(manifest_path, _manifest)
-    entries = []
-    for e in manifest["entries"]:
-        if "diagram" not in e:
-            raise DataFileError(f"{manifest_path}: entry without a 'diagram' path")
-        diagram = _read(Path(manifest_path).parent / e["diagram"], diagram_from_json)
-        entries.append((diagram, e.get("label")))
+    if not all("diagram" in e for e in manifest["entries"]):
+        raise DataFileError(f"{manifest_path}: entry without a 'diagram' path")
+    entries = [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
+                e.get("label")) for e in manifest["entries"] if label in (None, e.get("label"))]
     return manifest, entries
 
 
 def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None) -> int:
     """Fit one class model from the labeled diagrams in a manifest."""
-    _, entries = _load_diagram_entries(manifest)
-    training = [d for d, lab in entries if lab == label]
-    if not training:
+    _, entries = _load_diagram_entries(manifest, label)
+    if not entries:
         raise ValidationError(f"no diagrams labeled {label!r} in manifest")
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
-    _emit(model_to_json(fit_class_model(training, prior, cfg, label)), out)
+    _emit_model(fit_class_model([d for d, _ in entries], prior, cfg, label), out)
     return 0
 
 
@@ -328,8 +355,8 @@ def main(argv=None) -> int:
         options = vars(build_parser().parse_args(argv))
         del options["command"]
         return options.pop("func")(**options)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValidationError, MemoryError) as e:  # MemoryError: a size such as --duration 1e12
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except (DataFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -226,6 +226,6 @@ def diagram_from_json(obj) -> PersistenceDiagram:
     try:
         pts = np.asarray(obj["points"], dtype=float).reshape(-1, 2)
         b_min = float(obj.get("b_min", 0.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("diagram JSON has malformed points") from None
     return PersistenceDiagram(pts, b_min)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import ValidationError
 
@@ -35,6 +34,7 @@ def wedge_mass(mean_b, mean_p, var):
     s = sqrt(var). Always in (0, 1]; tends to 1 as the mean moves deep into
     the wedge. Broadcasts over array arguments.
     """
+    from scipy.special import ndtr  # imported here: most of import time; generate, pd skip it
     s = np.sqrt(var)
     return ndtr(np.asarray(mean_b, dtype=float) / s) * ndtr(
         np.asarray(mean_p, dtype=float) / s
@@ -43,6 +43,7 @@ def wedge_mass(mean_b, mean_p, var):
 
 def log_wedge_mass(mean_b, mean_p, var):
     """log of wedge_mass, safe for means far outside the wedge."""
+    from scipy.special import log_ndtr  # imported here, as in wedge_mass
     s = np.sqrt(var)
     return log_ndtr(np.asarray(mean_b, dtype=float) / s) + log_ndtr(
         np.asarray(mean_p, dtype=float) / s
@@ -86,6 +87,9 @@ class GaussianMixtureIntensity:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
+        # finite parameters can still overflow a log kernel, which would score NaN everywhere
+        if not np.all(np.isfinite(self._log_kernel_constants[0])):
+            raise ValidationError("mixture component too extreme: its log kernel is not finite")
 
     @classmethod
     def empty(cls) -> "GaussianMixtureIntensity":
@@ -104,11 +108,12 @@ class GaussianMixtureIntensity:
         """(4, K) coefficients of each log kernel, log_norm - |x - mu|^2 / (2v),
         in (b, p, b^2 + p^2, 1), and log_norm, the kernel's maximum (at mu)."""
         v = self.variances
-        log_norm = (np.log(self.weights) - np.log(2.0 * np.pi * v)
-                    - log_wedge_mass(self.means[:, 0], self.means[:, 1], v))
-        s = -0.5 / v
-        coef = np.vstack([-2.0 * s * self.means.T, s,
-                          s * (self.means ** 2).sum(axis=1) + log_norm])
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ rejects overflow
+            log_norm = (np.log(self.weights) - np.log(2.0 * np.pi * v)
+                        - log_wedge_mass(self.means[:, 0], self.means[:, 1], v))
+            s = -0.5 / v
+            coef = np.vstack([-2.0 * s * self.means.T, s,
+                              s * (self.means ** 2).sum(axis=1) + log_norm])
         return coef, log_norm
 
 
@@ -223,9 +228,7 @@ def mixture_from_json(obj) -> GaussianMixtureIntensity:
     if len(comps) == 0:
         return GaussianMixtureIntensity.empty()
     try:
-        w = np.array([float(c["w"]) for c in comps])
-        mu = np.array([[float(c["mu"][0]), float(c["mu"][1])] for c in comps])
-        v = np.array([float(c["var"]) for c in comps])
-    except (KeyError, TypeError, ValueError, IndexError):
+        a = np.array([(c["w"], c["mu"][0], c["mu"][1], c["var"]) for c in comps], dtype=float)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
         raise ValidationError("mixture JSON has malformed components") from None
-    return GaussianMixtureIntensity(w, mu, v)
+    return GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,18 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from topobayes import (
+    ClassModel,
     GaussianMixtureIntensity,
+    PersistenceDiagram,
     classify,
     default_clutter,
     default_prior,
     diagram_from_json,
+    diagram_to_json,
     fit_class_model,
     mixture_to_json,
     model_to_json,
     PosteriorConfig,
 )
+from topobayes import cli
 from topobayes.cli import main
 
 
@@ -142,7 +148,7 @@ class TestPd:
     def test_missing_file_exit_two_names_path(self, tmp_path, capsys):
         out = tmp_path / "pd"
         assert run("pd", tmp_path / "absent.csv", "--rate", 100, "--out", out) == 2
-        assert "absent.csv" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'absent.csv'}: no such file\n"
 
     def test_continues_past_bad_file(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -242,6 +248,21 @@ class TestFitClassifyRoundtrip:
         assert report["log_densities"]["void"] == "-inf"
         assert isinstance(report["log_densities"]["alpha"], float)
         assert report["label"] == "alpha" and report["votes"] == {"alpha": 1, "void": 0}
+
+    def test_fit_reads_only_its_own_label(self, dataset, capsys):
+        manifest = dataset / "diagrams" / "manifest.json"
+        (dataset / "diagrams" / "beta_000.pd.json").write_text("{broken")
+        assert run("fit", "--manifest", manifest, "--label", "alpha",
+                   "--out", dataset / "alpha.json") == 0
+        assert run("fit", "--manifest", manifest, "--label", "beta",
+                   "--out", dataset / "beta.json") == 2
+        assert "beta_000.pd.json: malformed JSON" in capsys.readouterr().err
+        # the manifest itself is still checked in full
+        entries = read_json(manifest)["entries"] + [{"label": "beta"}]
+        _write(manifest, {"entries": entries})
+        assert run("fit", "--manifest", manifest, "--label", "alpha",
+                   "--out", dataset / "alpha.json") == 2
+        assert "entry without a 'diagram' path" in capsys.readouterr().err
 
     def test_fit_unknown_label(self, dataset):
         assert run("fit", "--manifest", dataset / "diagrams" / "manifest.json",
@@ -369,6 +390,29 @@ def _model_nested_too_deep(d, files):
             "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
 
 
+def _prior_component_overflows(d, files):
+    # finite, but its log kernel is not: the fitted model scored NaN and classify exited 0
+    prior = _write(d / "prior.json", {"components": [{"w": 1.0, "mu": [-1e200, 1.0],
+                                                      "var": 1e-200}]})
+    return ("fit", "--manifest", files / "diagrams" / "manifest.json", "--label", "alpha",
+            "--alpha", 0, "--prior", prior, "--out", d / "model.json"), 2, prior
+
+
+def _model_component_overflows(d, files):
+    model = _write(d / "m.json", {"label": "x", "lambda": 1.0, "posterior": {
+        "components": [{"w": 1.0, "mu": [1e10, 1.0], "var": 1e-300}]}})
+    return ("classify", "--models", model, files / "beta.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
+def _model_weight_too_large_for_a_float(d, files):
+    model = d / "m.json"
+    model.write_text('{"label": "x", "posterior": {"components": '
+                     '[{"w": 1' + "0" * 400 + ', "mu": [1.0, 1.0], "var": 1.0}]}}')
+    return ("classify", "--models", model, files / "beta.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
 def _signal_not_utf8(d, files):
     signal = d / "s.csv"
     signal.write_bytes(b"\xff\xfe0\n1\n")
@@ -413,7 +457,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("make_case", [
         _list_manifest, _non_object_manifest_entry, _components_not_a_list, _lambda_not_a_number,
         _model_without_label, _model_nested_too_deep, _signal_not_utf8, _signal_nested_too_deep,
+        _prior_component_overflows, _model_component_overflows,
+        _model_weight_too_large_for_a_float,
         _bad_flag("generate", "--duration=inf"), _bad_flag("generate", "--duration=nan"),
+        # numpy refuses the 1.8 PiB sample array at once, without trying to allocate it
+        _bad_flag("generate", "--duration=1e12"),
         _bad_flag("generate", "--rate=inf"), _bad_flag("generate", "--rate=nan"),
         _bad_flag("generate", "--snr=-inf"), _bad_flag("generate", "--seed=-1"),
         _bad_flag("fit", "--sigma-obs=inf"),
@@ -426,8 +474,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
-        if bad_file is not None:  # a data-file error names the file
-            assert err.startswith(f"error: {bad_file}:")
+        if bad_file is not None:  # a data-file error names the file, once
+            assert err.startswith(f"error: {bad_file}:") and err.count(str(bad_file)) == 1
 
     @pytest.mark.parametrize("command", sorted(_NUMERIC_FLAGS))
     def test_base_runs_succeed(self, tmp_path, cli_files, capsys, command):
@@ -475,6 +523,14 @@ class TestEntrypoint:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {model}: no such file\n"
 
+    def test_import_does_not_load_scipy_special(self):
+        # scipy.special is most of the import's time and memory; generate and pd never need it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, topobayes.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
 
 class TestPipeline:
     def test_end_to_end(self, tmp_path, capsys):
@@ -485,3 +541,57 @@ class TestPipeline:
         report = read_json(out / "cv_report.json")
         assert report["k_folds"] == 3
         assert report["labels"] == ["alpha", "beta"]
+
+
+# floats at the edges of their JSON and %.17g text: signed zero, the least subnormal, the
+# largest magnitudes, and the exponents where repr switches between plain and e-notation
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e308, 1e-5, 1e-4, 1e16, 1e15, 0.1, 1 / 3, 123456789.125]
+_LABELS = st.sampled_from(['say "hi"', "back\\slash", "new\nline", "naïve ☃", "null", "[]",
+                           "%r %s", "", "\x00"]) | st.text()
+
+
+def _floats(lo, hi):
+    return st.sampled_from([x for x in _EDGE_FLOATS if lo <= x <= hi]) | st.floats(lo, hi)
+
+
+def _component():
+    """(w, b, p, var) of a component the mixture accepts; weights include 1e308.
+
+    The variance stays below 1e308 / (2 pi), where the normalizer of the kernel overflows."""
+    coord = _floats(-1e16, 1e16)
+    return st.tuples(_floats(5e-324, 1e308), coord, coord, _floats(1e-5, 1e307))
+
+
+class TestWriters:
+    """Model, diagram and CSV files are byte for byte what the per-value encoders write."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(label=_LABELS, comps=st.lists(_component(), max_size=5).filter(
+        lambda cs: math.isfinite(sum(c[0] for c in cs))))
+    def test_model_file_is_the_indented_json_of_model_to_json(self, label, comps):
+        a = np.array(comps, dtype=float).reshape(-1, 4)
+        model = ClassModel(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        want = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._emit_model(model, Path(tmp) / "m.json")
+            assert (Path(tmp) / "m.json").read_bytes() == want.encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(b_min=_floats(-1e308, 1e308), points=arrays(
+        float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6).map(
+            lambda shape: (shape[0], 2)), elements=_floats(0.0, 1e308)))
+    def test_diagram_file_is_the_indented_json_of_diagram_to_json(self, b_min, points):
+        diagram = PersistenceDiagram(points, b_min)
+        want = json.dumps(diagram_to_json(diagram), indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._emit_diagram(diagram, Path(tmp) / "d.json")
+            assert (Path(tmp) / "d.json").read_bytes() == want.encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                        elements=_floats(-1e308, 1e308)))
+    def test_csv_formats_each_value_at_round_trip_precision(self, table):
+        want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._write_csv(Path(tmp) / "t.csv", table)
+            assert (Path(tmp) / "t.csv").read_bytes() == want.encode()

@@ -307,6 +307,16 @@ class TestMixtureType:
         with pytest.raises(ValidationError):  # finite weights, total mass overflows
             GaussianMixtureIntensity([1e308, 1e308], [[1, 1], [2, 2]], [1.0, 1.0])
 
+    @pytest.mark.parametrize("mean, var", [
+        ((1e10, 1.0), 1e-300),    # the linear coefficient mean / var overflows
+        ((-1e200, 1.0), 1e-200),  # the log wedge mass is -inf, so log_norm is +inf
+        ((1.0, 1.0), 5e-324),     # -1 / (2 var) overflows
+    ])
+    def test_rejects_component_whose_log_kernel_overflows(self, mean, var):
+        # each scored NaN at every point when the mixture accepted it
+        with pytest.raises(ValidationError, match="log kernel"):
+            GaussianMixtureIntensity.single(1.0, mean, var)
+
     def test_json_roundtrip(self, rng):
         g = random_mixture(rng)
         back = mixture_from_json(mixture_to_json(g))
@@ -319,5 +329,17 @@ class TestMixtureType:
         assert back.n_components == 0
 
     def test_json_malformed(self):
-        with pytest.raises(ValidationError):
-            mixture_from_json({"components": [{"w": 1.0}]})
+        good = {"w": 1.0, "mu": [0.5, 0.5], "var": 1.0}
+        for component in (
+            {"w": 1.0},
+            {"w": 1.0, "mu": [1.0], "var": 1.0},
+            {"w": 1.0, "mu": 2.0, "var": 1.0},
+            {"w": [1.0], "mu": [1.0, 2.0], "var": 1.0},
+            {"w": {}, "mu": [1.0, 2.0], "var": 1.0},
+            {"w": "abc", "mu": [1.0, 2.0], "var": 1.0},
+            {"w": 10 ** 400, "mu": [1.0, 2.0], "var": 1.0},  # too large for a float
+            {"w": None, "mu": [1.0, 2.0], "var": 1.0},
+            [1.0, [1.0, 2.0], 1.0],
+        ):
+            with pytest.raises(ValidationError):
+                mixture_from_json({"components": [good, component]})
