@@ -59,6 +59,7 @@ from .signals import (
     add_noise,
     generate_band_signal,
     load_signal,
+    signal_from_json,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +103,7 @@ __all__ = [
     "posterior_quadrature",
     "quadrature_nodes",
     "restricted_normal_pdf",
+    "signal_from_json",
     "stratified_folds",
     "sublevel_pd",
     "tilt",

@@ -23,7 +23,8 @@ from .errors import DataFileError, ValidationError
 from .filtration import diagram_from_json, sublevel_pd, tilt
 from .intensity import intensity_grid, mixture_from_json
 from .posterior import PosteriorConfig, default_clutter, default_prior
-from .signals import ALPHA_BAND, BETA_BAND, generate_band_signal, add_noise, load_signal
+from .signals import (ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal,
+                      load_signal, signal_from_json)
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 
@@ -83,10 +84,31 @@ def _emit_diagram(diagram, out):
     _emit({"b_min": diagram.b_min, "points": []}, out, [None, None], diagram.points)
 
 
-def _manifest(obj):
+def _entries(obj, path_key, labeled):
+    """Check obj's 'entries': objects with a path_key path and a 'label' string, or none."""
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValidationError("manifest needs an 'entries' list of objects")
+    for e in entries:
+        if not isinstance(e.get(path_key), str):
+            raise ValidationError(f"entry without a '{path_key}' path")
+        if (labeled or "label" in e) and not isinstance(e.get("label"), str):
+            raise ValidationError("entry without a 'label' string")
+
+
+def _signal_manifest(obj, labeled=False):
+    """{"rate": Hz (optional), "entries": [{"signal": path, "label": str}, ...]}"""
+    _entries(obj, "signal", labeled)
+    if "rate" in obj:
+        check_rate(obj["rate"])
+    return obj
+
+
+def _diagram_manifest(obj, labeled=False):
+    """{"k_folds": int (optional), "entries": [{"diagram": path, "label": str}, ...]}"""
+    _entries(obj, "diagram", labeled)
+    if "k_folds" in obj and type(obj["k_folds"]) is not int:  # a bool is not a fold count
+        raise ValidationError("'k_folds' must be an integer")
     return obj
 
 
@@ -115,15 +137,12 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
     manifest_path = outdir / "manifest.json"
     manifest = {"rate": rate, "entries": []}
     if manifest_path.exists():
-        previous = _read(manifest_path, _manifest)
+        previous = _read(manifest_path, lambda obj: _signal_manifest(obj, labeled=True))
         if previous.get("rate") not in (None, rate):
             raise ValidationError(
                 f"manifest {manifest_path} has rate {previous.get('rate')}, "
                 f"refusing to mix with {rate}"
             )
-        if not all(isinstance(e.get("label"), str) and isinstance(e.get("signal"), str)
-                   for e in previous["entries"]):
-            raise DataFileError(f"{manifest_path}: entry without a 'label' and 'signal' string")
         manifest["entries"] = [e for e in previous["entries"] if e["label"] != band]
     manifest["entries"].extend(entries)
     manifest["entries"].sort(key=lambda e: (e["label"], e["signal"]))
@@ -133,30 +152,25 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
 
 def _signal_tasks(manifest, inputs, rate):
     if manifest:
-        obj = _read(manifest, _manifest)
-        rate = rate if rate is not None else obj.get("rate")
-        tasks = []
-        for e in obj["entries"]:
-            if "signal" not in e:
-                raise DataFileError(f"{manifest}: entry without a 'signal' path")
-            tasks.append((Path(manifest).parent / e["signal"], e.get("label"), rate))
-        return tasks
+        obj = _read(manifest, _signal_manifest)
+        tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]
+        return tasks, rate if rate is not None else obj.get("rate")
     if not inputs:
         raise ValidationError("pd needs --manifest or signal files")
-    return [(Path(p), None, rate) for p in inputs]
+    return [(Path(p), None) for p in inputs], rate
 
 
 def pd(out, manifest=None, inputs=(), rate=None) -> int:
-    """Convert signals to tilted persistence diagram JSON files."""
-    tasks = _signal_tasks(manifest, inputs, rate)
+    """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files."""
+    tasks, rate = _signal_tasks(manifest, inputs, rate)
     outdir = Path(out)
 
     entries = []
     failures = 0
-    for path, label, task_rate in tasks:
-        fmt = "json" if path.suffix == ".json" else "csv"
+    for path, label in tasks:
         try:
-            sig = load_signal(path, format=fmt, rate=task_rate if fmt == "csv" else None)
+            sig = (_read(path, signal_from_json) if path.suffix == ".json"
+                   else load_signal(path, rate))
             diagram = tilt(sublevel_pd(sig))
         except (DataFileError, ValidationError, OSError) as err:
             failures += 1
@@ -173,11 +187,9 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
     return 2 if failures else 0
 
 
-def _load_diagram_entries(manifest_path, label=None):
+def _load_diagram_entries(manifest_path, label=None, labeled=False):
     """The manifest and its (diagram, label) entries; only those labeled label, if given."""
-    manifest = _read(manifest_path, _manifest)
-    if not all("diagram" in e for e in manifest["entries"]):
-        raise DataFileError(f"{manifest_path}: entry without a 'diagram' path")
+    manifest = _read(manifest_path, lambda obj: _diagram_manifest(obj, labeled))
     entries = [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
                 e.get("label")) for e in manifest["entries"] if label in (None, e.get("label"))]
     return manifest, entries
@@ -212,9 +224,7 @@ def classify(models, diagram, threshold=1.0, out=None) -> int:
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
        threshold=1.0, seed=0, out=None) -> int:
     """Cross-validate the classifier on a labeled manifest; print the report unless out is set."""
-    obj, entries = _load_diagram_entries(manifest)
-    if any(lab is None for _, lab in entries):
-        raise ValidationError("cv needs a label on every manifest entry")
+    obj, entries = _load_diagram_entries(manifest, labeled=True)
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)

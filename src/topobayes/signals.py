@@ -3,12 +3,11 @@
 The generator produces EEG-like oscillatory signals as random sums of
 sinusoids inside a frequency band, normalized to unit RMS power. White
 Gaussian noise can be added at a requested SNR in dB (0 dB means equal
-signal and noise power). Recorded signals can be loaded from CSV or JSON.
+signal and noise power). Recorded signals are read from CSV or decoded from JSON.
 All randomness is seeded, so every function here is a pure function of its
 arguments and safe to call concurrently.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,14 +30,11 @@ class Signal:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
-            raise ValidationError("signal needs at least 2 samples")
+            raise ValidationError("signal has too few samples (need at least 2)")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("signal contains a non-finite sample")
-        rate = float(self.sample_rate)
-        if not (np.isfinite(rate) and rate > 0):
-            raise ValidationError("sample_rate must be a positive finite number")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
     def __len__(self):
         return len(self.samples)
@@ -50,6 +46,18 @@ class Signal:
     def power(self) -> float:
         """Mean squared amplitude."""
         return float(np.mean(self.samples**2))
+
+
+def check_rate(value) -> float:
+    """value as a sample rate in Hz: a finite, positive real number, and not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        rate = float(value) if real else np.nan
+    except OverflowError:  # an integer too large for a float
+        rate = np.inf
+    if not 0 < rate < np.inf:
+        raise ValidationError("sample rate must be a positive finite number")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -126,36 +134,30 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     return Signal(signal.samples + sigma * z, signal.sample_rate)
 
 
-def load_signal(path, format: str = "csv", rate: float | None = None) -> Signal:
-    """Read a signal from disk.
-
-    CSV files hold one amplitude per line with an optional single header
-    line; the sample rate must be supplied via `rate`. JSON files look like
-    {"rate": <Hz>, "samples": [...]} and carry their own rate, so `rate`
-    must be omitted.
-    """
+def load_signal(path, rate: float | None = None) -> Signal:
+    """Read a CSV signal: one amplitude per line with an optional single header
+    line. CSV carries no sample rate, so `rate` must be supplied."""
     p = Path(path)
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
-    if format == "csv":
-        if rate is None:
-            raise ValidationError("csv signals need an explicit sample rate")
-        values = _parse_csv(p)
-    elif format == "json":
-        if rate is not None:
-            raise ValidationError("json signals carry their own sample rate")
-        rate, values = _parse_json(p)
-    else:
-        raise ValidationError(f"unknown signal format {format!r}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise DataFileError(f"{p}: too few samples (need at least 2)")
-    if not np.all(np.isfinite(arr)):
-        raise DataFileError(f"{p}: non-finite sample")
+    if rate is None:
+        raise ValidationError("csv signals need an explicit sample rate")
+    values = _parse_csv(p)
     try:
-        return Signal(arr, rate)
+        return Signal(values, rate)
     except ValidationError as e:
         raise DataFileError(f"{p}: {e}") from None
+
+
+def signal_from_json(obj) -> Signal:
+    """Wire format: {"rate": <Hz>, "samples": [<number>, ...]}."""
+    samples = obj.get("samples") if isinstance(obj, dict) else None
+    if not (isinstance(samples, list) and set(map(type, samples)) <= {int, float}):
+        raise ValidationError("expected an object with a 'samples' list of numbers")
+    try:
+        return Signal(np.array(samples, dtype=float), obj.get("rate"))
+    except OverflowError:
+        raise ValidationError("a sample is too large for a float") from None
 
 
 def _parse_csv(p: Path) -> list:
@@ -177,18 +179,3 @@ def _parse_csv(p: Path) -> list:
                 continue  # single optional header line
             raise DataFileError(f"{p}: malformed line {ln}: {line!r}") from None
     return values
-
-
-def _parse_json(p: Path):
-    try:
-        obj = json.loads(p.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise DataFileError(f"{p}: malformed JSON ({e})") from None
-    if not isinstance(obj, dict) or "rate" not in obj or "samples" not in obj:
-        raise DataFileError(f"{p}: expected an object with 'rate' and 'samples'")
-    try:
-        rate = float(obj["rate"])
-        values = [float(v) for v in obj["samples"]]
-    except (TypeError, ValueError):
-        raise DataFileError(f"{p}: malformed 'rate' or 'samples'") from None
-    return rate, values

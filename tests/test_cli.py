@@ -425,6 +425,44 @@ def _signal_nested_too_deep(d, files):
     return ("pd", signal, "--out", d / "pd"), 2, signal
 
 
+def _named(name, make):
+    make.__name__ = f"_{name}"
+    return make
+
+
+def _signal_manifest(name, **fields):
+    """pd over a signal manifest of one good CSV signal, with the given top-level fields."""
+    def make(d, files):
+        entry = {"signal": str(files / "signals" / "alpha_000.csv"), "label": "alpha"}
+        manifest = _write(d / "m.json", {"entries": [entry], **fields})
+        return ("pd", "--manifest", manifest, "--out", d / "pd"), 2, manifest
+    return _named(name, make)
+
+
+def _diagram_manifest(name, command, extra_entry=None, **fields):
+    """fit --label alpha or cv over a diagram manifest of the good diagrams plus extra_entry."""
+    def make(d, files):
+        entries = read_json(files / "diagrams" / "manifest.json")["entries"]
+        for e in entries:
+            e["diagram"] = str(files / "diagrams" / e["diagram"])
+        if extra_entry is not None:
+            entries.append({"diagram": entries[0]["diagram"], **extra_entry})
+        manifest = _write(d / "m.json", {"k_folds": 2, "entries": entries, **fields})
+        argv = {"fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out", d / "m"),
+                "cv": ("cv", "--manifest", manifest)}[command]
+        return argv, 2, manifest
+    return _named(f"{name}_{command}", make)
+
+
+def _signal_json(name, text):
+    """pd over one JSON signal file holding text."""
+    def make(d, files):
+        signal = d / "s.json"
+        signal.write_text(text)
+        return ("pd", signal, "--out", d / "pd"), 2, signal
+    return _named(name, make)
+
+
 def _bad_flag(command, flag):
     """A run that would succeed but for one appended flag that must be rejected."""
     def make(d, files):
@@ -459,6 +497,25 @@ class TestExitCodes:
         _model_without_label, _model_nested_too_deep, _signal_not_utf8, _signal_nested_too_deep,
         _prior_component_overflows, _model_component_overflows,
         _model_weight_too_large_for_a_float,
+        _signal_manifest("signal_manifest_rate_not_a_number", rate="abc"),
+        _signal_manifest("signal_manifest_rate_in_a_list", rate=[1]),
+        _signal_manifest("signal_manifest_rate_too_large_for_a_float", rate=10**400),
+        _signal_manifest("signal_manifest_rate_negative", rate=-1),
+        _signal_manifest("signal_manifest_signal_not_a_string", rate=128, entries=[{"signal": 5}]),
+        _signal_manifest("signal_manifest_signal_null", rate=128, entries=[{"signal": None}]),
+        _diagram_manifest("diagram_not_a_string", "fit", {"diagram": 5, "label": "beta"}),
+        _diagram_manifest("diagram_not_a_string", "cv", {"diagram": 5, "label": "alpha"}),
+        _diagram_manifest("label_not_a_string", "fit", {"label": 0}),
+        _diagram_manifest("label_not_a_string", "cv", {"label": 0}),
+        _diagram_manifest("k_folds_a_string", "cv", k_folds="3"),
+        _diagram_manifest("k_folds_a_bool", "cv", k_folds=True),
+        _diagram_manifest("entry_without_label", "cv", {}),
+        _signal_json("signal_json_samples_a_string", '{"rate": 100, "samples": "12"}'),
+        _signal_json("signal_json_sample_too_large_for_a_float",
+                     '{"rate": 100, "samples": [0, 1' + "0" * 400 + ']}'),
+        _signal_json("signal_json_rate_too_large_for_a_float",
+                     '{"rate": 1' + "0" * 400 + ', "samples": [0, 1]}'),
+        _signal_json("signal_json_malformed", "{not json"),
         _bad_flag("generate", "--duration=inf"), _bad_flag("generate", "--duration=nan"),
         # numpy refuses the 1.8 PiB sample array at once, without trying to allocate it
         _bad_flag("generate", "--duration=1e12"),

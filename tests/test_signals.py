@@ -13,6 +13,7 @@ from topobayes import (
     add_noise,
     generate_band_signal,
     load_signal,
+    signal_from_json,
 )
 
 
@@ -109,73 +110,75 @@ class TestSignalType:
             Signal([1.0, np.nan], 10.0)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValidationError):
-            Signal([1.0, 2.0], 0.0)
+        for rate in (0.0, "128", "abc", [1], None, True, 10**400):  # 10**400 is too large for a float
+            with pytest.raises(ValidationError):
+                Signal([1.0, 2.0], rate)
 
 
 class TestLoadSignal:
     def test_csv_parse_identity(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\n1\n0\n")
-        sig = load_signal(p, format="csv", rate=100.0)
+        sig = load_signal(p, rate=100.0)
         assert np.array_equal(sig.samples, [0.0, 1.0, 0.0])
         assert sig.sample_rate == 100.0
 
     def test_csv_optional_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("amplitude\n0.5\n-0.5\n")
-        sig = load_signal(p, format="csv", rate=50.0)
+        sig = load_signal(p, rate=50.0)
         assert np.array_equal(sig.samples, [0.5, -0.5])
 
     def test_nan_row_reports_nonfinite(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\nNaN\n1\n")
         with pytest.raises(DataFileError, match="non-finite sample"):
-            load_signal(p, format="csv", rate=100.0)
+            load_signal(p, rate=100.0)
 
     def test_empty_file_reports_too_few(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("")
         with pytest.raises(DataFileError, match="too few samples"):
-            load_signal(p, format="csv", rate=100.0)
+            load_signal(p, rate=100.0)
 
     def test_malformed_line_reported(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\n1\nbroken\n")
         with pytest.raises(DataFileError, match="malformed"):
-            load_signal(p, format="csv", rate=100.0)
+            load_signal(p, rate=100.0)
 
     def test_csv_requires_rate(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\n1\n")
         with pytest.raises(ValidationError):
-            load_signal(p, format="csv")
-
-    def test_json_roundtrip(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text(json.dumps({"rate": 128.0, "samples": [0.0, 1.5, -2.0]}))
-        sig = load_signal(p, format="json")
-        assert sig.sample_rate == 128.0
-        assert np.array_equal(sig.samples, [0.0, 1.5, -2.0])
-
-    def test_json_rejects_rate_argument(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text(json.dumps({"rate": 128.0, "samples": [0.0, 1.0]}))
-        with pytest.raises(ValidationError):
-            load_signal(p, format="json", rate=100.0)
-
-    def test_json_malformed(self, tmp_path):
-        p = tmp_path / "s.json"
-        p.write_text("{not json")
-        with pytest.raises(DataFileError, match="malformed"):
-            load_signal(p, format="json")
+            load_signal(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFileError, match="no such file"):
-            load_signal(tmp_path / "absent.csv", format="csv", rate=1.0)
+            load_signal(tmp_path / "absent.csv", rate=1.0)
 
-    def test_unknown_format(self, tmp_path):
-        p = tmp_path / "s.bin"
-        p.write_text("0\n1\n")
+
+class TestSignalFromJson:
+    def test_roundtrip(self):
+        sig = signal_from_json(json.loads('{"rate": 128.0, "samples": [0.0, 1.5, -2.0]}'))
+        assert sig.sample_rate == 128.0
+        assert np.array_equal(sig.samples, [0.0, 1.5, -2.0])
+
+    @pytest.mark.parametrize("obj", [
+        [0.0, 1.0],
+        {"rate": 128.0},
+        {"samples": [0.0, 1.0]},
+        {"rate": 128.0, "samples": "12"},  # a string of digits is not two samples
+        {"rate": 128.0, "samples": [0.0, "1"]},
+        {"rate": 128.0, "samples": [0.0, True]},
+        {"rate": 128.0, "samples": [0.0, [1.0]]},
+        {"rate": 128.0, "samples": [0.0, 10**400]},  # too large for a float
+        {"rate": 10**400, "samples": [0.0, 1.0]},
+        {"rate": "128", "samples": [0.0, 1.0]},
+        {"rate": -1, "samples": [0.0, 1.0]},
+        {"rate": 128.0, "samples": [0.0]},
+        {"rate": 128.0, "samples": [0.0, float("nan")]},
+    ])
+    def test_malformed(self, obj):
         with pytest.raises(ValidationError):
-            load_signal(p, format="bin")
+            signal_from_json(obj)
