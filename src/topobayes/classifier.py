@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_floats
 from .filtration import PersistenceDiagram
 from .intensity import (
     GaussianMixtureIntensity,
@@ -229,13 +229,13 @@ def model_to_json(model: ClassModel) -> dict:
 
 
 def model_from_json(obj) -> ClassModel:
-    if not isinstance(obj, dict) or "label" not in obj or "posterior" not in obj:
-        raise ValidationError("model JSON needs 'label' and 'posterior'")
-    model = ClassModel(label=str(obj["label"]), posterior=mixture_from_json(obj["posterior"]))
+    if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) or "posterior" not in obj:
+        raise ValidationError("model JSON needs a 'label' string and a 'posterior'")
+    model = ClassModel(label=obj["label"], posterior=mixture_from_json(obj["posterior"]))
     # "lambda" is redundant with the posterior; a file whose value disagrees
     # was edited or corrupted, so it is rejected rather than ignored
     mass = model.lam
-    lam = obj.get("lambda", mass)
-    if not (isinstance(lam, (int, float)) and abs(lam - mass) <= 1e-12 * max(1.0, mass)):
+    lam = json_floats(obj.get("lambda", mass), "model JSON 'lambda'")
+    if not abs(lam - mass) <= 1e-12 * max(1.0, mass):
         raise ValidationError("model JSON 'lambda' must equal the posterior's total mass")
     return model

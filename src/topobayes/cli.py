@@ -35,9 +35,11 @@ def _read(path, decode):
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
     try:
-        return decode(json.loads(p.read_text()))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        obj = json.loads(p.read_text())
+    except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
+    try:
+        return decode(obj)
     except ValidationError as e:
         raise DataFileError(f"{p}: {e}") from None
 
@@ -85,7 +87,8 @@ def _emit_diagram(diagram, out):
 
 
 def _entries(obj, path_key, labeled):
-    """Check obj's 'entries': objects with a path_key path and a 'label' string, or none."""
+    """Check obj's 'entries': objects with a string path_key and, where labeled or present,
+    a string 'label'."""
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ValidationError("manifest needs an 'entries' list of objects")
@@ -151,13 +154,28 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
 
 
 def _signal_tasks(manifest, inputs, rate):
+    """The (path, label) of each signal and the rate of the CSV ones, checked before any is read.
+
+    A fault in the list of signals is the manifest's, if one lists them, or the command line's."""
+    if rate is not None:
+        check_rate(rate)
     if manifest:
         obj = _read(manifest, _signal_manifest)
         tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]
-        return tasks, rate if rate is not None else obj.get("rate")
-    if not inputs:
+        rate = rate if rate is not None else obj.get("rate")
+    elif inputs:
+        tasks = [(Path(p), None) for p in inputs]
+    else:
         raise ValidationError("pd needs --manifest or signal files")
-    return [(Path(p), None) for p in inputs], rate
+    fault, prefix = (DataFileError, f"{manifest}: ") if manifest else (ValidationError, "")
+    first = {}
+    for path, _ in tasks:
+        other = first.setdefault(path.stem, path)
+        if other is not path:  # one diagram file would silently overwrite the other
+            raise fault(f"{prefix}{other} and {path} would both write {path.stem}.pd.json")
+    if rate is None and any(path.suffix != ".json" for path, _ in tasks):
+        raise fault(f"{prefix}csv signals need a sample rate: a manifest 'rate' or --rate")
+    return tasks, rate
 
 
 def pd(out, manifest=None, inputs=(), rate=None) -> int:
@@ -172,10 +190,9 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
             sig = (_read(path, signal_from_json) if path.suffix == ".json"
                    else load_signal(path, rate))
             diagram = tilt(sublevel_pd(sig))
-        except (DataFileError, ValidationError, OSError) as err:
+        except (DataFileError, OSError) as err:  # each names the file
             failures += 1
-            named = isinstance(err, (DataFileError, OSError))  # these name the file already
-            print("error:", err if named else f"{path}: {err}", file=sys.stderr)
+            print("error:", err, file=sys.stderr)
             continue
         name = path.stem + ".pd.json"
         _emit_diagram(diagram, outdir / name)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +223,5 @@ def diagram_to_json(diagram: PersistenceDiagram) -> dict:
 def diagram_from_json(obj) -> PersistenceDiagram:
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValidationError("diagram JSON needs a 'points' list")
-    try:
-        pts = np.asarray(obj["points"], dtype=float).reshape(-1, 2)
-        b_min = float(obj.get("b_min", 0.0))
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("diagram JSON has malformed points") from None
-    return PersistenceDiagram(pts, b_min)
+    pts = json_floats(obj["points"], "diagram points", None, 2)
+    return PersistenceDiagram(pts, json_floats(obj.get("b_min", 0.0), "diagram 'b_min'"))

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_floats
 
 # rows per chunk of log_eval_intensity: its (rows, K) work array stays near
 # 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
@@ -224,11 +224,11 @@ def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
 def mixture_from_json(obj) -> GaussianMixtureIntensity:
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValidationError("mixture JSON needs a 'components' list")
-    comps = obj["components"]
-    if len(comps) == 0:
-        return GaussianMixtureIntensity.empty()
+    # a mu that is not a (b, p) pair makes a row that is not 4 long; tuples of floats, unlike
+    # lists, drop out of the garbage collector's sweeps, which would walk the whole parsed file
     try:
-        a = np.array([(c["w"], c["mu"][0], c["mu"][1], c["var"]) for c in comps], dtype=float)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        rows = [(c["w"], *c["mu"], c["var"]) for c in obj["components"]]
+    except (KeyError, TypeError):
         raise ValidationError("mixture JSON has malformed components") from None
+    a = json_floats(rows, "mixture components", None, 4)
     return GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFileError, ValidationError
+from .errors import DataFileError, ValidationError, json_floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +151,9 @@ def load_signal(path, rate: float | None = None) -> Signal:
 
 def signal_from_json(obj) -> Signal:
     """Wire format: {"rate": <Hz>, "samples": [<number>, ...]}."""
-    samples = obj.get("samples") if isinstance(obj, dict) else None
-    if not (isinstance(samples, list) and set(map(type, samples)) <= {int, float}):
-        raise ValidationError("expected an object with a 'samples' list of numbers")
-    try:
-        return Signal(np.array(samples, dtype=float), obj.get("rate"))
-    except OverflowError:
-        raise ValidationError("a sample is too large for a float") from None
+    if not isinstance(obj, dict):
+        raise ValidationError("expected an object with 'rate' and 'samples'")
+    return Signal(json_floats(obj.get("samples"), "'samples'", None), obj.get("rate"))
 
 
 def _parse_csv(p: Path) -> list:

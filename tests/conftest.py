@@ -14,9 +14,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.special import ndtr
 
 from topobayes import GaussianMixtureIntensity, PersistenceDiagram, eval_intensity
+
+# selected in CI with --hypothesis-profile=ci: every run replays the same examples, so a
+# failure there reproduces from its log; local runs keep drawing new ones
+settings.register_profile("ci", derandomize=True)
 
 
 def brute_sublevel_pairs(values):

@@ -295,6 +295,6 @@ class TestClassModelType:
         obj = {"label": "x", "posterior": mixture_to_json(g)}
         assert model_from_json(obj).lam == 2.0
         assert model_from_json({**obj, "lambda": 2.0}).lam == 2.0
-        for bad in (3.0, 2.0 + 1e-9, "x", "2.0", None, float("nan"), float("inf")):
+        for bad in (3.0, 2.0 + 1e-9, "x", "2.0", None, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValidationError):
                 model_from_json({**obj, "lambda": bad})

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -159,6 +160,20 @@ class TestPd:
         assert run("pd", good, bad, "--rate", 100, "--out", out) == 2
         assert (out / "good.pd.json").exists()
         assert "bad.csv" in capsys.readouterr().err
+
+    def test_inputs_sharing_an_output_name_write_nothing(self, tmp_path, capsys):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.csv").write_text("0\n1\n0\n")
+        manifest = _write(tmp_path / "m.json",
+                          {"rate": 100, "entries": [{"signal": "a/x.csv"}, {"signal": "b/x.csv"}]})
+        out = tmp_path / "pd"
+        for argv, code in (((tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv", "--rate", 100), 1),
+                           (("--manifest", manifest), 2)):
+            assert run("pd", *argv, "--out", out) == code
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and not out.exists()
+            assert "a/x.csv" in err and "b/x.csv" in err
 
     def test_needs_inputs(self, tmp_path):
         assert run("pd", "--out", tmp_path / "pd") == 1
@@ -383,6 +398,12 @@ def _model_without_label(d, files):
             "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
 
 
+def _model_label_not_a_string(d, files):
+    model = _write(d / "m.json", {"label": 5, "lambda": 0.0, "posterior": {"components": []}})
+    return ("classify", "--models", model, files / "beta.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
 def _model_nested_too_deep(d, files):
     model = d / "m.json"
     model.write_text("[" * 100_000 + "]" * 100_000)
@@ -411,6 +432,29 @@ def _model_weight_too_large_for_a_float(d, files):
                      '[{"w": 1' + "0" * 400 + ', "mu": [1.0, 1.0], "var": 1.0}]}}')
     return ("classify", "--models", model, files / "beta.json",
             "--diagram", files / "diagrams" / "beta_000.pd.json"), 2, model
+
+
+def _model_lambda_too_large_for_a_float(command):
+    def make(d, files):
+        model = d / "m.json"
+        model.write_text('{"label": "x", "lambda": 1' + "0" * 400 + ', "posterior": '
+                         '{"components": [{"w": 1.0, "mu": [1.0, 1.0], "var": 1.0}]}}')
+        argv = {"classify": ("classify", "--models", model, files / "beta.json",
+                             "--diagram", files / "diagrams" / "beta_000.pd.json"),
+                "heatmap": ("heatmap", "--model", model, "--bounds", "0,0,3,4", "--res", "8x8",
+                            "--out", d / "hm")}[command]
+        return argv, 2, model
+    return _named(f"model_lambda_too_large_for_a_float_{command}", make)
+
+
+def _pd_inputs_sharing_an_output_name(name, *paths):
+    """pd over copies of a good CSV signal at paths, which share a stem: nothing may be written."""
+    def make(d, files):
+        for p in paths:
+            (d / p).parent.mkdir(parents=True, exist_ok=True)
+            (d / p).write_text((files / "signals" / "alpha_000.csv").read_text())
+        return ("pd", *(d / p for p in paths), "--rate", 128, "--out", d / "pd"), 1, None
+    return _named(name, make)
 
 
 def _signal_not_utf8(d, files):
@@ -491,10 +535,128 @@ _NUMERIC_FLAGS = {
 }
 
 
+def _write_mutation_inputs(d):
+    """Small valid files of every kind the CLI reads, in d; kind -> (file, {consumer: argv})."""
+    component = {"w": 1.0, "mu": [1.0, 1.0], "var": 0.5}
+    mixture = {"components": [component, {"w": 0.5, "mu": [2.0, 0.5], "var": 1.0}]}
+    for i in range(1, 5):
+        _write(d / f"d{i}.pd.json", {"b_min": -1.0, "points": [[0.5, i], [1.0, 0.25]]})
+    (d / "s.csv").write_text("amplitude\n0.5\n-1.0\n0.25\n1.0\n-0.5\n")
+    files = {
+        "signal_manifest": _write(d / "manifest.json", {
+            "rate": 128, "entries": [{"signal": "s.csv", "label": "alpha"}]}),
+        "signal_csv": d / "s.csv",
+        "signal_json": _write(d / "s.json", {"rate": 128, "samples": [0.5, -1.0, 0.25, 1.0]}),
+        "diagram_manifest": _write(d / "diagrams.json", {"k_folds": 2, "entries": [
+            {"diagram": f"d{i}.pd.json", "label": label} for i, label in enumerate("aabb", 1)]}),
+        "diagram": d / "d1.pd.json",
+        "mixture": _write(d / "mixture.json", mixture),
+        "model": _write(d / "a.json", {"label": "a", "lambda": 1.5, "posterior": mixture}),
+    }
+    _write(d / "b.json", {"label": "b", "lambda": 1.0, "posterior": {"components": [
+        {"w": 1.0, "mu": [0.5, 2.0], "var": 0.5}]}})
+    fit = ("fit", "--manifest", files["diagram_manifest"], "--label", "a", "--out", d / "m.json")
+    classify = ("classify", "--models", files["model"], d / "b.json", "--diagram", files["diagram"])
+    consumers = {
+        "signal_manifest": {
+            "pd": ("pd", "--manifest", files["signal_manifest"], "--out", d / "pd"),
+            "generate": ("generate", "--band", "alpha", "--n", 1, "--duration", 0.25,
+                         "--rate", 128, "--out", d)},
+        "signal_csv": {"pd": ("pd", files["signal_csv"], "--rate", 128, "--out", d / "pd")},
+        "signal_json": {"pd": ("pd", files["signal_json"], "--out", d / "pd")},
+        "diagram_manifest": {"fit": fit, "cv": ("cv", "--manifest", files["diagram_manifest"])},
+        "diagram": {"classify": classify, "fit": fit},
+        "mixture": {"fit --prior": (*fit, "--prior", files["mixture"]),
+                    "fit --clutter": (*fit, "--clutter", files["mixture"])},
+        "model": {"classify": classify,
+                  "heatmap": ("heatmap", "--model", files["model"], "--bounds", "0,0,3,3",
+                              "--res", "4x4", "--out", d / "hm")},
+    }
+    return {kind: (files[kind], consumers[kind]) for kind in files}
+
+
+_MUTATION_KINDS = ["diagram", "diagram_manifest", "mixture", "model", "signal_csv", "signal_json",
+                   "signal_manifest"]  # the keys of _write_mutation_inputs
+_SWAPS = [None, True, "x", 0.5, [], {}]
+# integers no float holds; past 4300 digits Python will not even convert one from text
+_HUGE = ["1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000]
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any JSON parser recurses
+_MARK = "\x00raw\x00"  # stands for raw JSON text that json.dumps cannot write
+
+
+def _json_type(value):
+    return {bool: "bool", int: "number", float: "number"}.get(type(value), type(value).__name__)
+
+
+def _value_paths(obj, path=()):
+    """The path, as keys and indices, of every value in the JSON tree obj, obj's own included."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _value_paths(value, (*path, key))
+
+
+def _json_mutations(value, path):
+    """The mutation kinds that apply to value at path in a JSON file."""
+    kinds = ["swap", "huge", "deep", "shape"] + (["drop"] if path else [])
+    if _json_type(value) == "number":
+        kinds.append("string")
+        if path[:1] == ("points",):
+            kinds.append("wedge")
+    return kinds
+
+
+def _mutate_json(text, data):
+    """text with one value mutated, as drawn from data; (new text, mutation, path to the value)."""
+    obj = json.loads(text)
+    path = data.draw(st.sampled_from(list(_value_paths(obj))), label="path")
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]] if path else obj
+    kind = data.draw(st.sampled_from(_json_mutations(value, path)), label="mutation")
+    raw = data.draw(st.sampled_from(_HUGE), label="huge") if kind == "huge" else _DEEP
+    new = {
+        "swap": lambda: data.draw(st.sampled_from(
+            [s for s in _SWAPS if _json_type(s) != _json_type(value)]), label="swap to"),
+        "huge": lambda: _MARK,
+        "deep": lambda: _MARK,
+        "shape": lambda: [value],  # one level of nesting too many
+        "string": lambda: repr(value),  # the number written as a string
+        "wedge": lambda: -1.0 - abs(value),  # a point below the wedge b, p >= 0
+        "drop": lambda: None,
+    }[kind]()
+    if kind == "drop":
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = new
+    else:
+        obj = new
+    return json.dumps(obj).replace(json.dumps(_MARK), raw), kind, path
+
+
+def _mutate_csv(text, data):
+    """text with one line dropped, or one data line (not the header) replaced; as _mutate_json."""
+    lines = text.splitlines()
+    kind = data.draw(st.sampled_from(["drop", "swap", "string", "huge", "deep", "shape"]),
+                     label="mutation")
+    i = data.draw(st.integers(0 if kind == "drop" else 1, len(lines) - 1), label="line")
+    lines[i:i + 1] = {
+        "drop": [],
+        "swap": [data.draw(st.sampled_from(["x", "true", "null", "[]", "{}"]), label="swap to")],
+        "string": [f'"{lines[i]}"'],
+        "huge": [data.draw(st.sampled_from(_HUGE), label="huge")],
+        "deep": [_DEEP],
+        "shape": [f"{lines[i]},{lines[i]}"],
+    }[kind]
+    return "".join(line + "\n" for line in lines), kind, (i,)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("make_case", [
         _list_manifest, _non_object_manifest_entry, _components_not_a_list, _lambda_not_a_number,
-        _model_without_label, _model_nested_too_deep, _signal_not_utf8, _signal_nested_too_deep,
+        _model_without_label, _model_label_not_a_string, _model_nested_too_deep,
+        _signal_not_utf8, _signal_nested_too_deep,
         _prior_component_overflows, _model_component_overflows,
         _model_weight_too_large_for_a_float,
         _signal_manifest("signal_manifest_rate_not_a_number", rate="abc"),
@@ -516,6 +678,17 @@ class TestExitCodes:
         _signal_json("signal_json_rate_too_large_for_a_float",
                      '{"rate": 1' + "0" * 400 + ', "samples": [0, 1]}'),
         _signal_json("signal_json_malformed", "{not json"),
+        _signal_json("signal_json_integer_past_the_digit_limit",
+                     '{"rate": 1' + "0" * 5000 + ', "samples": [0, 1]}'),
+        _model_lambda_too_large_for_a_float("classify"),
+        _model_lambda_too_large_for_a_float("heatmap"),
+        _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
+                         entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
+        _signal_manifest("signal_manifest_without_rate_for_csv_signals"),
+        _pd_inputs_sharing_an_output_name("pd_same_stem_in_two_directories", "a/x.csv", "b/x.csv"),
+        _pd_inputs_sharing_an_output_name("pd_same_stem_csv_and_json", "x.csv", "x.json"),
+        _pd_inputs_sharing_an_output_name("pd_same_file_twice", "x.csv", "x.csv"),
+        _bad_flag("pd", "--rate=0"), _bad_flag("pd", "--rate=nan"),
         _bad_flag("generate", "--duration=inf"), _bad_flag("generate", "--duration=nan"),
         # numpy refuses the 1.8 PiB sample array at once, without trying to allocate it
         _bad_flag("generate", "--duration=1e12"),
@@ -557,6 +730,38 @@ class TestExitCodes:
         if code:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+    @pytest.mark.parametrize("kind", _MUTATION_KINDS)
+    def test_unmutated_files_succeed(self, tmp_path, capsys, kind):
+        # each mutation below is then the only fault in its run
+        _, consumers = _write_mutation_inputs(tmp_path)[kind]
+        for argv in consumers.values():
+            assert run(*argv) == 0, (argv, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is one more stderr line
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_exit_cleanly(self, data):
+        kind = data.draw(st.sampled_from(_MUTATION_KINDS), label="file")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, consumers = _write_mutation_inputs(Path(tmp))[kind]
+            consumer = data.draw(st.sampled_from(sorted(consumers)), label="command")
+            mutate = _mutate_csv if path.suffix == ".csv" else _mutate_json
+            text, mutation, where = mutate(path.read_text(), data)
+            path.write_text(text)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(*consumers[consumer])
+        event(f"{kind} {mutation} via {consumer}: exit {code}")
+        assert code in (0, 1, 2)
+        # every mutation makes a file no reader may accept, but for a dropped key, line or
+        # element, and a huge k_folds: an integer, as it should be, that fit does not use
+        assert code or mutation == "drop" or (mutation, where) == ("huge", ("k_folds",)), text[:300]
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+        if code == 2:
+            assert str(path) in lines[0], lines[0]
 
 
 class TestEntrypoint:

@@ -198,6 +198,12 @@ class TestDiagramJSON:
             diagram_from_json({"points": "nope"})
         with pytest.raises(ValidationError):
             diagram_from_json([1, 2, 3])
+        # each was read as a diagram before: numbers as strings or bools, points reshaped into pairs
+        for bad in ({"points": [["1", "2"]]}, {"points": [[True, 1.0]]}, {"points": [1.0, 2.0]},
+                    {"points": [[1.0, 2.0, 3.0, 4.0]]}, {"points": [], "b_min": True},
+                    {"points": [], "b_min": "0.5"}, {"points": [[10**400, 1.0]]}):
+            with pytest.raises(ValidationError):
+                diagram_from_json(bad)
 
 
 class TestDiagramTypes:

@@ -340,6 +340,11 @@ class TestMixtureType:
             {"w": 10 ** 400, "mu": [1.0, 2.0], "var": 1.0},  # too large for a float
             {"w": None, "mu": [1.0, 2.0], "var": 1.0},
             [1.0, [1.0, 2.0], 1.0],
+            # read as numbers before: a string of two digits as a mean, a bool, a numeric string
+            {"w": 1.0, "mu": "12", "var": 1.0},
+            {"w": True, "mu": [1.0, 2.0], "var": 1.0},
+            {"w": "1.0", "mu": [1.0, 2.0], "var": 1.0},
+            {"w": 1.0, "mu": [1.0, 2.0, 3.0], "var": 1.0},
         ):
             with pytest.raises(ValidationError):
                 mixture_from_json({"components": [good, component]})

@@ -110,7 +110,7 @@ class TestSignalType:
             Signal([1.0, np.nan], 10.0)
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, "128", "abc", [1], None, True, 10**400):  # 10**400 is too large for a float
+        for rate in (0.0, "128", "abc", [1], None, True, 10**400):  # 10**400: too large for a float
             with pytest.raises(ValidationError):
                 Signal([1.0, 2.0], rate)
 
