@@ -63,51 +63,3 @@ from .signals import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA_BAND",
-    "BETA_BAND",
-    "BandSpec",
-    "ClassModel",
-    "ClassifyResult",
-    "DataFileError",
-    "GaussianMixtureIntensity",
-    "LabeledDataset",
-    "PersistenceDiagram",
-    "PosteriorConfig",
-    "RawDiagram",
-    "Signal",
-    "ValidationError",
-    "add_noise",
-    "bottleneck_distance",
-    "classify",
-    "cross_validate",
-    "default_clutter",
-    "default_prior",
-    "diagram_from_json",
-    "diagram_log_density",
-    "diagram_to_json",
-    "eval_intensity",
-    "fit_class_model",
-    "generate_band_signal",
-    "grid_axes",
-    "intensity_grid",
-    "load_signal",
-    "log_bayes_factor",
-    "log_eval_intensity",
-    "mixture_from_json",
-    "mixture_to_json",
-    "model_from_json",
-    "model_to_json",
-    "posterior_intensity",
-    "posterior_quadrature",
-    "quadrature_nodes",
-    "restricted_normal_pdf",
-    "signal_from_json",
-    "stratified_folds",
-    "sublevel_pd",
-    "tilt",
-    "total_mass",
-    "untilt",
-    "wedge_mass",
-]

@@ -7,7 +7,9 @@ for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,22 @@ def _read(path, decode):
         return decode(obj)
     except ValidationError as e:
         raise DataFileError(f"{p}: {e}") from None
+
+
+def _map(fn, items, chunksize=1):
+    """[fn(item) for item in items], computed in one worker process per usable CPU.
+
+    Limit the workers as for any process, with taskset. A worker that dies, as when the kernel
+    kills it for want of memory, is a MemoryError: main reports it as one error line."""
+    from concurrent.futures import ProcessPoolExecutor  # not paid for by commands without workers
+    from concurrent.futures.process import BrokenProcessPool
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        with ProcessPoolExecutor(max(1, min(len(items), cpus or 1))) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    except BrokenProcessPool:
+        raise MemoryError("a worker process died, perhaps killed for want of memory") from None
 
 
 def _emit(obj, out, row=None, rows=()):
@@ -178,30 +196,39 @@ def _signal_tasks(manifest, inputs, rate):
     return tasks, rate
 
 
+def _signal_diagram(path, rate, outdir):
+    """Write the diagram of the signal at path into outdir; the error naming the file, or None."""
+    try:
+        sig = (_read(path, signal_from_json) if path.suffix == ".json"
+               else load_signal(path, rate))
+    except (DataFileError, OSError) as err:  # each names the file
+        return str(err)
+    _emit_diagram(tilt(sublevel_pd(sig)), outdir / (path.stem + ".pd.json"))
+    return None
+
+
 def pd(out, manifest=None, inputs=(), rate=None) -> int:
-    """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files."""
+    """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files.
+
+    A signal that fails is left out of the manifest, and one error names every such file."""
     tasks, rate = _signal_tasks(manifest, inputs, rate)
     outdir = Path(out)
+    # a signal is milliseconds of work, so the workers take them a few dozen at a time
+    errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir),
+                  [path for path, _ in tasks], chunksize=32)
 
     entries = []
-    failures = 0
-    for path, label in tasks:
-        try:
-            sig = (_read(path, signal_from_json) if path.suffix == ".json"
-                   else load_signal(path, rate))
-            diagram = tilt(sublevel_pd(sig))
-        except (DataFileError, OSError) as err:  # each names the file
-            failures += 1
-            print("error:", err, file=sys.stderr)
-            continue
-        name = path.stem + ".pd.json"
-        _emit_diagram(diagram, outdir / name)
-        entry = {"diagram": name}
-        if label is not None:
-            entry["label"] = label
-        entries.append(entry)
+    for (path, label), error in zip(tasks, errors):
+        if error is None:
+            entry = {"diagram": path.stem + ".pd.json"}
+            if label is not None:
+                entry["label"] = label
+            entries.append(entry)
     _emit({"entries": entries}, outdir / "manifest.json")
-    return 2 if failures else 0
+    failures = [error for error in errors if error is not None]
+    if failures:
+        raise DataFileError("; ".join(failures))
+    return 0
 
 
 def _load_diagram_entries(manifest_path, label=None, labeled=False):
@@ -223,8 +250,8 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 
 
 def classify(models, diagram, threshold=1.0, out=None) -> int:
-    """Classify one diagram against two or more fitted models."""
-    models = [_read(p, model_from_json) for p in models]
+    """Classify one diagram against two or more fitted models, read in worker processes."""
+    models = _map(partial(_read, decode=model_from_json), models)
     result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
     report = {
         "label": result.label,
@@ -278,9 +305,7 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, alpha=0.7,
     sig_dir = out / "signals"
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
-    code = pd(out / "diagrams", manifest=sig_dir / "manifest.json")
-    if code != 0:
-        return code
+    pd(out / "diagrams", manifest=sig_dir / "manifest.json")
     report_path = out / "cv_report.json"
     cv(out / "diagrams" / "manifest.json", k_folds, alpha, sigma_obs, prior, clutter,
        threshold, seed, out=report_path)

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,14 +20,18 @@ from topobayes import (
     ClassModel,
     GaussianMixtureIntensity,
     PersistenceDiagram,
+    Signal,
     classify,
     default_clutter,
     default_prior,
     diagram_from_json,
     diagram_to_json,
     fit_class_model,
+    load_signal,
     mixture_to_json,
     model_to_json,
+    sublevel_pd,
+    tilt,
     PosteriorConfig,
 )
 from topobayes import cli
@@ -128,6 +133,10 @@ class TestGenerate:
         assert run("generate", "--nonsense") == 1
 
 
+def _out_of_memory(sig):
+    raise MemoryError
+
+
 class TestPd:
     def test_known_signal(self, tmp_path):
         src = tmp_path / "sig.csv"
@@ -160,6 +169,71 @@ class TestPd:
         assert run("pd", good, bad, "--rate", 100, "--out", out) == 2
         assert (out / "good.pd.json").exists()
         assert "bad.csv" in capsys.readouterr().err
+
+    def test_names_every_failing_file_in_one_line(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("0\n1\n0\n")
+        bad1 = tmp_path / "bad1.csv"
+        bad1.write_text("0\nbroken\n")
+        bad2 = tmp_path / "bad2.csv"
+        bad2.write_text("0\n")
+        out = tmp_path / "pd"
+        assert run("pd", bad2, good, bad1, "--rate", 100, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad2}:")
+        assert err.index(str(bad2)) < err.index(str(bad1))
+        assert read_json(out / "manifest.json") == {"entries": [{"diagram": "good.pd.json"}]}
+        assert sorted(p.name for p in out.iterdir()) == ["good.pd.json", "manifest.json"]
+
+    def test_matches_a_serial_reference(self, tmp_path, capsys):
+        # more signals than one worker's chunk, CSV and JSON, of many lengths, one of them bad
+        rng = np.random.default_rng(5)
+        sig_dir = tmp_path / "signals"
+        sig_dir.mkdir()
+        entries = []
+        for i in range(40):
+            samples = np.round(rng.normal(size=int(rng.integers(2, 400))), int(rng.integers(1, 4)))
+            if i % 3:
+                path = sig_dir / f"s{i:02d}.csv"
+                cli._write_csv(path, samples[:, None])
+            else:
+                path = _write(sig_dir / f"s{i:02d}.json", {"rate": 50.0, "samples": samples.tolist()})
+            entries.append({"signal": path.name, "label": "ab"[i % 2]})
+        (sig_dir / "bad.csv").write_text("1\nx\n")
+        entries.insert(17, {"signal": "bad.csv", "label": "a"})
+        manifest = _write(sig_dir / "manifest.json", {"rate": 100.0, "entries": entries})
+        out = tmp_path / "pd"
+        assert run("pd", "--manifest", manifest, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {sig_dir / 'bad.csv'}: malformed line 2: 'x'\n"
+
+        want = tmp_path / "want"
+        listed = []
+        for e in entries:
+            path = sig_dir / e["signal"]
+            if path.name != "bad.csv":
+                sig = (Signal(read_json(path)["samples"], 50.0) if path.suffix == ".json"
+                       else load_signal(path, 100.0))
+                cli._emit_diagram(tilt(sublevel_pd(sig)), want / f"{path.stem}.pd.json")
+                listed.append({"diagram": f"{path.stem}.pd.json", "label": e["label"]})
+        cli._emit({"entries": listed}, want / "manifest.json")
+        assert len(listed) == 40
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in want.iterdir()}
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patch reaches the workers only when they are forked")
+    @pytest.mark.parametrize("die, message", [
+        (lambda sig: os._exit(3), "a worker process died"),  # as when the kernel kills it
+        (_out_of_memory, "out of memory"),
+    ], ids=["worker_exits", "memory_error_in_worker"])
+    def test_worker_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, die, message):
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.csv").write_text("0\n1\n0\n")
+        monkeypatch.setattr(cli, "sublevel_pd", die)
+        assert run("pd", *sorted(tmp_path.glob("*.csv")), "--rate", 100,
+                   "--out", tmp_path / "pd") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
 
     def test_inputs_sharing_an_output_name_write_nothing(self, tmp_path, capsys):
         for d in ("a", "b"):
@@ -263,6 +337,15 @@ class TestFitClassifyRoundtrip:
         assert report["log_densities"]["void"] == "-inf"
         assert isinstance(report["log_densities"]["alpha"], float)
         assert report["label"] == "alpha" and report["votes"] == {"alpha": 1, "void": 0}
+
+    def test_classify_report_matches_serially_read_models(self, cli_files, tmp_path,
+                                                          monkeypatch):
+        argv = ["classify", "--models", cli_files / "beta.json", cli_files / "alpha.json",
+                "--diagram", cli_files / "diagrams" / "alpha_001.pd.json"]
+        assert run(*argv, "--out", tmp_path / "workers.json") == 0
+        monkeypatch.setattr(cli, "_map", lambda fn, items, chunksize=1: [fn(x) for x in items])
+        assert run(*argv, "--out", tmp_path / "serial.json") == 0
+        assert (tmp_path / "workers.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
     def test_fit_reads_only_its_own_label(self, dataset, capsys):
         manifest = dataset / "diagrams" / "manifest.json"
@@ -786,12 +869,14 @@ class TestEntrypoint:
         assert proc.stderr == f"error: {model}: no such file\n"
 
     def test_import_does_not_load_scipy_special(self):
-        # scipy.special is most of the import's time and memory; generate and pd never need it
+        # scipy.special is most of the import's time and memory; generate and pd never need it.
+        # Nor do the commands without workers need the process pool.
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, topobayes.cli; print('scipy.special' in sys.modules)"
+        code = ("import sys, topobayes.cli; print([m for m in ('scipy.special', 'multiprocessing',"
+                " 'concurrent.futures.process') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 class TestPipeline:
