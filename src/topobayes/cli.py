@@ -6,6 +6,7 @@ for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -29,6 +30,8 @@ from .signals import (ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_ban
                       load_signal, signal_from_json)
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
+# values per block of text a writer formats, so it holds a block, not a file's floats and text
+_BLOCK_VALUES = 2 ** 14
 
 
 def _read(path, decode):
@@ -62,6 +65,15 @@ def _map(fn, items, chunksize=1):
         raise MemoryError("a worker process died, perhaps killed for want of memory") from None
 
 
+def _blocks(item, sep, table):
+    """The rows of the 2-D array table, each filled into the %-template item and joined by sep,
+    as texts of about _BLOCK_VALUES values each."""
+    step = max(1, _BLOCK_VALUES // max(1, table.shape[1]))
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        yield (sep if start else "") + sep.join([item] * len(block)) % tuple(block.ravel().tolist())
+
+
 def _emit(obj, out, row=None, rows=()):
     """obj as indented, key-sorted strict JSON (finite floats only) to the file out, or stdout.
 
@@ -75,8 +87,8 @@ def _emit(obj, out, row=None, rows=()):
         line = text[text.rindex("\n", 0, at) + 1:at]
         pad = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
         item = json.dumps(row, indent=2, sort_keys=True).replace("\n", pad).replace("null", "%r")
-        items = ("," + pad).join([item] * len(rows)) % tuple(rows.ravel().tolist())
-        parts = [text[:at], "[", pad, items, pad[:-2], "]", text[at + 2:]]
+        parts = itertools.chain([text[:at], "[", pad], _blocks(item, "," + pad, rows),
+                                [pad[:-2], "]", text[at + 2:]])
     if not out:
         sys.stdout.writelines(parts)
         return
@@ -87,8 +99,8 @@ def _emit(obj, out, row=None, rows=()):
 
 def _write_csv(path, table):
     """One line per row of the 2-D array table, its values comma-separated, round-trip exact."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    Path(path).write_text(line * len(table) % tuple(table.ravel().tolist()))
+    with open(path, "w") as f:
+        f.writelines(_blocks(",".join(["%.17g"] * table.shape[1]) + "\n", "", table))
 
 
 def _emit_model(model, out):
@@ -140,20 +152,26 @@ def _prior_and_config(prior, clutter, alpha, sigma_obs):
     return prior, PosteriorConfig(alpha=alpha, sigma_obs=sigma_obs, clutter=clutter)
 
 
+def _write_signal(i, band, duration, rate, snr, seed, outdir):
+    """Write the i-th signal of band into outdir as CSV; its file name."""
+    sig = generate_band_signal(_BANDS[band], duration, rate, seed + 2 * i)
+    if snr is not None:
+        sig = add_noise(sig, snr, seed + 2 * i + 1)
+    name = f"{band}_{i:03d}.csv"
+    _write_csv(outdir / name, sig.samples[:, None])
+    return name
+
+
 def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
-    """Write n band-limited signals as CSV plus a merged dataset manifest."""
+    """Write n band-limited signals as CSV, in worker processes, plus a merged dataset manifest."""
     if n < 1 or seed < 0:
         raise ValidationError("--n must be at least 1 and --seed at least 0")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i in range(n):
-        sig = generate_band_signal(_BANDS[band], duration, rate, seed + 2 * i)
-        if snr is not None:
-            sig = add_noise(sig, snr, seed + 2 * i + 1)
-        name = f"{band}_{i:03d}.csv"
-        _write_csv(outdir / name, sig.samples[:, None])
-        entries.append({"signal": name, "label": band})
+    # a signal is milliseconds of work, so the workers take them a few dozen at a time
+    names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
+                         seed=seed, outdir=outdir), range(n), chunksize=32)
+    entries = [{"signal": name, "label": band} for name in names]
 
     manifest_path = outdir / "manifest.json"
     manifest = {"rate": rate, "entries": []}
@@ -234,9 +252,10 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
 def _load_diagram_entries(manifest_path, label=None, labeled=False):
     """The manifest and its (diagram, label) entries; only those labeled label, if given."""
     manifest = _read(manifest_path, lambda obj: _diagram_manifest(obj, labeled))
-    entries = [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
-                e.get("label")) for e in manifest["entries"] if label in (None, e.get("label"))]
-    return manifest, entries
+    chosen = [e for e in manifest["entries"] if label in (None, e.get("label"))]
+    diagrams = _map(partial(_read, decode=diagram_from_json),
+                    [Path(manifest_path).parent / e["diagram"] for e in chosen], chunksize=32)
+    return manifest, [(d, e.get("label")) for d, e in zip(diagrams, chosen)]
 
 
 def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None) -> int:
@@ -251,6 +270,7 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 
 def classify(models, diagram, threshold=1.0, out=None) -> int:
     """Classify one diagram against two or more fitted models, read in worker processes."""
+    import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
     models = _map(partial(_read, decode=model_from_json), models)
     result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
     report = {

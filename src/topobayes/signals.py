@@ -39,10 +39,6 @@ class Signal:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def power(self) -> float:
         """Mean squared amplitude."""
         return float(np.mean(self.samples**2))

@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +79,22 @@ def _base_argv(command, files, out):
     }[command]
 
 
+@pytest.fixture(scope="module")
+def many_diagrams(tmp_path_factory):
+    """36 diagrams labeled alpha, more than one worker's chunk; their manifest's path."""
+    root = tmp_path_factory.mktemp("many_diagrams")
+    assert run("generate", "--band", "alpha", "--n", 36, "--duration", 1.0, "--rate", 128,
+               "--snr", 10, "--out", root / "signals") == 0
+    assert run("pd", "--manifest", root / "signals" / "manifest.json",
+               "--out", root / "diagrams") == 0
+    return root / "diagrams" / "manifest.json"
+
+
+def _serially(monkeypatch):
+    """Make cli._map a list comprehension in this process."""
+    monkeypatch.setattr(cli, "_map", lambda fn, items, chunksize=1: [fn(x) for x in items])
+
+
 @pytest.fixture
 def dataset(tmp_path):
     """Small two-band dataset: signals, diagrams, and their manifests."""
@@ -109,6 +127,17 @@ class TestGenerate:
         assert run(*args) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+    def test_matches_a_serial_run(self, tmp_path, monkeypatch):
+        # more signals than one worker's chunk
+        args = ("generate", "--band", "beta", "--n", 40, "--duration", 0.5, "--seed", 3,
+                "--snr", 5)
+        assert run(*args, "--out", tmp_path / "workers") == 0
+        _serially(monkeypatch)
+        assert run(*args, "--out", tmp_path / "serial") == 0
+        workers = {p.name: p.read_bytes() for p in (tmp_path / "workers").iterdir()}
+        assert len(workers) == 41
+        assert workers == {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
 
     def test_band_above_nyquist_fails_validation(self, tmp_path):
         assert run("generate", "--band", "alpha", "--n", 1, "--rate", 20,
@@ -343,7 +372,14 @@ class TestFitClassifyRoundtrip:
         argv = ["classify", "--models", cli_files / "beta.json", cli_files / "alpha.json",
                 "--diagram", cli_files / "diagrams" / "alpha_001.pd.json"]
         assert run(*argv, "--out", tmp_path / "workers.json") == 0
-        monkeypatch.setattr(cli, "_map", lambda fn, items, chunksize=1: [fn(x) for x in items])
+        _serially(monkeypatch)
+        assert run(*argv, "--out", tmp_path / "serial.json") == 0
+        assert (tmp_path / "workers.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+    def test_fit_matches_serially_read_diagrams(self, many_diagrams, tmp_path, monkeypatch):
+        argv = ["fit", "--manifest", many_diagrams, "--label", "alpha"]
+        assert run(*argv, "--out", tmp_path / "workers.json") == 0
+        _serially(monkeypatch)
         assert run(*argv, "--out", tmp_path / "serial.json") == 0
         assert (tmp_path / "workers.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
@@ -406,6 +442,21 @@ class TestCv:
             assert run("cv", "--manifest", dataset / "diagrams" / "manifest.json",
                        "--k-folds", 3, "--seed", 5, "--out", p) == 0
         assert a_path.read_bytes() == b_path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_names_the_first_bad_diagram_in_manifest_order(self, many_diagrams, tmp_path,
+                                                           capsys, command):
+        # the later bad file is in the second, shorter chunk, so it likely fails first
+        entries = [{"diagram": str(many_diagrams.parent / e["diagram"]), "label": e["label"]}
+                   for e in read_json(many_diagrams)["entries"]]
+        (tmp_path / "late.pd.json").write_text("{broken")
+        entries[34]["diagram"] = str(tmp_path / "late.pd.json")
+        entries[3]["diagram"] = str(tmp_path / "absent.pd.json")
+        manifest = _write(tmp_path / "manifest.json", {"entries": entries})
+        options = {"fit": ["--label", "alpha", "--out", tmp_path / "m.json"],
+                   "cv": ["--k-folds", 2]}[command]
+        assert run(command, "--manifest", manifest, *options) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'absent.pd.json'}: no such file\n"
 
     def test_k_too_large_rejected(self, dataset, capsys):
         for k in (50, 1):  # 1 is too small: every fold trains on nothing
@@ -901,6 +952,10 @@ def _floats(lo, hi):
     return st.sampled_from([x for x in _EDGE_FLOATS if lo <= x <= hi]) | st.floats(lo, hi)
 
 
+# values per block for the writers' oracles: a block is one row, a part of a row, or a few rows
+_BLOCK_SIZES = st.integers(1, 9)
+
+
 def _component():
     """(w, b, p, var) of a component the mixture accepts; weights include 1e308.
 
@@ -910,35 +965,75 @@ def _component():
 
 
 class TestWriters:
-    """Model, diagram and CSV files are byte for byte what the per-value encoders write."""
+    """Model, diagram and CSV files are byte for byte what the per-value encoders write.
+
+    The oracles draw the values per block a writer formats, so their files span many blocks."""
 
     @settings(max_examples=150, deadline=None)
     @given(label=_LABELS, comps=st.lists(_component(), max_size=5).filter(
-        lambda cs: math.isfinite(sum(c[0] for c in cs))))
-    def test_model_file_is_the_indented_json_of_model_to_json(self, label, comps):
+        lambda cs: math.isfinite(sum(c[0] for c in cs))), block=_BLOCK_SIZES)
+    def test_model_file_is_the_indented_json_of_model_to_json(self, label, comps, block):
         a = np.array(comps, dtype=float).reshape(-1, 4)
         model = ClassModel(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
         want = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_VALUES", block):
             cli._emit_model(model, Path(tmp) / "m.json")
             assert (Path(tmp) / "m.json").read_bytes() == want.encode()
 
     @settings(max_examples=150, deadline=None)
     @given(b_min=_floats(-1e308, 1e308), points=arrays(
         float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6).map(
-            lambda shape: (shape[0], 2)), elements=_floats(0.0, 1e308)))
-    def test_diagram_file_is_the_indented_json_of_diagram_to_json(self, b_min, points):
+            lambda shape: (shape[0], 2)), elements=_floats(0.0, 1e308)), block=_BLOCK_SIZES)
+    def test_diagram_file_is_the_indented_json_of_diagram_to_json(self, b_min, points, block):
         diagram = PersistenceDiagram(points, b_min)
         want = json.dumps(diagram_to_json(diagram), indent=2, sort_keys=True) + "\n"
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_VALUES", block):
             cli._emit_diagram(diagram, Path(tmp) / "d.json")
             assert (Path(tmp) / "d.json").read_bytes() == want.encode()
 
     @settings(max_examples=150, deadline=None)
     @given(table=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
-                        elements=_floats(-1e308, 1e308)))
-    def test_csv_formats_each_value_at_round_trip_precision(self, table):
+                        elements=_floats(-1e308, 1e308)), block=_BLOCK_SIZES)
+    def test_csv_formats_each_value_at_round_trip_precision(self, table, block):
         want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_VALUES", block):
             cli._write_csv(Path(tmp) / "t.csv", table)
             assert (Path(tmp) / "t.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 11])  # B = 4 rows a block: 0, 1, B-1 ... 2B+3
+    def test_files_of_n_rows_in_blocks_of_four_rows(self, tmp_path, capsys, monkeypatch, n):
+        a = np.random.default_rng(n).uniform(0.1, 2.0, size=(n, 4))
+        model = ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        diagram = PersistenceDiagram(a[:, :2], -0.5)
+        table = a[:, 1:]
+
+        def dump(obj):
+            return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+        for width, write, want in [
+            (4, lambda path: cli._emit_model(model, path), dump(model_to_json(model))),
+            (2, lambda path: cli._emit_diagram(diagram, path), dump(diagram_to_json(diagram))),
+            (3, lambda path: cli._write_csv(path, table),
+             "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)),
+        ]:
+            monkeypatch.setattr(cli, "_BLOCK_VALUES", 4 * width)
+            write(tmp_path / "f")
+            assert (tmp_path / "f").read_text() == want
+        cli._emit({"b_min": -0.5, "points": []}, None, [None, None], diagram.points)
+        assert capsys.readouterr().out == dump(diagram_to_json(diagram))
+
+    def test_writers_hold_a_block_not_the_file(self, tmp_path):
+        # the whole text of either file would be tens of MB; the model's (K, 4) rows are 3.2 MB
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 2.0, size=(100_000, 4))
+        model = ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        table = rng.normal(size=(1000, 1000))
+        for write, limit in [(lambda: cli._emit_model(model, tmp_path / "m.json"), 8e6),
+                             (lambda: cli._write_csv(tmp_path / "t.csv", table), 2e6)]:
+            tracemalloc.start()
+            try:
+                write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, peak
