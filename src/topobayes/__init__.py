@@ -34,14 +34,13 @@ from .filtration import (
 from .intensity import (
     GaussianMixtureIntensity,
     eval_intensity,
-    grid_axes,
     intensity_grid,
     log_eval_intensity,
+    log_wedge_mass,
     mixture_from_json,
     mixture_to_json,
     restricted_normal_pdf,
     total_mass,
-    wedge_mass,
 )
 from .posterior import (
     PosteriorConfig,

@@ -85,7 +85,7 @@ def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
     the wedge, or under an empty mixture). The factorial term uses log-gamma
     so diagrams with hundreds of points stay in range.
     """
-    from scipy.special import gammaln  # imported here, as in intensity.wedge_mass
+    from scipy.special import gammaln  # imported here, as in intensity.log_wedge_mass
     pts = d.points
     if len(pts) == 0:
         return -model.lam

@@ -49,7 +49,7 @@ def _read(path, decode):
         raise DataFileError(f"{p}: {e}") from None
 
 
-def _map(fn, items, chunksize=1):
+def _map(fn, items):
     """[fn(item) for item in items], computed in one worker process per usable CPU.
 
     Limit the workers as for any process, with taskset. A worker that dies, as when the kernel
@@ -58,9 +58,12 @@ def _map(fn, items, chunksize=1):
     from concurrent.futures.process import BrokenProcessPool
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(len(items), cpus or 1))
+    # an item is often milliseconds of work, so a worker takes up to 32 at a time, but fewer
+    # where that would leave a worker idle
     try:
-        with ProcessPoolExecutor(max(1, min(len(items), cpus or 1))) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+        with ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items, chunksize=max(1, min(32, len(items) // workers))))
     except BrokenProcessPool:
         raise MemoryError("a worker process died, perhaps killed for want of memory") from None
 
@@ -168,9 +171,8 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
         raise ValidationError("--n must be at least 1 and --seed at least 0")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    # a signal is milliseconds of work, so the workers take them a few dozen at a time
     names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
-                         seed=seed, outdir=outdir), range(n), chunksize=32)
+                         seed=seed, outdir=outdir), range(n))
     entries = [{"signal": name, "label": band} for name in names]
 
     manifest_path = outdir / "manifest.json"
@@ -231,9 +233,8 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
     A signal that fails is left out of the manifest, and one error names every such file."""
     tasks, rate = _signal_tasks(manifest, inputs, rate)
     outdir = Path(out)
-    # a signal is milliseconds of work, so the workers take them a few dozen at a time
     errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir),
-                  [path for path, _ in tasks], chunksize=32)
+                  [path for path, _ in tasks])
 
     entries = []
     for (path, label), error in zip(tasks, errors):
@@ -254,7 +255,7 @@ def _load_diagram_entries(manifest_path, label=None, labeled=False):
     manifest = _read(manifest_path, lambda obj: _diagram_manifest(obj, labeled))
     chosen = [e for e in manifest["entries"] if label in (None, e.get("label"))]
     diagrams = _map(partial(_read, decode=diagram_from_json),
-                    [Path(manifest_path).parent / e["diagram"] for e in chosen], chunksize=32)
+                    [Path(manifest_path).parent / e["diagram"] for e in chosen])
     return manifest, [(d, e.get("label")) for d, e in zip(diagrams, chosen)]
 
 

@@ -67,8 +67,6 @@ class PersistenceDiagram:
 
 def _collapse_plateaus(values: np.ndarray) -> np.ndarray:
     """Drop repeats of equal consecutive samples (keeps component topology)."""
-    if len(values) == 1:
-        return values
     keep = np.concatenate([[True], np.diff(values) != 0])
     return values[keep]
 

@@ -9,13 +9,11 @@ the plain sum of its weights.
 All evaluation goes through one log-space kernel sum, log_eval_intensity;
 eval_intensity is its exp, restricted_normal_pdf its one-component case. One
 matrix product per chunk of rows keeps its working memory O(chunk x K), about
-2 MB, for any number of points. Per-component constants are cached on the
-mixture at first use. Everything is immutable or pure, hence thread-safe:
-threads that race to fill the cache compute the same constants.
+2 MB, for any number of points. Per-component constants are computed once,
+when the mixture is built. Everything is immutable or pure, hence thread-safe.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,24 +24,16 @@ from .errors import ValidationError, json_floats
 _CHUNK_ELEMENTS = 2 ** 18
 
 
-def wedge_mass(mean_b, mean_p, var):
-    """Mass of the isotropic Gaussian N((mean_b, mean_p), var*I) on the wedge.
+def log_wedge_mass(mean_b, mean_p, var):
+    """log of the mass of the isotropic Gaussian N((mean_b, mean_p), var*I) on the wedge.
 
     The axis-aligned covariance factorizes the integral into a product of
     two one-sided normal CDFs, Phi(mean_b / s) * Phi(mean_p / s) with
-    s = sqrt(var). Always in (0, 1]; tends to 1 as the mean moves deep into
-    the wedge. Broadcasts over array arguments.
+    s = sqrt(var), so the log is a sum of log_ndtr terms: always <= 0, tends
+    to 0 as the mean moves deep into the wedge, and stays finite far outside
+    it, where the mass itself underflows. Broadcasts over array arguments.
     """
-    from scipy.special import ndtr  # imported here: most of import time; generate, pd skip it
-    s = np.sqrt(var)
-    return ndtr(np.asarray(mean_b, dtype=float) / s) * ndtr(
-        np.asarray(mean_p, dtype=float) / s
-    )
-
-
-def log_wedge_mass(mean_b, mean_p, var):
-    """log of wedge_mass, safe for means far outside the wedge."""
-    from scipy.special import log_ndtr  # imported here, as in wedge_mass
+    from scipy.special import log_ndtr  # imported here: most of import time; generate, pd skip it
     s = np.sqrt(var)
     return log_ndtr(np.asarray(mean_b, dtype=float) / s) + log_ndtr(
         np.asarray(mean_p, dtype=float) / s
@@ -87,9 +77,18 @@ class GaussianMixtureIntensity:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
+        # (4, K) coefficients of each log kernel, log_norm - |x - mu|^2 / (2v), in
+        # (b, p, b^2 + p^2, 1), and log_norm, the kernel's maximum (at mu)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            log_norm = (np.log(w) - np.log(2.0 * np.pi * v)
+                        - log_wedge_mass(mu[:, 0], mu[:, 1], v))
+            s = -0.5 / v
+            coef = np.vstack([-2.0 * s * mu.T, s,
+                              s * (mu ** 2).sum(axis=1) + log_norm])
         # finite parameters can still overflow a log kernel, which would score NaN everywhere
-        if not np.all(np.isfinite(self._log_kernel_constants[0])):
+        if not np.all(np.isfinite(coef)):
             raise ValidationError("mixture component too extreme: its log kernel is not finite")
+        object.__setattr__(self, "_log_kernel_constants", (coef, log_norm))
 
     @classmethod
     def empty(cls) -> "GaussianMixtureIntensity":
@@ -103,19 +102,6 @@ class GaussianMixtureIntensity:
     def n_components(self) -> int:
         return len(self.weights)
 
-    @cached_property
-    def _log_kernel_constants(self):
-        """(4, K) coefficients of each log kernel, log_norm - |x - mu|^2 / (2v),
-        in (b, p, b^2 + p^2, 1), and log_norm, the kernel's maximum (at mu)."""
-        v = self.variances
-        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ rejects overflow
-            log_norm = (np.log(self.weights) - np.log(2.0 * np.pi * v)
-                        - log_wedge_mass(self.means[:, 0], self.means[:, 1], v))
-            s = -0.5 / v
-            coef = np.vstack([-2.0 * s * self.means.T, s,
-                              s * (self.means ** 2).sum(axis=1) + log_norm])
-        return coef, log_norm
-
 
 def log_eval_intensity(g: GaussianMixtureIntensity, x):
     """log of the mixture intensity at x, stable far below underflow.
@@ -123,7 +109,7 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     x may be one point or an array of shape (..., 2); returns a float or an
     array of shape x.shape[:-1]. -inf outside the wedge and for the empty
     mixture. Each chunk of rows takes one matrix product against the
-    cached coefficients, then a max-shifted log-sum-exp per row.
+    mixture's coefficients, then a max-shifted log-sum-exp per row.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
@@ -179,11 +165,14 @@ def wedge_rectangle(bounds):
     return b_lo, p_lo, b_hi, p_hi
 
 
-def grid_axes(bounds, resolution):
-    """Inclusive linspace axes for a rectangle inside the wedge.
+def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarray:
+    """Scaled intensity map over a rectangle inside the wedge.
 
     bounds is (b_lo, p_lo, b_hi, p_hi); resolution an int or (nb, np) pair,
-    each at least 2. Returns (b_axis, p_axis).
+    each at least 2. Samples the intensity on inclusive linspace axes
+    b_axis, p_axis and divides by its maximum, giving values in [0, 1]; an
+    identically zero field is returned as zeros. Entry [i, j] is the scaled
+    intensity at (b_axis[i], p_axis[j]).
     """
     b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
     if isinstance(resolution, int):
@@ -192,17 +181,7 @@ def grid_axes(bounds, resolution):
         nb, npts = resolution
     if nb < 2 or npts < 2:
         raise ValidationError("grid resolution must be at least 2x2")
-    return np.linspace(b_lo, b_hi, nb), np.linspace(p_lo, p_hi, npts)
-
-
-def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarray:
-    """Scaled intensity map over a rectangle inside the wedge.
-
-    Samples the intensity on the grid_axes grid and divides by its maximum,
-    giving values in [0, 1]; an identically zero field is returned as zeros.
-    Entry [i, j] is the scaled intensity at (b_axis[i], p_axis[j]).
-    """
-    b_axis, p_axis = grid_axes(bounds, resolution)
+    b_axis, p_axis = np.linspace(b_lo, b_hi, nb), np.linspace(p_lo, p_hi, npts)
     grid = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
     vals = eval_intensity(g, grid)
     peak = vals.max()

@@ -34,6 +34,11 @@ from .intensity import (
     wedge_rectangle,
 )
 
+# a posterior gains prior components per observed point; components below this share of the
+# total mass are dropped, then at most this many of the heaviest are kept, bounding model size
+_PRUNE_REL_WEIGHT = 1e-10
+_MAX_COMPONENTS = 100_000
+
 
 def default_clutter() -> GaussianMixtureIntensity:
     """Broad, low-weight background for unassociated observed points."""
@@ -52,24 +57,17 @@ class PosteriorConfig:
     alpha      -- probability that a prior feature shows up in a diagram
     sigma_obs  -- variance of the observation kernel around a feature
     clutter    -- intensity of observed points tied to no prior feature
-    max_components / prune_rel_weight -- mixture size controls: components
-        below prune_rel_weight times the total mass are dropped, then the
-        smallest-weight components are pruned down to max_components
     """
 
     alpha: float
     sigma_obs: float
     clutter: GaussianMixtureIntensity = field(default_factory=default_clutter)
-    max_components: int = 100_000
-    prune_rel_weight: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError("alpha must lie in [0, 1]")
         if not 0 < self.sigma_obs < np.inf:
             raise ValidationError("sigma_obs must be positive and finite")
-        if self.max_components < 1:
-            raise ValidationError("max_components must be positive")
 
 
 def _flatten_observations(observations) -> np.ndarray:
@@ -82,7 +80,7 @@ def _flatten_observations(observations) -> np.ndarray:
         if pts.size and pts.min() < 0:
             raise ValidationError("observed points must lie in the wedge")
         chunks.append(pts)
-    return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2))
+    return np.concatenate(chunks, axis=0)
 
 
 def posterior_intensity(prior: GaussianMixtureIntensity, observations,
@@ -101,7 +99,7 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
          where q_k(y) is the wedge-corrected Gaussian evidence of y under
          component k.
 
-    Components are pruned per the config. Pure function; the output order is
+    Components are pruned to a bounded count. Pure function; the output order is
     independent of any evaluation schedule.
     """
     m = len(observations)
@@ -150,19 +148,17 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     W = np.concatenate(out_w)
     MU = np.concatenate(out_mu, axis=0)
     V = np.concatenate(out_v)
-    return _pruned_mixture(W, MU, V, cfg)
+    return _pruned_mixture(W, MU, V)
 
 
-def _pruned_mixture(W, MU, V, cfg) -> GaussianMixtureIntensity:
+def _pruned_mixture(W, MU, V) -> GaussianMixtureIntensity:
     total = W.sum()
-    keep = W > cfg.prune_rel_weight * total
+    keep = W > _PRUNE_REL_WEIGHT * total
     W, MU, V = W[keep], MU[keep], V[keep]
-    if len(W) > cfg.max_components:
+    if len(W) > _MAX_COMPONENTS:
         # keep the heaviest components, preserving their original order
-        idx = np.sort(np.argpartition(W, len(W) - cfg.max_components)[len(W) - cfg.max_components:])
+        idx = np.sort(np.argpartition(W, len(W) - _MAX_COMPONENTS)[len(W) - _MAX_COMPONENTS:])
         W, MU, V = W[idx], MU[idx], V[idx]
-    if len(W) == 0:
-        return GaussianMixtureIntensity.empty()
     return GaussianMixtureIntensity(W, MU, V)
 
 
@@ -187,10 +183,9 @@ def posterior_quadrature(prior: GaussianMixtureIntensity, observations,
     which makes it the validation oracle for posterior_intensity; grids
     coarser than 32 per axis are rejected as too coarse for that use.
     """
-    nb, npts = (resolution, resolution) if isinstance(resolution, int) else resolution
-    if min(nb, npts) < 32:
+    if np.min(resolution) < 32:
         raise ValidationError("resolution below 32 is too coarse for oracle use")
-    b_axis, p_axis = quadrature_nodes(bounds, (nb, npts))
+    b_axis, p_axis = quadrature_nodes(bounds, resolution)
     X = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
 
     m = len(observations)

@@ -66,15 +66,12 @@ class BandSpec:
 
     f_low: float
     f_high: float
-    n_components: int = 3
 
     def __post_init__(self):
         if not (0 < self.f_low < self.f_high):
             raise ValidationError(
                 f"band needs 0 < f_low < f_high, got [{self.f_low}, {self.f_high}]"
             )
-        if self.n_components < 1:
-            raise ValidationError("band needs at least one sinusoid component")
 
 
 ALPHA_BAND = BandSpec(8.0, 13.0)
@@ -83,7 +80,7 @@ BETA_BAND = BandSpec(13.0, 30.0)
 
 def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
                          seed: int) -> Signal:
-    """Random sum of sinusoids with frequencies inside the band.
+    """Random sum of three sinusoids with frequencies inside the band.
 
     Frequencies are drawn uniformly in [f_low, f_high], phases uniformly in
     [0, 2*pi), amplitudes uniformly in [0.5, 1.5] (unit mean). The sum is
@@ -100,9 +97,9 @@ def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
     if n < 2:
         raise ValidationError("duration * sample_rate must yield at least 2 samples")
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(band.f_low, band.f_high, band.n_components)
-    phases = rng.uniform(0.0, 2.0 * np.pi, band.n_components)
-    amps = rng.uniform(0.5, 1.5, band.n_components)
+    freqs = rng.uniform(band.f_low, band.f_high, 3)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 3)
+    amps = rng.uniform(0.5, 1.5, 3)
     t = np.arange(n) / sample_rate
     x = np.zeros(n)
     for f, ph, a in zip(freqs, phases, amps):

@@ -92,7 +92,7 @@ def many_diagrams(tmp_path_factory):
 
 def _serially(monkeypatch):
     """Make cli._map a list comprehension in this process."""
-    monkeypatch.setattr(cli, "_map", lambda fn, items, chunksize=1: [fn(x) for x in items])
+    monkeypatch.setattr(cli, "_map", lambda fn, items: [fn(x) for x in items])
 
 
 @pytest.fixture

@@ -12,11 +12,11 @@ from topobayes import (
     eval_intensity,
     intensity_grid,
     log_eval_intensity,
+    log_wedge_mass,
     mixture_from_json,
     mixture_to_json,
     restricted_normal_pdf,
     total_mass,
-    wedge_mass,
 )
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
 
@@ -34,7 +34,7 @@ class TestRestrictedNormal:
     def test_broad_prior_wedge_mass(self):
         # frozen from 2-D midpoint quadrature of the raw Gaussian over the
         # wedge (the double sum factors per axis for an isotropic kernel)
-        got = wedge_mass(3.0, 3.0, 20.0)
+        got = np.exp(log_wedge_mass(3.0, 3.0, 20.0))
         assert got == pytest.approx(0.5607501, abs=1e-6)
         h = 60.0 / 6000
         axis = (np.arange(6000) + 0.5) * h
@@ -60,14 +60,26 @@ class TestRestrictedNormal:
     )
     @settings(max_examples=150)
     def test_wedge_mass_in_unit_interval(self, mb, mp, var):
-        z = wedge_mass(mb, mp, var)
+        z = np.exp(log_wedge_mass(mb, mp, var))
         assert 0.0 < z <= 1.0
 
     def test_wedge_mass_tends_to_one_deep_inside(self):
         var = 2.0
-        values = [wedge_mass(c, c, var) for c in (1.0, 3.0, 6.0, 12.0)]
+        values = [np.exp(log_wedge_mass(c, c, var)) for c in (1.0, 3.0, 6.0, 12.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_log_wedge_mass_finite_where_mass_underflows(self):
+        # at b = -40 standard deviations the mass is about 1e-350, below the smallest double;
+        # the log follows the Mills-ratio series log Phi(-x) = -x^2/2 - log(x sqrt(2 pi))
+        # + log(1 - 1/x^2 + 3/x^4 - 15/x^6), whose next term is below 1e-10 at x = 40
+        got = log_wedge_mass(-40.0, 3.0, 1.0)
+        assert np.exp(got) == 0.0
+        x = 40.0
+        tail = -x * x / 2 - math.log(x * math.sqrt(2 * math.pi)) + math.log1p(
+            -1 / x**2 + 3 / x**4 - 15 / x**6)
+        assert got == pytest.approx(tail + math.log(0.5 * math.erfc(-3.0 / math.sqrt(2))),
+                                    rel=1e-11)
 
 
 class TestEvalIntensity:

@@ -14,6 +14,7 @@ from topobayes import (
     quadrature_nodes,
     total_mass,
 )
+from topobayes import posterior
 
 
 def tiny_clutter():
@@ -139,9 +140,10 @@ class TestPosteriorStructure:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
 
-    def test_component_cap(self):
+    def test_component_cap(self, monkeypatch):
+        monkeypatch.setattr(posterior, "_MAX_COMPONENTS", 5)
         prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
-        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.3, max_components=5)
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.3)
         obs = [diagram(*[(1.0 + 0.1 * i, 1.0 + 0.05 * i) for i in range(20)])]
         post = posterior_intensity(prior, obs, cfg)
         assert post.n_components == 5

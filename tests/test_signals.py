@@ -61,8 +61,6 @@ class TestGenerateBandSignal:
             BandSpec(13.0, 8.0)
         with pytest.raises(ValidationError):
             BandSpec(0.0, 8.0)
-        with pytest.raises(ValidationError):
-            BandSpec(8.0, 13.0, n_components=0)
 
 
 class TestAddNoise:
