@@ -39,7 +39,6 @@ from .intensity import (
     log_wedge_mass,
     mixture_from_json,
     mixture_to_json,
-    restricted_normal_pdf,
     total_mass,
 )
 from .posterior import (
@@ -47,8 +46,6 @@ from .posterior import (
     default_clutter,
     default_prior,
     posterior_intensity,
-    posterior_quadrature,
-    quadrature_nodes,
 )
 from .signals import (
     ALPHA_BAND,

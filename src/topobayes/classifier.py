@@ -13,6 +13,7 @@ classes; evaluation is by stratified k-fold cross validation.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -176,6 +177,31 @@ def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
     return folds
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, as taskset limits it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def _openblas_set_threads():
+    """numpy's OpenBLAS setter of its thread count, which returns the count it replaces; None
+    where numpy's BLAS has none (MKL, Accelerate, OpenBLAS before 0.3.27)."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    # dlsym on a library's handle also searches its dependencies, numpy's BLAS among them
+    return getattr(ctypes.CDLL(_umath_linalg.__file__), "openblas_set_num_threads_local", None)
+
+
+def _fold_labels(fold, data: LabeledDataset, prior, cfg, threshold_c) -> list:
+    """Labels predicted for a fold's held-out entries by one model per class fitted on the rest."""
+    train_idx, test_idx = fold
+    models = []
+    for lab in data.labels:
+        training = [data.entries[i][0] for i in train_idx if data.entries[i][1] == lab]
+        models.append(fit_class_model(training, prior, cfg, lab))
+    return [classify(data.entries[i][0], models, threshold_c).label for i in test_idx]
+
+
 def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
                    cfg: PosteriorConfig, threshold_c: float = 1.0,
                    seed: int = 0) -> dict:
@@ -186,24 +212,37 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
     of the fold accuracies. The confusion matrix has true labels on rows and
     predicted labels on columns, both in sorted label order, aggregated over
     folds. Deterministic given the split seed.
+
+    The folds run on one thread per usable CPU, with numpy's OpenBLAS held to
+    one thread meanwhile and then restored; where OpenBLAS cannot be set, on
+    one thread. The report does not depend on either count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by import topobayes.cli
+
     labels = data.labels
     if len(labels) < 2:
         raise ValidationError("cross validation needs at least two classes")
+    folds = stratified_folds(data, seed)
+    set_threads = _openblas_set_threads()
+    # the folds' products would each be split over BLAS's own threads, oversubscribing the CPUs
+    workers = min(len(folds), usable_cpus()) if set_threads else 1
+    held = set_threads(1) if set_threads else None
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            predicted = list(pool.map(
+                lambda fold: _fold_labels(fold, data, prior, cfg, threshold_c), folds))
+    finally:
+        if set_threads:
+            set_threads(held)
     lab_pos = {lab: i for i, lab in enumerate(labels)}
     per_fold = []
     confusion = np.zeros((len(labels), len(labels)), dtype=int)
-    for train_idx, test_idx in stratified_folds(data, seed):
-        models = []
-        for lab in labels:
-            training = [data.entries[i][0] for i in train_idx if data.entries[i][1] == lab]
-            models.append(fit_class_model(training, prior, cfg, lab))
+    for (_, test_idx), fold_labels in zip(folds, predicted):
         correct = 0
-        for i in test_idx:
-            diagram, true_lab = data.entries[i]
-            result = classify(diagram, models, threshold_c)
-            confusion[lab_pos[true_lab], lab_pos[result.label]] += 1
-            correct += result.label == true_lab
+        for i, label in zip(test_idx, fold_labels):
+            true_lab = data.entries[i][1]
+            confusion[lab_pos[true_lab], lab_pos[label]] += 1
+            correct += label == true_lab
         per_fold.append(correct / len(test_idx))
     return {
         "accuracy": float(np.mean(per_fold)),

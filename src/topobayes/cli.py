@@ -8,7 +8,6 @@ for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
 import argparse
 import itertools
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -21,6 +20,7 @@ from .classifier import (
     cross_validate,
     fit_class_model,
     model_from_json,
+    usable_cpus,
 )
 from .errors import DataFileError, ValidationError
 from .filtration import diagram_from_json, sublevel_pd, tilt
@@ -57,8 +57,7 @@ def _map(fn, items):
     from concurrent.futures import ProcessPoolExecutor  # not paid for by commands without workers
     from concurrent.futures.process import BrokenProcessPool
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(len(items), cpus or 1))
+    workers = max(1, min(len(items), usable_cpus()))
     # an item is often milliseconds of work, so a worker takes up to 32 at a time, but fewer
     # where that would leave a worker idle
     try:

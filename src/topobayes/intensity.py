@@ -7,10 +7,11 @@ expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
 All evaluation goes through one log-space kernel sum, log_eval_intensity;
-eval_intensity is its exp, restricted_normal_pdf its one-component case. One
-matrix product per chunk of rows keeps its working memory O(chunk x K), about
-2 MB, for any number of points. Per-component constants are computed once,
-when the mixture is built. Everything is immutable or pure, hence thread-safe.
+eval_intensity is its exp. It takes one matrix product per chunk of rows,
+into one work array of chunk x K that every chunk reuses, so its working
+memory is about 2 MB for any number of points. Per-component constants are
+computed once, when the mixture is built. Everything is immutable or pure,
+hence thread-safe.
 """
 
 from dataclasses import dataclass
@@ -117,9 +118,13 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     if g.n_components:
         coef, log_norm = g._log_kernel_constants
         step = max(1, _CHUNK_ELEMENTS // g.n_components)
+        # every chunk's product goes into this one array; a new array per chunk would be made
+        # while the last one is still alive, doubling the peak
+        work = np.empty((min(step, len(pts)), g.n_components))
         for lo in range(0, len(pts), step):
             p = pts[lo:lo + step]
-            t = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))]) @ coef
+            t = np.matmul(np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))]), coef,
+                          out=work[:len(p)])
             # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
             np.minimum(t, log_norm, out=t)
             peak = t.max(axis=1)
@@ -131,20 +136,11 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
 
 
 def eval_intensity(g: GaussianMixtureIntensity, x):
-    """Mixture intensity at x: sum_j c_j * restricted_normal_pdf(x; mu_j, var_j).
+    """Mixture intensity at x: sum_j c_j times the wedge-restricted N(mu_j, var_j*I) density.
 
     Same shapes as log_eval_intensity; exactly zero outside the wedge.
     """
     return np.exp(log_eval_intensity(g, x))
-
-
-def restricted_normal_pdf(x, mean, var):
-    """Density at x of N(mean, var*I) restricted and renormalized to the wedge.
-
-    Zero outside the wedge; x is one (b, p) point or an array of shape
-    (..., 2). Raises ValidationError unless var > 0.
-    """
-    return eval_intensity(GaussianMixtureIntensity.single(1.0, mean, var), x)
 
 
 def total_mass(g: GaussianMixtureIntensity) -> float:

@@ -30,13 +30,12 @@ from topobayes import (
     generate_band_signal,
     log_bayes_factor,
     posterior_intensity,
-    posterior_quadrature,
-    quadrature_nodes,
     stratified_folds,
     sublevel_pd,
     tilt,
 )
 from conftest import brute_sublevel_pairs, sample_ppp_diagram, separable_grid_mass
+from oracles import posterior_quadrature, quadrature_nodes
 
 # experiment constants: dataset seeds are fixed here; the observation-kernel
 # bandwidth was tuned once on signals from a disjoint seed range (base

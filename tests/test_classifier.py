@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,7 @@ from topobayes import (
     stratified_folds,
     total_mass,
 )
+from topobayes import classifier
 from conftest import sample_ppp_diagram, separable_grid_mass
 
 
@@ -271,6 +278,91 @@ class TestCrossValidate:
         r1 = cross_validate(data, self.prior, self.cfg, seed=4)
         r2 = cross_validate(data, self.prior, self.cfg, seed=4)
         assert r1 == r2
+
+    def test_same_report_and_densities_on_one_and_three_threads(self, rng, monkeypatch):
+        # overlapping classes, so some held-out diagrams are misclassified
+        data = clustered_dataset(rng, 12, 4, {"lo": (1.0, 1.0), "hi": (1.0, 1.3)}, var=0.2)
+        classify_once = classifier.classify
+        runs = []
+        for cpus in (1, 3):
+            densities = {}
+
+            def recording(d, models, threshold_c=1.0):
+                result = classify_once(d, models, threshold_c)
+                densities[id(d)] = repr(result.log_densities)
+                return result
+
+            monkeypatch.setattr(classifier, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(classifier, "classify", recording)
+            runs.append((cross_validate(data, self.prior, self.cfg, seed=5), densities))
+        assert len(runs[0][1]) == len(data.entries)
+        assert 0.5 < runs[0][0]["accuracy"] < 1.0
+        assert runs[0] == runs[1]
+
+    def test_blas_held_to_one_thread_and_restored(self, rng, monkeypatch):
+        set_threads = classifier._openblas_set_threads()
+        if set_threads is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        data = clustered_dataset(rng, 8, 4, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
+        fit_once = classifier.fit_class_model
+        held_counts = []
+        fault = ValidationError("one fold fails")
+        held_out, held_out_label = data.entries[0]
+
+        def recording_fit(training, prior, cfg, label):
+            held_counts.append(set_threads(1))  # sets the count it should already be
+            return fit_once(training, prior, cfg, label)
+
+        def failing_fit(training, prior, cfg, label):
+            # fails only in the fold that holds entry 0 out
+            if label == held_out_label and not any(d is held_out for d in training):
+                raise fault
+            return fit_once(training, prior, cfg, label)
+
+        monkeypatch.setattr(classifier, "usable_cpus", lambda: 3)
+        before = set_threads(2)
+        try:
+            monkeypatch.setattr(classifier, "fit_class_model", recording_fit)
+            cross_validate(data, self.prior, self.cfg)
+            assert held_counts == [1] * 8
+            assert set_threads(2) == 2
+            monkeypatch.setattr(classifier, "fit_class_model", failing_fit)
+            with pytest.raises(ValidationError) as caught:
+                cross_validate(data, self.prior, self.cfg)
+            assert caught.value is fault
+            assert set_threads(2) == 2
+        finally:
+            set_threads(before)
+
+    def test_fold_model_densities_same_at_one_and_two_blas_threads(self):
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            import topobayes as tb
+            rng = np.random.default_rng(5)
+            entries = [(tb.PersistenceDiagram(rng.uniform(0.2, 6, (40, 2))), lab)
+                       for lab in "ab" for _ in range(20)]
+            data = tb.LabeledDataset(tuple(entries), 4)
+            train, test = tb.stratified_folds(data, 0)[0]
+            prior = tb.GaussianMixtureIntensity([1.0, 0.5, 0.5], [[3, 3], [1, 2], [4, 1]],
+                                                [20.0, 2.0, 3.0])
+            training = [data.entries[i][0] for i in train if data.entries[i][1] == "a"]
+            cfg = tb.PosteriorConfig(alpha=0.7, sigma_obs=0.2)
+            model = tb.fit_class_model(training, prior, cfg, "a")
+            logs = np.array([tb.diagram_log_density(data.entries[i][0], model) for i in test])
+            g = model.posterior
+            print(g.n_components, hashlib.sha256(logs.tobytes() + g.weights.tobytes()
+                                                 + g.means.tobytes()).hexdigest())
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and int(outs[0].split()[0]) > 1000
 
     def test_undersized_class_rejected(self, rng):
         g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)

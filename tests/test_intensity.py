@@ -15,10 +15,11 @@ from topobayes import (
     log_wedge_mass,
     mixture_from_json,
     mixture_to_json,
-    restricted_normal_pdf,
     total_mass,
 )
+from topobayes import intensity
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
+from oracles import restricted_normal_pdf
 
 
 class TestRestrictedNormal:
@@ -249,6 +250,25 @@ def test_scoring_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(logs)) and np.all(vals > 0)
     assert peak < 64 * 2**20
+
+
+def test_scoring_holds_one_chunk_array():
+    # every chunk's product goes into one work array, so no chunk's array is still alive
+    # while the next one is made
+    rng = np.random.default_rng(8)
+    k = 14_247
+    g = GaussianMixtureIntensity(rng.uniform(1e-4, 1e-2, k), rng.uniform(0, 6, (k, 2)),
+                                 rng.uniform(0.05, 0.3, k))
+    pts = rng.uniform(0, 6, (150, 2))
+    chunk_bytes = (intensity._CHUNK_ELEMENTS // k) * k * 8
+    tracemalloc.start()
+    try:
+        logs = log_eval_intensity(g, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(logs))
+    assert peak < 1.25 * chunk_bytes
 
 
 class TestTotalMass:

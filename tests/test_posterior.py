@@ -10,11 +10,10 @@ from topobayes import (
     ValidationError,
     eval_intensity,
     posterior_intensity,
-    posterior_quadrature,
-    quadrature_nodes,
     total_mass,
 )
 from topobayes import posterior
+from oracles import posterior_quadrature, quadrature_nodes
 
 
 def tiny_clutter():
@@ -216,6 +215,11 @@ class TestQuadratureOracle:
         large = update_part(0.5)
         mask = small > small.max() * 1e-6
         assert np.all(large[mask] < small[mask])
+
+    def test_nodes_reject_resolution_below_one(self):
+        for res in (0, -3, (4, 0)):
+            with pytest.raises(ValidationError):
+                quadrature_nodes((0, 0, 5, 5), res)
 
     def test_coarse_grid_rejected(self):
         prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
