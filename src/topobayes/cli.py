@@ -24,7 +24,7 @@ from .classifier import (
 )
 from .errors import DataFileError, ValidationError
 from .filtration import diagram_from_json, sublevel_pd, tilt
-from .intensity import intensity_grid, mixture_from_json
+from .intensity import component_row, intensity_grid, mixture_from_json
 from .posterior import PosteriorConfig, default_clutter, default_prior
 from .signals import (ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal,
                       load_signal, signal_from_json)
@@ -34,13 +34,14 @@ _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 _BLOCK_VALUES = 2 ** 14
 
 
-def _read(path, decode):
-    """decode() of the JSON file at path; a fault in the file is a DataFileError naming it."""
+def _read(path, decode, object_hook=None):
+    """decode() of the JSON file at path, parsed with object_hook; a fault in the file is a
+    DataFileError naming it."""
     p = Path(path)
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
     try:
-        obj = json.loads(p.read_text())
+        obj = json.loads(p.read_text(), object_hook=object_hook)
     except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
     try:
@@ -149,8 +150,8 @@ def _diagram_manifest(obj, labeled=False):
 
 def _prior_and_config(prior, clutter, alpha, sigma_obs):
     """The prior and posterior config from optional mixture files."""
-    prior = _read(prior, mixture_from_json) if prior else default_prior()
-    clutter = _read(clutter, mixture_from_json) if clutter else default_clutter()
+    prior = _read(prior, mixture_from_json, component_row) if prior else default_prior()
+    clutter = _read(clutter, mixture_from_json, component_row) if clutter else default_clutter()
     return prior, PosteriorConfig(alpha=alpha, sigma_obs=sigma_obs, clutter=clutter)
 
 
@@ -220,9 +221,12 @@ def _signal_diagram(path, rate, outdir):
     try:
         sig = (_read(path, signal_from_json) if path.suffix == ".json"
                else load_signal(path, rate))
+        diagram = tilt(sublevel_pd(sig))
     except (DataFileError, OSError) as err:  # each names the file
         return str(err)
-    _emit_diagram(tilt(sublevel_pd(sig)), outdir / (path.stem + ".pd.json"))
+    except ValidationError as err:  # a diagram no reader would take: samples 1.8e308 apart
+        return f"{path}: {err}"
+    _emit_diagram(diagram, outdir / (path.stem + ".pd.json"))
     return None
 
 
@@ -271,7 +275,7 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 def classify(models, diagram, threshold=1.0, out=None) -> int:
     """Classify one diagram against two or more fitted models, read in worker processes."""
     import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
-    models = _map(partial(_read, decode=model_from_json), models)
+    models = _map(partial(_read, decode=model_from_json, object_hook=component_row), models)
     result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
     report = {
         "label": result.label,
@@ -300,7 +304,7 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
 
 def heatmap(model, bounds, res, out) -> int:
     """Export a scaled intensity grid for a fitted model."""
-    posterior = _read(model, model_from_json).posterior
+    posterior = _read(model, model_from_json, component_row).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")
     grid = intensity_grid(posterior, bounds, resolution)

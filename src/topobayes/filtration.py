@@ -44,7 +44,8 @@ class PersistenceDiagram:
     """Tilted diagram: (birth, persistence) points in the nonnegative wedge.
 
     b_min is the birth offset removed by the tilt; keeping it makes the
-    transform invertible for a single diagram.
+    transform invertible for a single diagram. Every point's b^2 + p^2 must be
+    finite, so no coordinate exceeds about 1.34e154: scoring a point uses it.
     """
 
     points: np.ndarray
@@ -54,6 +55,11 @@ class PersistenceDiagram:
         points = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(points)):
             raise ValidationError("diagram points must be finite")
+        # finite points can still overflow it, and a point scored with an infinite b^2 + p^2
+        # would score NaN
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite((points * points).sum(axis=1))):
+                raise ValidationError("diagram point too large: its b^2 + p^2 is not finite")
         if points.size and points.min() < 0:
             raise ValidationError("diagram points must lie in the wedge b, p >= 0")
         if not np.isfinite(self.b_min):
@@ -67,7 +73,7 @@ class PersistenceDiagram:
 
 def _collapse_plateaus(values: np.ndarray) -> np.ndarray:
     """Drop repeats of equal consecutive samples (keeps component topology)."""
-    keep = np.concatenate([[True], np.diff(values) != 0])
+    keep = np.concatenate([[True], values[1:] != values[:-1]])
     return values[keep]
 
 
@@ -139,7 +145,8 @@ def tilt(raw: RawDiagram) -> PersistenceDiagram:
     if len(raw) == 0:
         return PersistenceDiagram(np.zeros((0, 2)), 0.0)
     b_min = float(raw.pairs[:, 0].min())
-    pts = np.column_stack([raw.pairs[:, 0] - b_min, raw.pairs[:, 1] - raw.pairs[:, 0]])
+    with np.errstate(over="ignore"):  # PersistenceDiagram rejects what overflows
+        pts = np.column_stack([raw.pairs[:, 0] - b_min, raw.pairs[:, 1] - raw.pairs[:, 0]])
     return PersistenceDiagram(pts, b_min)
 
 

@@ -196,13 +196,30 @@ def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
     }
 
 
+_COMPONENT_KEYS = frozenset(("mu", "var", "w"))
+
+
+def component_row(obj):
+    """json object_hook: a {"mu": [b, p], "var": v, "w": w} object as its row (w, b, p, v), which
+    mixture_from_json reads as it would read the object; any other object as it is.
+
+    So a parse holds one tuple of 4 floats per component, where it held a dict and a list; and
+    tuples of floats, unlike lists, drop out of the garbage collector's sweeps, which would walk
+    the whole parsed file."""
+    if obj.keys() == _COMPONENT_KEYS and type(obj["mu"]) is list:
+        return (obj["w"], *obj["mu"], obj["var"])
+    return obj
+
+
 def mixture_from_json(obj) -> GaussianMixtureIntensity:
+    """The mixture of the wire format, its components given as objects or as component_row's
+    rows."""
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValidationError("mixture JSON needs a 'components' list")
-    # a mu that is not a (b, p) pair makes a row that is not 4 long; tuples of floats, unlike
-    # lists, drop out of the garbage collector's sweeps, which would walk the whole parsed file
+    # a mu that is not a (b, p) pair makes a row that is not 4 long
     try:
-        rows = [(c["w"], *c["mu"], c["var"]) for c in obj["components"]]
+        rows = [c if type(c) is tuple else (c["w"], *c["mu"], c["var"])
+                for c in obj["components"]]
     except (KeyError, TypeError):
         raise ValidationError("mixture JSON has malformed components") from None
     a = json_floats(rows, "mixture components", None, 4)

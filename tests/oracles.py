@@ -1,4 +1,4 @@
-"""The quadrature route to the posterior, kept as an oracle for the closed form.
+"""Oracles for the closed-form posterior: the quadrature route and the dense update.
 
 restricted_normal_pdf -- one wedge-restricted Gaussian density, the
                          one-component case of eval_intensity
@@ -6,12 +6,17 @@ quadrature_nodes      -- cell-center axes of posterior_quadrature's grid
 posterior_quadrature  -- the posterior intensity operator evaluated by direct
                          numerical integration, independent of the
                          conjugate-update algebra of posterior_intensity
+dense_posterior       -- posterior_intensity as it was before it selected the
+                         kept components from their weights alone: every
+                         array of all (point, component) pairs built, then
+                         pruned; its output must match byte for byte
 """
 
 import numpy as np
 
 from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
-from topobayes.intensity import wedge_rectangle
+from topobayes import posterior
+from topobayes.intensity import log_wedge_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
 
 
@@ -83,3 +88,69 @@ def posterior_quadrature(prior: GaussianMixtureIntensity, observations,
             continue
         out += (cfg.alpha / m) * restricted_normal_pdf(X, y, so) * prior_at_X / denom
     return out
+
+
+def dense_posterior(prior: GaussianMixtureIntensity, observations,
+                    cfg: PosteriorConfig) -> GaussianMixtureIntensity:
+    """posterior_intensity, building the (T, K) and (T, K, 2) arrays of all T observed points
+    against all K prior components, then pruning them by posterior's constants as they are
+    at the call. About 130 B per pair."""
+    m = len(observations)
+    Y = _flatten_observations(observations)
+    K = prior.n_components
+
+    out_w = [(1.0 - cfg.alpha) * prior.weights]
+    out_mu = [prior.means]
+    out_v = [prior.variances]
+
+    T = len(Y)
+    if T > 0 and K > 0 and cfg.alpha > 0:
+        c = prior.weights
+        mu = prior.means
+        var = prior.variances
+        so = cfg.sigma_obs
+
+        v_post = var * so / (var + so)                                   # (K,)
+        mu_post = (so * mu[None, :, :] + var[None, :, None] * Y[:, None, :]) / (
+            var[None, :, None] + so
+        )                                                                 # (T,K,2)
+
+        # evidence of y under component k, in log space: the unrestricted
+        # Gaussian product evidence times the ratio of wedge masses coming
+        # from the three renormalized-restricted factors
+        d2 = ((Y[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)          # (T,K)
+        log_q = (
+            -np.log(2.0 * np.pi * (var + so))[None, :]
+            - d2 / (2.0 * (var + so))[None, :]
+            + log_wedge_mass(mu_post[:, :, 0], mu_post[:, :, 1], v_post[None, :])
+            - log_wedge_mass(mu[:, 0], mu[:, 1], var)[None, :]
+            - log_wedge_mass(Y[:, 0], Y[:, 1], so)[:, None]
+        )
+        q = np.exp(log_q)                                                 # (T,K)
+
+        denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (q @ c)      # (T,)
+        safe = denom > 0  # a point with zero clutter and zero evidence carries no update
+        scale = np.zeros(T)
+        scale[safe] = (cfg.alpha / m) / denom[safe]
+
+        w_new = scale[:, None] * c[None, :] * q                           # (T,K)
+        out_w.append(w_new.reshape(-1))
+        out_mu.append(mu_post.reshape(-1, 2))
+        out_v.append(np.broadcast_to(v_post, (T, K)).reshape(-1))
+
+    W = np.concatenate(out_w)
+    MU = np.concatenate(out_mu, axis=0)
+    V = np.concatenate(out_v)
+    return _dense_pruned(W, MU, V)
+
+
+def _dense_pruned(W, MU, V) -> GaussianMixtureIntensity:
+    total = W.sum()
+    keep = W > posterior._PRUNE_REL_WEIGHT * total
+    W, MU, V = W[keep], MU[keep], V[keep]
+    cap = posterior._MAX_COMPONENTS
+    if len(W) > cap:
+        # keep the heaviest components, preserving their original order
+        idx = np.sort(np.argpartition(W, len(W) - cap)[len(W) - cap:])
+        W, MU, V = W[idx], MU[idx], V[idx]
+    return GaussianMixtureIntensity(W, MU, V)

@@ -149,6 +149,29 @@ class TestFitClassModel:
         with pytest.raises(ValidationError):
             fit_class_model([], self.prior, cfg, "x")
 
+    def test_model_and_scores_same_at_one_and_two_blas_threads(self):
+        set_threads = classifier._openblas_set_threads()
+        if set_threads is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        # about 14k components: each scoring product is then split over BLAS's threads
+        rng = np.random.default_rng(7)
+        training = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(90)]
+        tests = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(4)]
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.2)
+        runs = []
+        before = set_threads(1)
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                g = fit_class_model(training, self.prior, cfg, "x").posterior
+                logs = np.array([diagram_log_density(d, ClassModel("x", g)) for d in tests])
+                runs.append((g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes(),
+                             logs.tobytes()))
+        finally:
+            set_threads(before)
+        assert g.n_components == 90 * 156 + 1
+        assert runs[0] == runs[1]
+
     def test_model_json_roundtrip(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
         m = fit_class_model([diagram((2.0, 2.0))], self.prior, cfg, "x")

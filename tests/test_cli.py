@@ -31,13 +31,16 @@ from topobayes import (
     fit_class_model,
     load_signal,
     mixture_to_json,
+    model_from_json,
     model_to_json,
     sublevel_pd,
     tilt,
     PosteriorConfig,
+    ValidationError,
 )
 from topobayes import cli
 from topobayes.cli import main
+from topobayes.intensity import component_row, mixture_from_json
 
 
 def run(*argv):
@@ -494,6 +497,112 @@ class TestHeatmap:
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
         assert run("heatmap", "--model", model_path, "--bounds", "0,0,0,4",
                    "--res", "8x8", "--out", tmp_path / "hm") == 1
+
+
+# spellings of a mixture component; each must decode, or be rejected, as its parsed object does
+_COMPONENT_SPELLINGS = {
+    "as_written": lambda c: c,
+    "keys_in_another_order": lambda c: {"var": c["var"], "w": c["w"], "mu": c["mu"]},
+    "an_extra_key": lambda c: {**c, "note": [1, 2]},
+    "mu_of_three": lambda c: {**c, "mu": [*c["mu"], 1.0]},
+    "mu_of_one": lambda c: {**c, "mu": c["mu"][:1]},
+    "mu_a_string": lambda c: {**c, "mu": "ab"},
+    "mu_a_longer_string": lambda c: {**c, "mu": "abc"},
+    "mu_a_component": lambda c: {**c, "mu": dict(c)},
+    "w_a_component": lambda c: {**c, "w": dict(c)},
+    "without_mu": lambda c: {"w": c["w"], "var": c["var"]},
+    "a_list_of_the_row": lambda c: [c["w"], *c["mu"], c["var"]],  # a row only as a tuple
+}
+
+
+class TestMixtureFiles:
+    """Mixture and model files are parsed with component_row, which makes each component object
+    a row as it is parsed. A file decodes, or is rejected, as its parsed objects do."""
+
+    @pytest.mark.parametrize("spelling", sorted(_COMPONENT_SPELLINGS))
+    def test_components_decode_as_their_objects(self, tmp_path, cli_files, capsys, spelling):
+        first, second = {"w": 1.0, "mu": [1.0, 0.5], "var": 0.5}, {"w": 0.5, "mu": [2.0, 0.5],
+                                                                     "var": 1.0}
+        mixtures = {name: {"components": [spell(first), second]}
+                    for name, spell in [("reference", _COMPONENT_SPELLINGS["as_written"]),
+                                        ("spelled", _COMPONENT_SPELLINGS[spelling])]}
+        try:  # the parsed objects, without an object_hook
+            want = mixture_from_json(json.loads(json.dumps(mixtures["spelled"])))
+            assert want.weights.tolist() == [1.0, 0.5]
+            assert want.means.tolist() == [[1.0, 0.5], [2.0, 0.5]]
+        except ValidationError as e:
+            want = str(e)
+        prior, model, out = tmp_path / "prior.json", tmp_path / "model.json", tmp_path / "out"
+        consumers = {
+            "fit --prior": (prior, ("fit", "--manifest", cli_files / "diagrams" / "manifest.json",
+                                    "--label", "alpha", "--prior", prior, "--out", out)),
+            "classify": (model, ("classify", "--models", model, cli_files / "beta.json",
+                                 "--diagram", cli_files / "diagrams" / "beta_000.pd.json",
+                                 "--out", out)),
+            "heatmap": (model, ("heatmap", "--model", model, "--bounds", "0,0,3,3",
+                                "--res", "4x4", "--out", out)),
+        }
+        for consumer, (path, argv) in consumers.items():
+            results = {}
+            for name, mixture in mixtures.items():
+                _write(prior, mixture)
+                _write(model, {"label": "a", "lambda": 1.5, "posterior": mixture})
+                code = run(*argv)
+                results[name] = (code, capsys.readouterr().err,
+                                 [f.read_bytes() for f in sorted(tmp_path.glob("out*"))])
+            assert results["reference"][0] == 0, consumer
+            if isinstance(want, str):
+                assert results["spelled"][:2] == (2, f"error: {path}: {want}\n"), consumer
+            else:
+                assert results["spelled"] == results["reference"], consumer
+
+    def test_reading_a_model_holds_its_text_and_a_row_per_component(self, tmp_path):
+        a = np.random.default_rng(0).uniform(0.1, 2.0, size=(100_000, 4))
+        path = tmp_path / "m.json"
+        cli._emit_model(ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])),
+                        path)
+        tracemalloc.start()
+        try:
+            model = cli._read(path, model_from_json, component_row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.posterior.weights.tobytes() == a[:, 0].tobytes()
+        # the text, twice while it is decoded, then one tuple of 4 floats per component, 168 B;
+        # a dict and a list per component took 3.3 times the file's size
+        assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+
+
+class TestHugeDiagramPoints:
+    """A diagram point whose b^2 + p^2 overflows, with a coordinate above about 1.34e154, scored
+    NaN: classify wrote NaN and exited 0. Such a point is an error in the file that holds it."""
+
+    @pytest.mark.parametrize("command", ["classify", "fit", "cv"])
+    def test_reading_one_exits_two_naming_the_file(self, tmp_path, cli_files, capfd, command):
+        big = _write(tmp_path / "big.pd.json", {"b_min": 0.0, "points": [[1e308, 1e308]]})
+        entries = [{"diagram": str(cli_files / "diagrams" / f"{band}_{i:03d}.pd.json"),
+                    "label": band} for band in ("alpha", "beta") for i in range(4)]
+        manifest = _write(tmp_path / "m.json", {"entries": [
+            *entries, {"diagram": big.name, "label": "alpha"}]})
+        argv = {"classify": ("classify", "--models", cli_files / "alpha.json",
+                             cli_files / "beta.json", "--diagram", big),
+                "fit": ("fit", "--manifest", manifest, "--label", "alpha",
+                        "--out", tmp_path / "model.json"),
+                "cv": ("cv", "--manifest", manifest, "--k-folds", 2)}[command]
+        assert run(*argv) == 2
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", f"error: {big}: diagram point too large: "
+                                  "its b^2 + p^2 is not finite\n")
+
+    def test_pd_names_the_signal_and_lists_the_rest(self, tmp_path, capfd):
+        # the tilted point is (0, 2e308): an overflow, which printed two RuntimeWarnings
+        big, ok = tmp_path / "big.csv", tmp_path / "ok.csv"
+        big.write_text("1e308\n-1e308\n1e308\n")
+        ok.write_text("0.5\n-1\n0.25\n1\n-0.5\n")
+        assert run("pd", big, ok, "--rate", 128, "--out", tmp_path / "pd") == 2
+        assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite\n")
+        assert read_json(tmp_path / "pd" / "manifest.json") == {
+            "entries": [{"diagram": "ok.pd.json"}]}
 
 
 def _write(path, obj):
@@ -981,9 +1090,10 @@ class TestWriters:
             assert (Path(tmp) / "m.json").read_bytes() == want.encode()
 
     @settings(max_examples=150, deadline=None)
+    # a point's b^2 + p^2 must be finite, so its coordinates stay below about 1.34e154
     @given(b_min=_floats(-1e308, 1e308), points=arrays(
         float, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6).map(
-            lambda shape: (shape[0], 2)), elements=_floats(0.0, 1e308)), block=_BLOCK_SIZES)
+            lambda shape: (shape[0], 2)), elements=_floats(0.0, 9e153)), block=_BLOCK_SIZES)
     def test_diagram_file_is_the_indented_json_of_diagram_to_json(self, b_min, points, block):
         diagram = PersistenceDiagram(points, b_min)
         want = json.dumps(diagram_to_json(diagram), indent=2, sort_keys=True) + "\n"

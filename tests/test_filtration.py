@@ -216,3 +216,16 @@ class TestDiagramTypes:
             PersistenceDiagram([[-0.1, 1.0]])
         with pytest.raises(ValidationError):
             PersistenceDiagram([[0.1, -1.0]])
+
+    def test_tilted_rejects_a_point_whose_squared_norm_overflows(self):
+        # scoring such a point computed b^2 + p^2 = inf, and its log density was NaN
+        PersistenceDiagram([[1.34e154, 0.0], [9e153, 9e153]])
+        for point in ([1e308, 1e308], [1e154, 1e154], [0.0, 1.35e154]):
+            with pytest.raises(ValidationError, match="too large"):
+                PersistenceDiagram([[1.0, 1.0], point])
+
+    def test_tilt_of_a_pair_past_the_float_range_is_rejected_quietly(self):
+        # 1e308 - (-1e308) overflows: the diagram is rejected, without a RuntimeWarning
+        raw = sublevel_pd([1e308, -1e308, 1e308])
+        with pytest.raises(ValidationError, match="finite"):
+            tilt(raw)

@@ -1,7 +1,11 @@
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topobayes import (
     GaussianMixtureIntensity,
@@ -13,7 +17,7 @@ from topobayes import (
     total_mass,
 )
 from topobayes import posterior
-from oracles import posterior_quadrature, quadrature_nodes
+from oracles import dense_posterior, posterior_quadrature, quadrature_nodes
 
 
 def tiny_clutter():
@@ -226,3 +230,81 @@ class TestQuadratureOracle:
         cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
         with pytest.raises(ValidationError):
             posterior_quadrature(prior, [diagram((1.0, 1.0))], cfg, (0, 0, 5, 5), 16)
+
+
+_CLUTTERS = {
+    "default": posterior.default_clutter,
+    "none": GaussianMixtureIntensity.empty,  # far points then have a zero denominator
+    "tiny": tiny_clutter,
+    "heavy": lambda: GaussianMixtureIntensity([5.0, 2.0], [[1.0, 1.0], [4.0, 0.5]], [0.5, 3.0]),
+}
+
+
+class TestSelectThenBuild:
+    """posterior_intensity computes only the weights of all pairs, then builds the kept
+    components; dense_posterior builds every pair's component, then prunes. Byte for byte equal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(K=st.sampled_from([0, 1, 3, 16, 64]),
+           sizes=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+           alpha=st.sampled_from([0.0, 0.7, 1.0]) | st.floats(0.0, 1.0),
+           sigma_obs=st.sampled_from([0.2, 1.0]) | st.floats(1e-3, 10.0),
+           clutter=st.sampled_from(sorted(_CLUTTERS)),
+           cap=st.sampled_from([1, 7, 100, 5_000, 100_000]),
+           decimals=st.sampled_from([None, 1, 0]),  # rounded points tie in weight
+           spread=st.sampled_from([6.0, 60.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_dense_oracle(self, K, sizes, alpha, sigma_obs, clutter, cap, decimals,
+                                      spread, seed):
+        rng = np.random.default_rng(seed)
+        prior = GaussianMixtureIntensity(rng.uniform(0.1, 2.0, K), rng.uniform(0.0, 8.0, (K, 2)),
+                                         rng.uniform(0.1, 4.0, K))
+        obs = []
+        for n in sizes:
+            pts = rng.uniform(0.0, spread, (n, 2))
+            obs.append(diagram(*(pts if decimals is None else np.round(pts, decimals))))
+        cfg = PosteriorConfig(alpha=alpha, sigma_obs=sigma_obs, clutter=_CLUTTERS[clutter]())
+
+        def outcome(update):
+            try:
+                g = update(prior, obs, cfg)
+            # both overflow alike where a point's denominator is near the smallest double
+            except (RuntimeWarning, ValidationError) as e:
+                return type(e), str(e)
+            return g.n_components, g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes()
+
+        with mock.patch.object(posterior, "_MAX_COMPONENTS", cap):
+            assert outcome(posterior_intensity) == outcome(dense_posterior)
+
+    def test_chunks_end_inside_the_points(self, monkeypatch):
+        # 5 points of 3 components in chunks of 2 points: the last chunk is short
+        monkeypatch.setattr(posterior, "_CHUNK_PAIRS", 6)
+        prior = GaussianMixtureIntensity([1.0, 0.5, 2.0], [[1.0, 2.0], [3.0, 1.0], [0.5, 0.5]],
+                                         [0.5, 1.0, 2.0])
+        obs = [diagram((1.0, 1.0), (2.0, 0.5), (0.25, 3.0)), diagram((4.0, 4.0), (1.5, 1.5))]
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.3)
+        got, want = posterior_intensity(prior, obs, cfg), dense_posterior(prior, obs, cfg)
+        assert got.n_components == 3 + 5 * 3
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.means.tobytes() == want.means.tobytes()
+
+    def test_fit_holds_a_weight_per_pair(self):
+        # the dense update held about 130 B per (point, component) pair: 160 MB here
+        rng = np.random.default_rng(0)
+        K, T = 64, 20_000
+        prior = GaussianMixtureIntensity(rng.uniform(0.1, 2.0, K), rng.uniform(0.0, 8.0, (K, 2)),
+                                         rng.uniform(0.1, 4.0, K))
+        obs = [diagram(*rng.uniform(0.0, 6.0, (T // 100, 2))) for _ in range(100)]
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.2)
+        posterior_intensity(prior, obs[:1], cfg)  # scipy.special loads outside the trace
+        tracemalloc.start()
+        try:
+            post = posterior_intensity(prior, obs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.n_components == 100_000
+        # 8 B per pair for the weights, 17 B more per pair that passes the relative cut (at most
+        # all of them) while the 100,000 heaviest are picked, and 16 MB for the arrays of a
+        # chunk of pairs and for building the kept components
+        assert peak < 25 * K * T + 16e6, peak
