@@ -14,6 +14,7 @@ classes; evaluation is by stratified k-fold cross validation.
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,10 +56,7 @@ class LabeledDataset:
         entries = tuple((d, str(lab)) for d, lab in self.entries)
         if not isinstance(self.k_folds, int) or self.k_folds < 2:
             raise ValidationError("k_folds must be an integer of at least 2")
-        counts = {}
-        for _, lab in entries:
-            counts[lab] = counts.get(lab, 0) + 1
-        for lab, n in counts.items():
+        for lab, n in Counter(lab for _, lab in entries).items():
             if n < self.k_folds:
                 raise ValidationError(
                     f"class {lab!r} has {n} entries, fewer than k_folds={self.k_folds}"

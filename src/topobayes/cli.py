@@ -22,7 +22,7 @@ from .classifier import (
     model_from_json,
     usable_cpus,
 )
-from .errors import DataFileError, ValidationError
+from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import diagram_from_json, sublevel_pd, tilt
 from .intensity import component_row, intensity_grid, mixture_from_json
 from .posterior import PosteriorConfig, default_clutter, default_prior
@@ -165,18 +165,16 @@ def _write_signal(i, band, duration, rate, snr, seed, outdir):
     return name
 
 
-def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
+def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
     """Write n band-limited signals as CSV, in worker processes, plus a merged dataset manifest."""
-    if n < 1 or seed < 0:
-        raise ValidationError("--n must be at least 1 and --seed at least 0")
+    if not 1 <= n <= MAX_SIZE or seed < 0:  # a larger range(n) has no len
+        raise ValidationError(f"--n must lie in [1, {MAX_SIZE}] and --seed be at least 0")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
                          seed=seed, outdir=outdir), range(n))
-    entries = [{"signal": name, "label": band} for name in names]
-
     manifest_path = outdir / "manifest.json"
-    manifest = {"rate": rate, "entries": []}
+    entries = [{"signal": name, "label": band} for name in names]
     if manifest_path.exists():
         previous = _read(manifest_path, lambda obj: _signal_manifest(obj, labeled=True))
         if previous.get("rate") not in (None, rate):
@@ -184,11 +182,9 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0) -> int:
                 f"manifest {manifest_path} has rate {previous.get('rate')}, "
                 f"refusing to mix with {rate}"
             )
-        manifest["entries"] = [e for e in previous["entries"] if e["label"] != band]
-    manifest["entries"].extend(entries)
-    manifest["entries"].sort(key=lambda e: (e["label"], e["signal"]))
-    _emit(manifest, manifest_path)
-    return 0
+        entries += [e for e in previous["entries"] if e["label"] != band]
+    entries.sort(key=lambda e: (e["label"], e["signal"]))
+    _emit({"rate": rate, "entries": entries}, manifest_path)
 
 
 def _signal_tasks(manifest, inputs, rate):
@@ -230,7 +226,7 @@ def _signal_diagram(path, rate, outdir):
     return None
 
 
-def pd(out, manifest=None, inputs=(), rate=None) -> int:
+def pd(out, manifest=None, inputs=(), rate=None):
     """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files.
 
     A signal that fails is left out of the manifest, and one error names every such file."""
@@ -250,7 +246,6 @@ def pd(out, manifest=None, inputs=(), rate=None) -> int:
     failures = [error for error in errors if error is not None]
     if failures:
         raise DataFileError("; ".join(failures))
-    return 0
 
 
 def _load_diagram_entries(manifest_path, label=None, labeled=False):
@@ -262,17 +257,16 @@ def _load_diagram_entries(manifest_path, label=None, labeled=False):
     return manifest, [(d, e.get("label")) for d, e in zip(diagrams, chosen)]
 
 
-def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None) -> int:
+def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None):
     """Fit one class model from the labeled diagrams in a manifest."""
     _, entries = _load_diagram_entries(manifest, label)
     if not entries:
         raise ValidationError(f"no diagrams labeled {label!r} in manifest")
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
     _emit_model(fit_class_model([d for d, _ in entries], prior, cfg, label), out)
-    return 0
 
 
-def classify(models, diagram, threshold=1.0, out=None) -> int:
+def classify(models, diagram, threshold=1.0, out=None):
     """Classify one diagram against two or more fitted models, read in worker processes."""
     import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
     models = _map(partial(_read, decode=model_from_json, object_hook=component_row), models)
@@ -286,23 +280,23 @@ def classify(models, diagram, threshold=1.0, out=None) -> int:
         "threshold": threshold,
     }
     _emit(report, out)
-    return 0
 
 
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
-       threshold=1.0, seed=0, out=None) -> int:
-    """Cross-validate the classifier on a labeled manifest; print the report unless out is set."""
+       threshold=1.0, seed=0, out=None):
+    """Cross-validate on a labeled manifest; the report, printed unless out is set."""
     obj, entries = _load_diagram_entries(manifest, labeled=True)
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
-    _emit(cross_validate(data, prior, cfg, threshold, seed), out)
-    return 0
+    report = cross_validate(data, prior, cfg, threshold, seed)
+    _emit(report, out)
+    return report
 
 
-def heatmap(model, bounds, res, out) -> int:
+def heatmap(model, bounds, res, out):
     """Export a scaled intensity grid for a fitted model."""
     posterior = _read(model, model_from_json, component_row).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
@@ -319,23 +313,18 @@ def heatmap(model, bounds, res, out) -> int:
         Path(out).with_suffix(".json"),
     )
     _write_csv(Path(out).with_suffix(".csv"), grid)
-    return 0
 
 
-def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, alpha=0.7,
-             sigma_obs=0.2, prior=None, clutter=None, k_folds=None, threshold=1.0) -> int:
-    """Generate both bands, extract diagrams, and cross-validate, in one go."""
+def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
+    """Generate both bands, extract diagrams, and cross-validate them with cv's options."""
     out = Path(out)
     sig_dir = out / "signals"
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
     pd(out / "diagrams", manifest=sig_dir / "manifest.json")
     report_path = out / "cv_report.json"
-    cv(out / "diagrams" / "manifest.json", k_folds, alpha, sigma_obs, prior, clutter,
-       threshold, seed, out=report_path)
-    accuracy = _read(report_path, lambda report: report["accuracy"])
-    print(f"cv accuracy: {accuracy:.4f} ({report_path})")
-    return 0
+    report = cv(out / "diagrams" / "manifest.json", seed=seed, out=report_path, **options)
+    print(f"cv accuracy: {report['accuracy']:.4f} ({report_path})")
 
 
 def _split(text, sep, count, kind, usage):
@@ -350,6 +339,10 @@ def _split(text, sep, count, kind, usage):
 
 
 class _Parser(argparse.ArgumentParser):
+    # an option left out is not in the namespace, so its command's signature gives its default
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):  # exit 1 on bad arguments, per the exit-code contract
         raise ValidationError(message)
 
@@ -360,33 +353,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options shared by several subcommands, each declared once
     sampling = _Parser(add_help=False)
-    sampling.add_argument("--duration", type=float, default=2.0)
-    sampling.add_argument("--rate", type=float, default=256.0)
+    sampling.add_argument("--duration", type=float)
+    sampling.add_argument("--rate", type=float)
     seeding = _Parser(add_help=False)
-    seeding.add_argument("--seed", type=int, default=0)
+    seeding.add_argument("--seed", type=int)
     posterior = _Parser(add_help=False)
-    posterior.add_argument("--alpha", type=float, default=0.7)
-    posterior.add_argument("--sigma-obs", dest="sigma_obs", type=float, default=0.2)
-    posterior.add_argument("--prior", default=None)
-    posterior.add_argument("--clutter", default=None)
+    posterior.add_argument("--alpha", type=float)
+    posterior.add_argument("--sigma-obs", dest="sigma_obs", type=float)
+    posterior.add_argument("--prior")
+    posterior.add_argument("--clutter")
     voting = _Parser(add_help=False)
-    voting.add_argument("--threshold", type=float, default=1.0)
+    voting.add_argument("--threshold", type=float)
     folding = _Parser(add_help=False)
-    folding.add_argument("--k-folds", dest="k_folds", type=int, default=None,
+    folding.add_argument("--k-folds", dest="k_folds", type=int,
                          help="default: the manifest's k_folds, else 10")
 
     p = sub.add_parser("generate", parents=[sampling, seeding],
                        help="write synthetic band-limited signals")
     p.add_argument("--band", choices=sorted(_BANDS), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--snr", type=float, default=None, help="SNR in dB; omit for clean signals")
+    p.add_argument("--snr", type=float, help="SNR in dB; omit for clean signals")
     p.add_argument("--out", required=True)
     p.set_defaults(func=generate)
 
     p = sub.add_parser("pd", help="convert signals to persistence diagrams")
     p.add_argument("inputs", nargs="*", help="signal files (alternative to --manifest)")
     p.add_argument("--manifest")
-    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--rate", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=pd)
 
@@ -400,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify one diagram against fitted models")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--diagram", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     p.set_defaults(func=classify)
 
     p = sub.add_parser("cv", parents=[posterior, folding, voting, seeding],
                        help="k-fold cross validation on a labeled manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     p.set_defaults(func=cv)
 
     p = sub.add_parser("heatmap", help="export a scaled intensity grid as CSV")
@@ -418,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[sampling, seeding, posterior, folding, voting],
                        help="generate -> pd -> cv in one command")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--snr", type=float, default=5.0)
+    p.add_argument("--n", type=int)
+    p.add_argument("--snr", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=pipeline)
 
@@ -430,13 +423,14 @@ def main(argv=None) -> int:
     try:
         options = vars(build_parser().parse_args(argv))
         del options["command"]
-        return options.pop("func")(**options)
+        options.pop("func")(**options)
     except (ValidationError, MemoryError) as e:  # MemoryError: a size such as --duration 1e12
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except (DataFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entrypoint():

@@ -4,6 +4,9 @@ from itertools import chain
 
 import numpy as np
 
+# the most bytes numpy lets one array span, and the most items Python's len counts
+MAX_SIZE = np.iinfo(np.intp).max
+
 
 class ValidationError(ValueError):
     """An argument violates an operation's preconditions."""

@@ -85,8 +85,7 @@ def sublevel_pd(signal) -> RawDiagram:
     minimum being paired with the global maximum. Pairs are sorted by
     (birth, death). Runs in O(n log n) via a sorted sweep with union-find.
     """
-    values = signal.samples if hasattr(signal, "samples") else np.asarray(signal, float)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValidationError("signal needs at least 2 samples")
     if not np.all(np.isfinite(values)):
@@ -175,12 +174,8 @@ def _bottleneck_pairs(A: np.ndarray, B: np.ndarray) -> float:
     nA, nB = len(A), len(B)
     diag_a = (A[:, 1] - A[:, 0]) / 2.0
     diag_b = (B[:, 1] - B[:, 0]) / 2.0
-    if nA == 0 and nB == 0:
-        return 0.0
-    if nA == 0:
-        return float(diag_b.max())
-    if nB == 0:
-        return float(diag_a.max())
+    if nA == 0 or nB == 0:  # every point goes to the diagonal
+        return float(np.concatenate([diag_a, diag_b]).max(initial=0.0))
 
     direct = np.maximum(
         np.abs(A[:, None, 0] - B[None, :, 0]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, json_floats
+from .errors import MAX_SIZE, ValidationError, json_floats
 
 # rows per chunk of log_eval_intensity: its (rows, K) work array stays near
 # 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
@@ -156,8 +156,9 @@ def wedge_rectangle(bounds):
     b_lo, p_lo, b_hi, p_hi = (float(v) for v in bounds)
     if b_lo < 0 or p_lo < 0:
         raise ValidationError("grid bounds must lie inside the wedge")
-    if not (b_lo < b_hi < np.inf and p_lo < p_hi < np.inf):
-        raise ValidationError("grid bounds must be finite and non-degenerate")
+    # a corner's b^2 + p^2 must be finite, as a diagram point's is: scoring uses it
+    if not (b_lo < b_hi and p_lo < p_hi and b_hi * b_hi + p_hi * p_hi < np.inf):
+        raise ValidationError("grid bounds must be non-degenerate, with b^2 + p^2 finite")
     return b_lo, p_lo, b_hi, p_hi
 
 
@@ -175,8 +176,9 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
         nb = npts = resolution
     else:
         nb, npts = resolution
-    if nb < 2 or npts < 2:
-        raise ValidationError("grid resolution must be at least 2x2")
+    # the (nb, npts, 2) points are the largest array, checked before any array is made
+    if not (2 <= nb and 2 <= npts and nb * npts * 16 <= MAX_SIZE):
+        raise ValidationError("grid resolution must be at least 2x2, and its grid fit an array")
     b_axis, p_axis = np.linspace(b_lo, b_hi, nb), np.linspace(p_lo, p_hi, npts)
     grid = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
     vals = eval_intensity(g, grid)

@@ -63,21 +63,19 @@ class PosteriorConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError("alpha must lie in [0, 1]")
-        if not 0 < self.sigma_obs < np.inf:
-            raise ValidationError("sigma_obs must be positive and finite")
+        # far past any kernel width: keeps the update's products of variances and means finite
+        if not 0 < self.sigma_obs <= 1e300:
+            raise ValidationError("sigma_obs must lie in (0, 1e300]")
 
 
 def _flatten_observations(observations) -> np.ndarray:
     """Stack all observed points, preserving (diagram, point) order."""
     if len(observations) == 0:
         raise ValidationError("need at least one observed diagram")
-    chunks = []
-    for d in observations:
-        pts = np.asarray(d.points, dtype=float).reshape(-1, 2)
-        if pts.size and pts.min() < 0:
-            raise ValidationError("observed points must lie in the wedge")
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)
+    Y = np.concatenate([np.asarray(d.points, dtype=float).reshape(-1, 2) for d in observations])
+    if Y.size and Y.min() < 0:
+        raise ValidationError("observed points must lie in the wedge")
+    return Y
 
 
 def _conjugate_means(mu, var, y, so):
@@ -143,10 +141,16 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
         # the row falls among its kernel's blocks and its threads, so a product per chunk could
         # move a last bit
         denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (Q @ c)     # (T,)
-        # a point with zero clutter and zero evidence carries no update
-        scale = np.divide(cfg.alpha / m, denom, out=np.zeros(T), where=denom > 0)
+        # a point with zero clutter and zero evidence carries no update; where a subnormal denom
+        # overflows scale * c, the weights, each at most 1 / m, are c q / denom times alpha / m
+        with np.errstate(over="ignore"):
+            scale = np.divide(cfg.alpha / m, denom, out=np.zeros(T), where=denom > 0)
+            far = np.flatnonzero(np.isinf(scale * c.max()))
+        far_weights = cfg.alpha / m * (c * Q[far] / denom[far, None])
+        scale[far] = 0.0
         for lo in range(0, T, step):
             np.multiply(scale[lo:lo + step, None] * c, Q[lo:lo + step], out=Q[lo:lo + step])
+        Q[far] = far_weights
 
     kept = W > _PRUNE_REL_WEIGHT * W.sum()
     cut = np.count_nonzero(kept) - _MAX_COMPONENTS

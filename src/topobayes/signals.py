@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFileError, ValidationError, json_floats
+from .errors import MAX_SIZE, DataFileError, ValidationError, json_floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +93,10 @@ def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
             f"f_high {band.f_high} Hz is not below the Nyquist rate "
             f"{sample_rate / 2} Hz"
         )
-    n = int(round(duration * sample_rate))
+    samples = duration * sample_rate
+    if not samples * 8 <= MAX_SIZE:  # inf too; checked before any array is made
+        raise ValidationError("duration * sample_rate gives more samples than an array can hold")
+    n = int(round(samples))
     if n < 2:
         raise ValidationError("duration * sample_rate must yield at least 2 samples")
     rng = np.random.default_rng(seed)

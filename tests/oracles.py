@@ -131,9 +131,14 @@ def dense_posterior(prior: GaussianMixtureIntensity, observations,
         denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (q @ c)      # (T,)
         safe = denom > 0  # a point with zero clutter and zero evidence carries no update
         scale = np.zeros(T)
-        scale[safe] = (cfg.alpha / m) / denom[safe]
+        with np.errstate(over="ignore"):
+            scale[safe] = (cfg.alpha / m) / denom[safe]
+            # a point whose scale * c overflows takes its weights as c q / denom times alpha / m
+            far = np.isinf(scale * c.max())
+        scale[far] = 0.0
 
         w_new = scale[:, None] * c[None, :] * q                           # (T,K)
+        w_new[far] = cfg.alpha / m * (c * q[far] / denom[far, None])
         out_w.append(w_new.reshape(-1))
         out_mu.append(mu_post.reshape(-1, 2))
         out_v.append(np.broadcast_to(v_post, (T, K)).reshape(-1))

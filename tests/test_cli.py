@@ -1,4 +1,5 @@
 import copy
+import inspect
 import io
 import json
 import math
@@ -422,6 +423,22 @@ class TestFitClassifyRoundtrip:
         assert obj["posterior"] == mixture_to_json(prior)
         assert obj["lambda"] == 2.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_survives_a_point_far_from_prior_and_clutter(self, tmp_path, capfd):
+        # (32.5, 32.5)'s denominator is subnormal, so (alpha / m) / denom overflows
+        _write(tmp_path / "prior.json", {"components": [{"w": 1, "mu": [3, 3], "var": 1}]})
+        _write(tmp_path / "clutter.json", {"components": []})
+        _write(tmp_path / "d.pd.json", {"b_min": 0.0, "points": [[3, 3], [32.5, 32.5]]})
+        _write(tmp_path / "manifest.json", {"entries": [{"diagram": "d.pd.json", "label": "a"}]})
+        assert run("fit", "--manifest", tmp_path / "manifest.json", "--label", "a",
+                   "--prior", tmp_path / "prior.json", "--clutter", tmp_path / "clutter.json",
+                   "--out", tmp_path / "m.json") == 0
+        assert capfd.readouterr().err == ""
+        model = read_json(tmp_path / "m.json")
+        weights = [c["w"] for c in model["posterior"]["components"]]
+        assert weights == pytest.approx([0.3, 1.0, 1.0], rel=1e-6)  # 1 / m for each point
+        assert model["lambda"] == pytest.approx(2.3)
+
 
 class TestCv:
     def test_report_fields_and_partition(self, dataset):
@@ -758,11 +775,13 @@ def _bad_flag(command, flag):
     return make
 
 
-# flag -> strategy for the value text of each numeric option of each subcommand:
-# the non-finite, zero and negative edge cases, or a small finite number
-_EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-1"])
+# flag -> strategy for the value text of each numeric option of each subcommand: the
+# non-finite, zero and negative edge cases, sizes past what numpy or Python can index, or a
+# small finite number
+_EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e20", "1e308", str(10 ** 20)])
 _REAL = _EDGES | st.floats(-4.0, 4.0).map(repr)
-_INT = _EDGES | st.integers(0, 64).map(str)  # --n and --res stay small: a run must stay cheap
+# --n and --res are small or rejected before any work: a run must stay cheap
+_INT = _EDGES | st.integers(0, 64).map(str)
 _POSTERIOR = {"--alpha": _REAL, "--sigma-obs": _REAL}
 _CV = {"--k-folds": _INT, "--threshold": _REAL, "--seed": _INT}
 _SAMPLING = {"--duration": _REAL, "--rate": _REAL, "--snr": _REAL, "--seed": _INT, "--n": _INT}
@@ -895,6 +914,38 @@ def _mutate_csv(text, data):
     return "".join(line + "\n" for line in lines), kind, (i,)
 
 
+class TestParser:
+    """The parser sets no defaults: a command's own signature gives every option left out."""
+
+    @pytest.mark.parametrize("argv, given", [
+        ("generate --band alpha --n 1 --out o", "band n out"),
+        ("pd --out o", "out"),
+        ("pd a.csv b.csv --out o", "inputs out"),
+        ("fit --manifest m --label a --out o", "manifest label out"),
+        ("classify --models a b --diagram d", "models diagram"),
+        ("cv --manifest m", "manifest"),
+        ("cv --manifest m --seed 3", "manifest seed"),  # an option of a parent parser
+        ("heatmap --model m --bounds 0,0,1,1 --res 2x2 --out o", "model bounds res out"),
+        ("pipeline --out o", "out"),
+    ])
+    def test_namespace_holds_only_the_given_options(self, argv, given):
+        options = vars(cli.build_parser().parse_args(argv.split()))
+        assert set(options) == {*given.split(), "command", "func"}
+
+    @pytest.mark.parametrize("commands, options", [
+        (("generate", "pipeline"), ("duration", "rate", "seed")),
+        (("fit", "cv"), ("alpha", "sigma_obs", "prior", "clutter")),
+        (("classify", "cv"), ("threshold",)),
+        (("cv", "pipeline"), ("seed",)),  # pipeline passes cv's other options on
+    ])
+    def test_commands_sharing_an_option_default_it_alike(self, commands, options):
+        # the options of build_parser's parent parsers; pd's --rate is its own
+        for option in options:
+            defaults = {inspect.signature(getattr(cli, c)).parameters[option].default
+                        for c in commands}
+            assert len(defaults) == 1, (option, commands, defaults)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("make_case", [
         _list_manifest, _non_object_manifest_entry, _components_not_a_list, _lambda_not_a_number,
@@ -940,6 +991,12 @@ class TestExitCodes:
         _bad_flag("fit", "--sigma-obs=inf"),
         _bad_flag("classify", "--threshold=nan"), _bad_flag("classify", "--threshold=inf"),
         _bad_flag("heatmap", "--bounds=0,0,inf,3"), _bad_flag("cv", "--seed=-1"),
+        # sizes numpy or Python cannot index, rejected before any array is made
+        _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
+        _bad_flag("generate", "--n=100000000000000000000"),
+        _bad_flag("heatmap", "--res=10000000000000000000x2"),
+        # finite values whose squares or products overflow
+        _bad_flag("heatmap", "--bounds=0,0,3,1e308"), _bad_flag("fit", "--sigma-obs=1e308"),
     ], ids=lambda f: f.__name__.lstrip("_"))
     def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, cli_files, make_case):
         argv, code, bad_file = make_case(tmp_path, cli_files)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -171,6 +172,43 @@ class TestPosteriorStructure:
             PosteriorConfig(alpha=0.5, sigma_obs=0.0)
         with pytest.raises(ValidationError):
             PosteriorConfig(alpha=0.5, sigma_obs=np.inf)
+        with pytest.raises(ValidationError):  # the update's products would overflow
+            PosteriorConfig(alpha=0.5, sigma_obs=1e301)
+
+    def test_widest_kernel_updates_without_overflow(self):
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=1e300)
+        post = posterior_intensity(posterior.default_prior(), [diagram((1.0, 2.0))], cfg)
+        assert np.all(np.isfinite(post.weights)) and np.all(np.isfinite(post.variances))
+
+
+class TestFarPoints:
+    """A point tens of units from every prior and clutter component has a subnormal
+    denominator, where (alpha / m) / denom overflows; its weights are still at most 1 / m."""
+
+    NO_CLUTTER = PosteriorConfig(alpha=0.7, sigma_obs=0.2, clutter=GaussianMixtureIntensity.empty())
+
+    def update(self, prior, obs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            return posterior_intensity(prior, obs, self.NO_CLUTTER)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("weight", [1.0, 10.0])  # 10: scale finite, scale * c not
+    def test_far_point_weighs_one_over_m(self, m, weight):
+        prior = GaussianMixtureIntensity.single(weight, (3.0, 3.0), 1.0)
+        obs = [diagram((3.0, 3.0), (32.5, 32.5))] + [diagram((3.0, 3.0))] * (m - 1)
+        post = self.update(prior, obs)
+        assert post.n_components == 2 + m and np.all(np.isfinite(post.weights))
+        assert post.weights[0] == pytest.approx(0.3 * weight)
+        # each point's weights sum to 1 / m with one prior component and no clutter
+        assert post.weights[1:] == pytest.approx([1 / m] * (m + 1), rel=1e-6)
+
+    def test_other_components_keep_their_bytes(self):
+        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 1.0)
+        near = self.update(prior, [diagram((3.0, 3.0), (4.0, 2.0))])
+        both = self.update(prior, [diagram((3.0, 3.0), (4.0, 2.0), (32.5, 32.5))])
+        assert both.weights[:3].tobytes() == near.weights.tobytes()
+        assert both.means[:3].tobytes() == near.means.tobytes()
 
 
 class TestQuadratureOracle:
@@ -268,8 +306,9 @@ class TestSelectThenBuild:
         def outcome(update):
             try:
                 g = update(prior, obs, cfg)
-            # both overflow alike where a point's denominator is near the smallest double
-            except (RuntimeWarning, ValidationError) as e:
+            # both raise alike, or neither; a RuntimeWarning, as from a point whose denominator
+            # is subnormal (spread 60), fails the test
+            except ValidationError as e:
                 return type(e), str(e)
             return g.n_components, g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes()
 
