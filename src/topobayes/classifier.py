@@ -71,8 +71,6 @@ class LabeledDataset:
 def fit_class_model(training, prior: GaussianMixtureIntensity,
                     cfg: PosteriorConfig, label) -> ClassModel:
     """Fit one class by conditioning the prior on its training diagrams."""
-    if len(training) == 0:
-        raise ValidationError("training set is empty")
     post = posterior_intensity(prior, training, cfg)
     return ClassModel(label=str(label), posterior=post)
 
@@ -89,8 +87,6 @@ def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
     if len(pts) == 0:
         return -model.lam
     logs = log_eval_intensity(model.posterior, pts)
-    if np.any(np.isneginf(logs)):
-        return float("-inf")
     return float(-model.lam - gammaln(len(pts) + 1) + logs.sum())
 
 

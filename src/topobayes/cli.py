@@ -34,14 +34,14 @@ _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 _BLOCK_VALUES = 2 ** 14
 
 
-def _read(path, decode, object_hook=None):
-    """decode() of the JSON file at path, parsed with object_hook; a fault in the file is a
-    DataFileError naming it."""
+def _read(path, decode):
+    """decode() of the JSON file at path, its component objects parsed as component_row's rows;
+    a fault in the file is a DataFileError naming it."""
     p = Path(path)
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
     try:
-        obj = json.loads(p.read_text(), object_hook=object_hook)
+        obj = json.loads(p.read_text(), object_hook=component_row)
     except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
     try:
@@ -150,8 +150,8 @@ def _diagram_manifest(obj, labeled=False):
 
 def _prior_and_config(prior, clutter, alpha, sigma_obs):
     """The prior and posterior config from optional mixture files."""
-    prior = _read(prior, mixture_from_json, component_row) if prior else default_prior()
-    clutter = _read(clutter, mixture_from_json, component_row) if clutter else default_clutter()
+    prior = _read(prior, mixture_from_json) if prior else default_prior()
+    clutter = _read(clutter, mixture_from_json) if clutter else default_clutter()
     return prior, PosteriorConfig(alpha=alpha, sigma_obs=sigma_obs, clutter=clutter)
 
 
@@ -269,7 +269,7 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 def classify(models, diagram, threshold=1.0, out=None):
     """Classify one diagram against two or more fitted models, read in worker processes."""
     import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
-    models = _map(partial(_read, decode=model_from_json, object_hook=component_row), models)
+    models = _map(partial(_read, decode=model_from_json), models)
     result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
     report = {
         "label": result.label,
@@ -298,7 +298,7 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
 
 def heatmap(model, bounds, res, out):
     """Export a scaled intensity grid for a fitted model."""
-    posterior = _read(model, model_from_json, component_row).posterior
+    posterior = _read(model, model_from_json).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")
     grid = intensity_grid(posterior, bounds, resolution)
@@ -359,14 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     seeding.add_argument("--seed", type=int)
     posterior = _Parser(add_help=False)
     posterior.add_argument("--alpha", type=float)
-    posterior.add_argument("--sigma-obs", dest="sigma_obs", type=float)
+    posterior.add_argument("--sigma-obs", type=float)
     posterior.add_argument("--prior")
     posterior.add_argument("--clutter")
     voting = _Parser(add_help=False)
     voting.add_argument("--threshold", type=float)
     folding = _Parser(add_help=False)
-    folding.add_argument("--k-folds", dest="k_folds", type=int,
-                         help="default: the manifest's k_folds, else 10")
+    folding.add_argument("--k-folds", type=int, help="default: the manifest's k_folds, else 10")
 
     p = sub.add_parser("generate", parents=[sampling, seeding],
                        help="write synthetic band-limited signals")

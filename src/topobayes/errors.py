@@ -17,14 +17,14 @@ class DataFileError(Exception):
 
 
 def json_floats(value, what, *shape):
-    """value, JSON numbers nested in lists (or tuples) of the given lengths, as floats.
+    """value, JSON numbers nested in lists of the given lengths, or tuples of set ones, as floats.
 
     The first length may be None, for any. With no lengths value is one number and comes back
     as a float, else as an array. A bool, a string, any other non-number, a wrong length or
     nesting, or an integer too large for a float is a ValidationError about what."""
     level = [value]
     for n in shape:
-        if not (set(map(type, level)) <= {list, tuple}
+        if not (set(map(type, level)) <= ({list} if n is None else {list, tuple})
                 and (n is None or set(map(len, level)) <= {n})):
             raise ValidationError(f"malformed {what}")
         level = list(chain.from_iterable(level))

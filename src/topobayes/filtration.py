@@ -71,12 +71,6 @@ class PersistenceDiagram:
         return len(self.points)
 
 
-def _collapse_plateaus(values: np.ndarray) -> np.ndarray:
-    """Drop repeats of equal consecutive samples (keeps component topology)."""
-    keep = np.concatenate([[True], values[1:] != values[:-1]])
-    return values[keep]
-
-
 def sublevel_pd(signal) -> RawDiagram:
     """Persistence pairs of the sublevel-set filtration of a sampled signal.
 
@@ -91,16 +85,13 @@ def sublevel_pd(signal) -> RawDiagram:
     if not np.all(np.isfinite(values)):
         raise ValidationError("signal contains a non-finite sample")
 
-    w = _collapse_plateaus(values)
+    # drop repeats of equal consecutive samples (keeps component topology)
+    w = values[np.concatenate([[True], values[1:] != values[:-1]])]
     n = len(w)
-    if n == 1:  # constant signal: one degenerate essential pair
-        return RawDiagram(np.array([[w[0], w[0]]]))
 
-    order = np.lexsort((np.arange(n), w))  # by value, then by index
-    parent = np.arange(n)
-    birth_val = np.empty(n)
-    birth_idx = np.empty(n, dtype=int)
-    active = np.zeros(n, dtype=bool)
+    # by value, then index: a root, its component's first vertex swept, has birth key (w[r], r)
+    order = np.argsort(w, kind="stable")
+    parent = np.full(n, -1)  # -1: not reached yet
 
     def find(i):
         while parent[i] != i:
@@ -110,22 +101,20 @@ def sublevel_pd(signal) -> RawDiagram:
 
     pairs = []
     for v in order:
-        active[v] = True
-        birth_val[v] = w[v]
-        birth_idx[v] = v
+        parent[v] = v
         for u in (v - 1, v + 1):
-            if 0 <= u < n and active[u]:
+            if 0 <= u < n and parent[u] >= 0:
                 ru, rv = find(u), find(v)
                 if ru == rv:
                     continue
                 # elder rule: the component with the larger (birth, index)
                 # key is younger and dies at the current level
-                if (birth_val[ru], birth_idx[ru]) <= (birth_val[rv], birth_idx[rv]):
+                if (w[ru], ru) <= (w[rv], rv):
                     old, young = ru, rv
                 else:
                     old, young = rv, ru
-                if not (birth_val[young] == w[v] and birth_idx[young] == v):
-                    pairs.append((birth_val[young], w[v]))
+                if young != v:  # v alone is born and dies at once: no pair
+                    pairs.append((w[young], w[v]))
                 parent[young] = old
     pairs.append((float(w.min()), float(w.max())))  # essential component
 

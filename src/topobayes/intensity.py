@@ -79,7 +79,7 @@ class GaussianMixtureIntensity:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
         # (4, K) coefficients of each log kernel, log_norm - |x - mu|^2 / (2v), in
-        # (b, p, b^2 + p^2, 1), and log_norm, the kernel's maximum (at mu)
+        # (b, p, b^2 + p^2, 1); log_norm, the kernel's maximum (at mu); the largest |coefficient|
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             log_norm = (np.log(w) - np.log(2.0 * np.pi * v)
                         - log_wedge_mass(mu[:, 0], mu[:, 1], v))
@@ -89,7 +89,8 @@ class GaussianMixtureIntensity:
         # finite parameters can still overflow a log kernel, which would score NaN everywhere
         if not np.all(np.isfinite(coef)):
             raise ValidationError("mixture component too extreme: its log kernel is not finite")
-        object.__setattr__(self, "_log_kernel_constants", (coef, log_norm))
+        object.__setattr__(self, "_log_kernel_constants",
+                           (coef, log_norm, max(coef.max(initial=0.0), -coef.min(initial=0.0))))
 
     @classmethod
     def empty(cls) -> "GaussianMixtureIntensity":
@@ -110,27 +111,37 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     x may be one point or an array of shape (..., 2); returns a float or an
     array of shape x.shape[:-1]. -inf outside the wedge and for the empty
     mixture. Each chunk of rows takes one matrix product against the
-    mixture's coefficients, then a max-shifted log-sum-exp per row.
+    mixture's coefficients, then a max-shifted log-sum-exp per row. A row
+    whose product could overflow takes each kernel in its own form instead.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 2)
     out = np.full(len(pts), -np.inf)
     if g.n_components:
-        coef, log_norm = g._log_kernel_constants
+        coef, log_norm, reach = g._log_kernel_constants
         step = max(1, _CHUNK_ELEMENTS // g.n_components)
         # every chunk's product goes into this one array; a new array per chunk would be made
         # while the last one is still alive, doubling the peak
         work = np.empty((min(step, len(pts)), g.n_components))
         for lo in range(0, len(pts), step):
             p = pts[lo:lo + step]
-            t = np.matmul(np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))]), coef,
-                          out=work[:len(p)])
+            # a far row, where a term of the product could pass 2**1021 and a sum of four such
+            # overflow, has its terms overwritten: log_norm - |x - mu|^2 / (2 var), -inf at worst
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))])
+                far = np.abs(rows).max(axis=1) * reach > 2.0 ** 1021
+                t = np.matmul(rows, coef, out=work[:len(p)])
+                if far.any():
+                    t[far] = log_norm - ((p[far, None] - g.means) ** 2).sum(axis=2) / (
+                        2.0 * g.variances)
             # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
             np.minimum(t, log_norm, out=t)
-            peak = t.max(axis=1)
+            # a peak held finite: a row whose terms are all -inf sums to 0, scoring -inf, not NaN
+            peak = np.maximum(t.max(axis=1), np.finfo(float).min)
             t -= peak[:, None]
             np.exp(t, out=t)
-            out[lo:lo + step] = peak + np.log(t.sum(axis=1))
+            with np.errstate(divide="ignore"):
+                out[lo:lo + step] = peak + np.log(t.sum(axis=1))
         out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
     return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
@@ -207,8 +218,8 @@ def component_row(obj):
 
     So a parse holds one tuple of 4 floats per component, where it held a dict and a list; and
     tuples of floats, unlike lists, drop out of the garbage collector's sweeps, which would walk
-    the whole parsed file."""
-    if obj.keys() == _COMPONENT_KEYS and type(obj["mu"]) is list:
+    the whole parsed file. A row is 4 long, so no reader of (b, p) pairs takes one for a pair."""
+    if obj.keys() == _COMPONENT_KEYS and type(obj["mu"]) is list and len(obj["mu"]) == 2:
         return (obj["w"], *obj["mu"], obj["var"])
     return obj
 

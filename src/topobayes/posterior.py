@@ -105,12 +105,17 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     into one array of 8 B per pair; means and variances are built for the
     kept components alone. Picking the 100,000 heaviest holds 17 B more per
     pair above the relative cut. Pure function; the output does not depend on
-    how the work is split.
+    how the work is split. An update that would overflow is a ValidationError.
     """
     m = len(observations)
     Y = _flatten_observations(observations)
     K, T = prior.n_components, len(Y)
     c, mu, var, so = prior.weights, prior.means, prior.variances, cfg.sigma_obs
+    # var * sigma_obs, sigma_obs * |mu| and var * |y| at their largest: an overflow guts the update
+    with np.errstate(over="ignore"):
+        big = var.max(initial=0.0) * np.array([so, Y.max(initial=0.0)])  # Y is in the wedge
+        if not np.all(np.isfinite([*big, so * np.abs(mu).max(initial=0.0)])):
+            raise ValidationError("sigma_obs, prior and points overflow the update's products")
     v_post = var * so / (var + so)                                        # (K,)
 
     update = T > 0 and K > 0 and cfg.alpha > 0
@@ -137,7 +142,7 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
                 - log_mass_y[lo:lo + step, None]
             )
             np.exp(log_q, out=Q[lo:lo + step])
-        # one product over all pairs, as ever: BLAS sums a row in an order that depends on where
+        # one product over all pairs: BLAS sums a row in an order that depends on where
         # the row falls among its kernel's blocks and its threads, so a product per chunk could
         # move a last bit
         denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (Q @ c)     # (T,)

@@ -154,7 +154,6 @@ def signal_from_json(obj) -> Signal:
 
 def _parse_csv(p: Path) -> list:
     values = []
-    seen_data = False
     try:
         text = p.read_text()
     except UnicodeDecodeError as e:
@@ -165,9 +164,8 @@ def _parse_csv(p: Path) -> list:
             continue
         try:
             values.append(float(line))
-            seen_data = True
         except ValueError:
-            if not seen_data and ln == 1:
+            if ln == 1:
                 continue  # single optional header line
             raise DataFileError(f"{p}: malformed line {ln}: {line!r}") from None
     return values

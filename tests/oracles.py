@@ -1,4 +1,5 @@
-"""Oracles for the closed-form posterior: the quadrature route and the dense update.
+"""Oracles for the closed-form posterior (the quadrature route and the dense update) and for
+the persistence sweep.
 
 restricted_normal_pdf -- one wedge-restricted Gaussian density, the
                          one-component case of eval_intensity
@@ -10,11 +11,16 @@ dense_posterior       -- posterior_intensity as it was before it selected the
                          kept components from their weights alone: every
                          array of all (point, component) pairs built, then
                          pruned; its output must match byte for byte
+sublevel_pd           -- filtration.sublevel_pd as it was before its sweep
+                         read birth keys off the union-find roots: per-vertex
+                         birth values, birth indices and reached flags, and
+                         lexsort; its pairs must match byte for byte
 """
 
 import numpy as np
 
-from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
+from topobayes import (GaussianMixtureIntensity, PosteriorConfig, RawDiagram, ValidationError,
+                       eval_intensity)
 from topobayes import posterior
 from topobayes.intensity import log_wedge_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
@@ -159,3 +165,66 @@ def _dense_pruned(W, MU, V) -> GaussianMixtureIntensity:
         idx = np.sort(np.argpartition(W, len(W) - cap)[len(W) - cap:])
         W, MU, V = W[idx], MU[idx], V[idx]
     return GaussianMixtureIntensity(W, MU, V)
+
+
+def _collapse_plateaus(values: np.ndarray) -> np.ndarray:
+    """Drop repeats of equal consecutive samples (keeps component topology)."""
+    keep = np.concatenate([[True], values[1:] != values[:-1]])
+    return values[keep]
+
+
+def sublevel_pd(signal) -> RawDiagram:
+    """Persistence pairs of the sublevel-set filtration of a sampled signal.
+
+    Accepts a Signal or any 1-D value sequence. Returns one (birth, death)
+    pair per local minimum of the piecewise-linear interpolation, the global
+    minimum being paired with the global maximum. Pairs are sorted by
+    (birth, death). Runs in O(n log n) via a sorted sweep with union-find.
+    """
+    values = np.asarray(getattr(signal, "samples", signal), dtype=float)
+    if values.ndim != 1 or values.size < 2:
+        raise ValidationError("signal needs at least 2 samples")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("signal contains a non-finite sample")
+
+    w = _collapse_plateaus(values)
+    n = len(w)
+    if n == 1:  # constant signal: one degenerate essential pair
+        return RawDiagram(np.array([[w[0], w[0]]]))
+
+    order = np.lexsort((np.arange(n), w))  # by value, then by index
+    parent = np.arange(n)
+    birth_val = np.empty(n)
+    birth_idx = np.empty(n, dtype=int)
+    active = np.zeros(n, dtype=bool)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    pairs = []
+    for v in order:
+        active[v] = True
+        birth_val[v] = w[v]
+        birth_idx[v] = v
+        for u in (v - 1, v + 1):
+            if 0 <= u < n and active[u]:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    continue
+                # elder rule: the component with the larger (birth, index)
+                # key is younger and dies at the current level
+                if (birth_val[ru], birth_idx[ru]) <= (birth_val[rv], birth_idx[rv]):
+                    old, young = ru, rv
+                else:
+                    old, young = rv, ru
+                if not (birth_val[young] == w[v] and birth_idx[young] == v):
+                    pairs.append((birth_val[young], w[v]))
+                parent[young] = old
+    pairs.append((float(w.min()), float(w.max())))  # essential component
+
+    arr = np.array(pairs)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    return RawDiagram(arr)

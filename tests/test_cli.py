@@ -1,3 +1,4 @@
+import argparse
 import copy
 import inspect
 import io
@@ -41,7 +42,7 @@ from topobayes import (
 )
 from topobayes import cli
 from topobayes.cli import main
-from topobayes.intensity import component_row, mixture_from_json
+from topobayes.intensity import mixture_from_json
 
 
 def run(*argv):
@@ -580,7 +581,7 @@ class TestMixtureFiles:
                         path)
         tracemalloc.start()
         try:
-            model = cli._read(path, model_from_json, component_row)
+            model = cli._read(path, model_from_json)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,6 +621,65 @@ class TestHugeDiagramPoints:
         assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite\n")
         assert read_json(tmp_path / "pd" / "manifest.json") == {
             "entries": [{"diagram": "ok.pd.json"}]}
+
+
+class TestFarPointScores:
+    """A point whose b^2 + p^2 is finite but near the double range overflowed scoring: classify
+    warned twice and wrote NaN, which is not strict JSON, or warned and wrote the overflow's
+    value; heatmap warned. It scores from each kernel's own form, with nothing on stderr."""
+
+    @pytest.fixture(scope="class")
+    def far(self, cli_files, tmp_path_factory):
+        """The far diagram, and one model per band fitted with --alpha 1: no prior share."""
+        root = tmp_path_factory.mktemp("far")
+        for band in ("alpha", "beta"):
+            assert run("fit", "--manifest", cli_files / "diagrams" / "manifest.json",
+                       "--label", band, "--alpha", 1, "--out", root / f"{band}.json") == 0
+        return _write(root / "far.pd.json", {"b_min": 0, "points": [[1.0, 1.3e154]]}), root
+
+    def test_under_models_without_a_prior_share_it_scores_minus_inf(self, far, capfd):
+        diagram, models = far
+        assert run("classify", "--models", models / "alpha.json", models / "beta.json",
+                   "--diagram", diagram) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(out)["log_densities"] == {"alpha": "-inf", "beta": "-inf"}
+
+    def test_the_prior_share_scores_it_finite(self, far, cli_files, capfd):
+        # the (1 - alpha) share of the prior, variance 20: -(1.3e154 - 3)^2 / 40
+        assert run("classify", "--models", cli_files / "alpha.json", cli_files / "beta.json",
+                   "--diagram", far[0]) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(out)["log_densities"] == {
+            "alpha": pytest.approx(-4.225e306, rel=1e-12),
+            "beta": pytest.approx(-4.225e306, rel=1e-12)}
+
+    def test_heatmap_reaching_it(self, cli_files, tmp_path, capfd):
+        assert run("heatmap", "--model", cli_files / "alpha.json", "--bounds", "0,0,3,1.3e154",
+                   "--res", "8x8", "--out", tmp_path / "hm") == 0
+        assert capfd.readouterr() == ("", "")
+        grid = np.loadtxt(tmp_path / "hm.csv", delimiter=",")
+        assert grid.max() == 1.0 and np.all(grid[:, 1:] == 0.0)
+
+
+class TestUpdateOverflow:
+    """A prior variance of 1e10 with --sigma-obs 1e300 overflowed the update: fit warned and wrote
+    a model of the (1 - alpha) prior share alone. It is one error line, and no model."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_exits_one_with_one_error_line(self, cli_files, tmp_path, capfd, command):
+        prior = _write(tmp_path / "prior.json",
+                       {"components": [{"w": 1.0, "mu": [3.0, 3.0], "var": 1e10}]})
+        manifest = cli_files / "diagrams" / "manifest.json"
+        argv = {"fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out",
+                        tmp_path / "model.json"),
+                "cv": ("cv", "--manifest", manifest, "--k-folds", 2)}[command]
+        assert run(*argv, "--prior", prior, "--sigma-obs", 1e300) == 1
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "error: sigma_obs, prior and points overflow the update's "
+                                  "products\n")
+        assert not (tmp_path / "model.json").exists()
 
 
 def _write(path, obj):
@@ -732,6 +792,33 @@ def _signal_nested_too_deep(d, files):
 def _named(name, make):
     make.__name__ = f"_{name}"
     return make
+
+
+# the keys of a mixture component, which every parse makes a (w, b, p, v) row
+_COMPONENT = {"mu": [1.0, 1.0], "var": 0.5, "w": 1.0}
+
+
+def _manifest_entry_a_component(command):
+    """A manifest whose one entry has exactly a component's keys."""
+    def make(d, files):
+        manifest = _write(d / "m.json", {"rate": 128, "k_folds": 2, "entries": [_COMPONENT]})
+        argv = {"pd": ("pd", "--manifest", manifest, "--out", d / "pd"),
+                "fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out", d / "m"),
+                "cv": ("cv", "--manifest", manifest)}[command]
+        return argv, 2, manifest
+    return _named(f"manifest_entry_a_component_{command}", make)
+
+
+def _diagram_a_component(name, obj, command="classify"):
+    """classify, or fit over a manifest listing it, of the diagram file holding obj."""
+    def make(d, files):
+        diagram = _write(d / "d.json", obj)
+        manifest = _write(d / "m.json", {"entries": [{"diagram": "d.json", "label": "a"}]})
+        argv = {"classify": ("classify", "--models", files / "alpha.json", files / "beta.json",
+                             "--diagram", diagram),
+                "fit": ("fit", "--manifest", manifest, "--label", "a", "--out", d / "m")}[command]
+        return argv, 2, diagram
+    return _named(f"{name}_{command}", make)
 
 
 def _signal_manifest(name, **fields):
@@ -932,6 +1019,18 @@ class TestParser:
         options = vars(cli.build_parser().parse_args(argv.split()))
         assert set(options) == {*given.split(), "command", "func"}
 
+    def test_every_option_is_a_parameter_of_its_command(self):
+        # argparse derives each option's name from its flag; pipeline passes cv's on
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            func = parser.get_default("func")
+            params = set(inspect.signature(func).parameters)
+            if func is cli.pipeline:
+                params |= set(inspect.signature(cli.cv).parameters)
+            options = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+            assert options and options <= params, (command, options - params)
+
     @pytest.mark.parametrize("commands, options", [
         (("generate", "pipeline"), ("duration", "rate", "seed")),
         (("fit", "cv"), ("alpha", "sigma_obs", "prior", "clutter")),
@@ -979,6 +1078,17 @@ class TestExitCodes:
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
         _signal_manifest("signal_manifest_without_rate_for_csv_signals"),
+        # every JSON file is parsed with component_row: a component's keys elsewhere are malformed
+        _manifest_entry_a_component("pd"), _manifest_entry_a_component("fit"),
+        _manifest_entry_a_component("cv"),
+        _diagram_a_component("diagram_a_component", _COMPONENT),
+        _diagram_a_component("diagram_a_component", _COMPONENT, "fit"),
+        _diagram_a_component("diagram_point_a_component", {"points": [
+            [1.0, 1.0], {"mu": [], "var": 2.0, "w": 1.0}]}),  # a row would be (1, 2)
+        _diagram_a_component("diagram_points_a_component", {"points": {
+            "mu": [[1.0, 2.0], [3.0, 4.0]], "var": [5.0, 6.0], "w": [7.0, 8.0]}}),
+        _signal_json("signal_json_samples_a_component",
+                     '{"rate": 100, "samples": {"mu": [1, 2], "var": 3, "w": 0}}'),
         _pd_inputs_sharing_an_output_name("pd_same_stem_in_two_directories", "a/x.csv", "b/x.csv"),
         _pd_inputs_sharing_an_output_name("pd_same_stem_csv_and_json", "x.csv", "x.json"),
         _pd_inputs_sharing_an_output_name("pd_same_file_twice", "x.csv", "x.csv"),

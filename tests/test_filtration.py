@@ -15,6 +15,7 @@ from topobayes import (
     untilt,
 )
 from conftest import brute_bottleneck, brute_sublevel_pairs, random_distinct_signal
+import oracles
 
 
 def pairs_of(raw):
@@ -73,6 +74,35 @@ class TestSublevelPD:
             if (i == 0 or vals[i] < vals[i - 1]) and (i == n - 1 or vals[i] < vals[i + 1])
         )
         assert len(sublevel_pd(np.asarray(vals, float))) == minima
+
+
+def _runs(values):
+    """Signals of 2 to a few hundred samples, each value repeated a drawn number of times."""
+    return st.lists(st.tuples(values, st.integers(1, 8)), min_size=1, max_size=60).map(
+        lambda runs: np.repeat([v for v, _ in runs], [k for _, k in runs])).filter(
+        lambda x: len(x) >= 2)
+
+
+_SWEEP_SIGNALS = st.one_of(
+    st.builds(lambda n, seed: np.random.default_rng(seed).standard_normal(n),
+              st.integers(2, 300), st.integers(0, 2 ** 32 - 1)),
+    st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=300).map(np.array),
+    _runs(st.integers(-2, 2).map(float)),
+    _runs(st.sampled_from([-0.0, 0.0, -1.0, 1.0])),
+    st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=2, max_size=300).map(np.array),
+)
+
+
+class TestSweepOracle:
+    """sublevel_pd against tests/oracles.py's union-find, which kept each vertex's birth value,
+    birth index and reached flag: the same pairs, in the same order, to the byte, signed zeros
+    and ties included."""
+
+    @given(_SWEEP_SIGNALS)
+    @settings(max_examples=400, deadline=None)
+    def test_pairs_match_the_oracle_byte_for_byte(self, x):
+        got, want = sublevel_pd(x).pairs, oracles.sublevel_pd(x).pairs
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTilt:

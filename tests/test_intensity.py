@@ -233,6 +233,41 @@ class TestLogKernelOracle:
         assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
 
 
+class TestFarRows:
+    """A row whose b^2 + p^2, times a kernel's coefficient, passes the double range overflowed the
+    product: a warning, and NaN where every term fell to -inf. Such a row is scored from each
+    kernel's own form, log_norm - |x - mu|^2 / (2 var), and every other row keeps its bytes."""
+
+    G = GaussianMixtureIntensity([0.3, 1.0], [[3.0, 3.0], [1.0, 2.0]], [20.0, 0.2])
+
+    def test_a_point_near_the_double_range(self):
+        # the narrow kernel's term is below -1.8e308, so -inf; the broad one's is -4.225e306
+        got = log_eval_intensity(self.G, (1.0, 1.3e154))
+        assert got == pytest.approx(-(1.3e154 - 3.0) ** 2 / 40.0, rel=1e-12)
+
+    def test_a_row_whose_every_term_is_minus_inf(self):
+        narrow = GaussianMixtureIntensity.single(1.0, (1.0, 2.0), 0.2)
+        got = log_eval_intensity(narrow, np.array([[1.0, 1.3e154], [1e154, 1e154]]))
+        assert got.tolist() == [-np.inf, -np.inf]
+        assert eval_intensity(narrow, (1.0, 1.3e154)) == 0.0
+
+    @pytest.mark.parametrize("chunk", [2 ** 18, 4, 6])  # 2 and 3 rows a chunk
+    def test_other_rows_keep_their_bytes(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr("topobayes.intensity._CHUNK_ELEMENTS", chunk)
+        near = rng.uniform(0, 8, (9, 2))
+        far = np.array([[1.0, 1.3e154], [1e154, 0.5], [1e300, 0.0]])
+        both = np.insert(near, [2, 5, 5], far, axis=0)
+        got = log_eval_intensity(self.G, both)
+        assert np.delete(got, [2, 6, 7]).tobytes() == log_eval_intensity(self.G, near).tobytes()
+        assert np.all(got[[2, 6]] < -1e300) and got[7] == -np.inf
+
+    def test_a_row_whose_product_overflows_and_whose_term_does_not(self):
+        # -|x|^2 / (2 var) is below -1.8e308 here, and -|x - mu|^2 / (2 var) is -4.2e305
+        g = GaussianMixtureIntensity.single(1.0, (1e150, 1.0), 3e-9)
+        want = g._log_kernel_constants[1][0] - (1.05e150 - 1e150) ** 2 / 6e-9
+        assert log_eval_intensity(g, (1.05e150, 1.0)) == pytest.approx(want, rel=1e-12)
+
+
 def test_scoring_memory_is_bounded():
     # 150 points against 100k components: the full (points, K) array alone
     # would be 120 MB; the chunked core keeps its work array near 2 MB

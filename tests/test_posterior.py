@@ -180,6 +180,17 @@ class TestPosteriorStructure:
         post = posterior_intensity(posterior.default_prior(), [diagram((1.0, 2.0))], cfg)
         assert np.all(np.isfinite(post.weights)) and np.all(np.isfinite(post.variances))
 
+    @pytest.mark.parametrize("mean, var, point, sigma_obs", [
+        ((3.0, 3.0), 1e10, (1.0, 2.0), 1e300),  # var * sigma_obs
+        ((1e10, 3.0), 1.0, (1.0, 2.0), 1e300),  # sigma_obs * |mu|
+        ((3.0, 3.0), 1e160, (1e150, 2.0), 1e-10),  # var * |y|
+    ])
+    def test_an_update_that_overflows_is_rejected(self, mean, var, point, sigma_obs):
+        # var * sigma_obs overflowed v_post: it warned and returned the (1 - alpha) prior alone
+        prior = GaussianMixtureIntensity.single(1.0, mean, var)
+        with pytest.raises(ValidationError, match="overflow"):
+            posterior_intensity(prior, [diagram(point)], PosteriorConfig(0.7, sigma_obs))
+
 
 class TestFarPoints:
     """A point tens of units from every prior and clutter component has a subnormal
