@@ -17,7 +17,6 @@ from .classifier import (
     fit_class_model,
     log_bayes_factor,
     model_from_json,
-    model_to_json,
     stratified_folds,
 )
 from .errors import DataFileError, ValidationError
@@ -26,7 +25,6 @@ from .filtration import (
     RawDiagram,
     bottleneck_distance,
     diagram_from_json,
-    diagram_to_json,
     sublevel_pd,
     tilt,
     untilt,
@@ -38,7 +36,6 @@ from .intensity import (
     log_eval_intensity,
     log_wedge_mass,
     mixture_from_json,
-    mixture_to_json,
     total_mass,
 )
 from .posterior import (

@@ -26,7 +26,6 @@ from .intensity import (
     GaussianMixtureIntensity,
     log_eval_intensity,
     mixture_from_json,
-    mixture_to_json,
     total_mass,
 )
 from .posterior import PosteriorConfig, posterior_intensity
@@ -250,14 +249,6 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
             "sigma_obs": float(cfg.sigma_obs),
             "threshold_c": float(threshold_c),
         },
-    }
-
-
-def model_to_json(model: ClassModel) -> dict:
-    return {
-        "label": model.label,
-        "lambda": float(model.lam),
-        "posterior": mixture_to_json(model.posterior),
     }
 
 

@@ -107,7 +107,8 @@ def _write_csv(path, table):
 
 
 def _emit_model(model, out):
-    """_emit(model_to_json(model), out), without a dict per component."""
+    """The model as {"label", "lambda", "posterior": {"components": [{"mu", "var", "w"}, ...]}}
+    through _emit, without a dict per component."""
     g = model.posterior
     _emit({"label": model.label, "lambda": model.lam, "posterior": {"components": []}}, out,
           {"mu": [None, None], "var": None, "w": None},
@@ -115,7 +116,8 @@ def _emit_model(model, out):
 
 
 def _emit_diagram(diagram, out):
-    """_emit(diagram_to_json(diagram), out), without a list per point."""
+    """The diagram as {"b_min", "points": [[b, p], ...]} through _emit, without a list per
+    point."""
     _emit({"b_min": diagram.b_min, "points": []}, out, [None, None], diagram.points)
 
 
@@ -251,10 +253,10 @@ def pd(out, manifest=None, inputs=(), rate=None):
 def _load_diagram_entries(manifest_path, label=None, labeled=False):
     """The manifest and its (diagram, label) entries; only those labeled label, if given."""
     manifest = _read(manifest_path, lambda obj: _diagram_manifest(obj, labeled))
-    chosen = [e for e in manifest["entries"] if label in (None, e.get("label"))]
-    diagrams = _map(partial(_read, decode=diagram_from_json),
-                    [Path(manifest_path).parent / e["diagram"] for e in chosen])
-    return manifest, [(d, e.get("label")) for d, e in zip(diagrams, chosen)]
+    # read in this process: a worker pool measured no faster for a few hundred diagrams
+    return manifest, [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
+                       e.get("label"))
+                      for e in manifest["entries"] if label in (None, e.get("label"))]
 
 
 def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None):

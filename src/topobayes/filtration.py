@@ -5,8 +5,10 @@ upward, every local minimum starts a connected component of the sublevel set
 and every merge at a local maximum kills the younger of the two components
 that meet there (elder rule); the surviving component is paired with the
 global maximum. Runs of equal consecutive samples are collapsed to a single
-vertex first, and ties between distinct vertices break toward the smaller
-sample index, so the output is deterministic.
+vertex first, and only the two ends and the local extrema are swept: a vertex
+between a lower and a higher neighbour starts no component and ends none. Ties
+between distinct vertices break toward the smaller sample index, so the output
+is deterministic.
 
 Diagrams come in two forms: raw (birth, death) pairs, and the tilted
 representation (birth - min birth, death - birth) living in the wedge
@@ -77,7 +79,8 @@ def sublevel_pd(signal) -> RawDiagram:
     Accepts a Signal or any 1-D value sequence. Returns one (birth, death)
     pair per local minimum of the piecewise-linear interpolation, the global
     minimum being paired with the global maximum. Pairs are sorted by
-    (birth, death). Runs in O(n log n) via a sorted sweep with union-find.
+    (birth, death). Runs in O(n log n) via a sorted sweep with union-find over
+    the local extrema only.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -87,11 +90,18 @@ def sublevel_pd(signal) -> RawDiagram:
 
     # drop repeats of equal consecutive samples (keeps component topology)
     w = values[np.concatenate([[True], values[1:] != values[:-1]])]
-    n = len(w)
+    # keep the ends and the local extrema: a vertex between a lower and a higher neighbour only
+    # joins the lower one's component, and dropping it keeps the index order of the rest
+    up = w[1:] > w[:-1]  # not np.diff, whose difference overflows near the double range
+    keep = np.ones(len(w), bool)
+    keep[1:-1] = up[1:] != up[:-1]
+    x = w[keep]
+    n = len(x)
 
-    # by value, then index: a root, its component's first vertex swept, has birth key (w[r], r)
-    order = np.argsort(w, kind="stable")
-    parent = np.full(n, -1)  # -1: not reached yet
+    # by value, then index: a root, its component's first vertex swept, has birth key (x[r], r)
+    order = np.argsort(x, kind="stable").tolist()
+    x = x.tolist()  # the sweep reads one value at a time, and Python floats read faster
+    parent = [-1] * n  # -1: not reached yet
 
     def find(i):
         while parent[i] != i:
@@ -109,12 +119,12 @@ def sublevel_pd(signal) -> RawDiagram:
                     continue
                 # elder rule: the component with the larger (birth, index)
                 # key is younger and dies at the current level
-                if (w[ru], ru) <= (w[rv], rv):
+                if (x[ru], ru) <= (x[rv], rv):
                     old, young = ru, rv
                 else:
                     old, young = rv, ru
                 if young != v:  # v alone is born and dies at once: no pair
-                    pairs.append((w[young], w[v]))
+                    pairs.append((x[young], x[v]))
                 parent[young] = old
     pairs.append((float(w.min()), float(w.max())))  # essential component
 
@@ -201,15 +211,8 @@ def _saturates(adj: np.ndarray, need: np.ndarray) -> bool:
     return bool(np.all(matched >= 0))
 
 
-def diagram_to_json(diagram: PersistenceDiagram) -> dict:
-    """Wire format: {"b_min": r, "points": [[b, p], ...]} in tilted coordinates."""
-    return {
-        "b_min": float(diagram.b_min),
-        "points": [[float(b), float(p)] for b, p in diagram.points],
-    }
-
-
 def diagram_from_json(obj) -> PersistenceDiagram:
+    """The diagram of the wire format {"b_min": r, "points": [[b, p], ...]}, tilted."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValidationError("diagram JSON needs a 'points' list")
     pts = json_floats(obj["points"], "diagram points", None, 2)

@@ -199,16 +199,6 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     return vals / peak
 
 
-def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
-    """Wire format: {"components": [{"w": c, "mu": [b, p], "var": s}, ...]}."""
-    return {
-        "components": [
-            {"w": float(w), "mu": [float(m[0]), float(m[1])], "var": float(v)}
-            for w, m, v in zip(g.weights, g.means, g.variances)
-        ]
-    }
-
-
 _COMPONENT_KEYS = frozenset(("mu", "var", "w"))
 
 
@@ -225,8 +215,8 @@ def component_row(obj):
 
 
 def mixture_from_json(obj) -> GaussianMixtureIntensity:
-    """The mixture of the wire format, its components given as objects or as component_row's
-    rows."""
+    """The mixture of the wire format {"components": [{"w": c, "mu": [b, p], "var": s}, ...]},
+    its components given as objects or as component_row's rows."""
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValidationError("mixture JSON needs a 'components' list")
     # a mu that is not a (b, p) pair makes a row that is not 4 long

@@ -133,7 +133,8 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
         for lo in range(0, T, step):
             y = Y[lo:lo + step]
             mu_post = _conjugate_means(mu, var, y[:, None, :], so)         # (rows,K,2)
-            d2 = ((y[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)      # (rows,K)
+            with np.errstate(over="ignore"):  # a pair too far apart for d2 has q = 0, its limit
+                d2 = ((y[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)  # (rows,K)
             log_q = (
                 -log_2pi_v[None, :]
                 - d2 / (2.0 * (var + so))[None, :]

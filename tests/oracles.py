@@ -15,6 +15,10 @@ sublevel_pd           -- filtration.sublevel_pd as it was before its sweep
                          read birth keys off the union-find roots: per-vertex
                          birth values, birth indices and reached flags, and
                          lexsort; its pairs must match byte for byte
+mixture_to_json       -- the wire formats of a mixture, a class model and a diagram, as dicts
+model_to_json            of Python values, written as topobayes wrote them before the CLI
+diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_keys=True) of one
+                         is the file the CLI must write byte for byte
 """
 
 import numpy as np
@@ -228,3 +232,30 @@ def sublevel_pd(signal) -> RawDiagram:
     arr = np.array(pairs)
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     return RawDiagram(arr)
+
+
+def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
+    """Wire format: {"components": [{"w": c, "mu": [b, p], "var": s}, ...]}."""
+    return {
+        "components": [
+            {"w": float(w), "mu": [float(m[0]), float(m[1])], "var": float(v)}
+            for w, m, v in zip(g.weights, g.means, g.variances)
+        ]
+    }
+
+
+def model_to_json(model) -> dict:
+    """Wire format: {"label": str, "lambda": total mass, "posterior": mixture_to_json}."""
+    return {
+        "label": model.label,
+        "lambda": float(model.lam),
+        "posterior": mixture_to_json(model.posterior),
+    }
+
+
+def diagram_to_json(diagram) -> dict:
+    """Wire format: {"b_min": r, "points": [[b, p], ...]} in tilted coordinates."""
+    return {
+        "b_min": float(diagram.b_min),
+        "points": [[float(b), float(p)] for b, p in diagram.points],
+    }

@@ -20,14 +20,13 @@ from topobayes import (
     fit_class_model,
     log_bayes_factor,
     log_eval_intensity,
-    mixture_to_json,
     model_from_json,
-    model_to_json,
     stratified_folds,
     total_mass,
 )
 from topobayes import classifier
 from conftest import sample_ppp_diagram, separable_grid_mass
+from oracles import mixture_to_json, model_to_json
 
 
 def model_at(mean, label="m", lam=5.0, var=0.5):

@@ -29,12 +29,9 @@ from topobayes import (
     default_clutter,
     default_prior,
     diagram_from_json,
-    diagram_to_json,
     fit_class_model,
     load_signal,
-    mixture_to_json,
     model_from_json,
-    model_to_json,
     sublevel_pd,
     tilt,
     PosteriorConfig,
@@ -43,6 +40,7 @@ from topobayes import (
 from topobayes import cli
 from topobayes.cli import main
 from topobayes.intensity import mixture_from_json
+from oracles import diagram_to_json, mixture_to_json, model_to_json
 
 
 def run(*argv):
@@ -680,6 +678,19 @@ class TestUpdateOverflow:
         assert (out, err) == ("", "error: sigma_obs, prior and points overflow the update's "
                                   "products\n")
         assert not (tmp_path / "model.json").exists()
+
+    def test_a_pair_too_far_for_its_squared_distance_fits_quietly(self, tmp_path, capfd):
+        # the squared distance of the prior mean and the point overflowed: fit warned on stderr
+        prior = _write(tmp_path / "prior.json",
+                       {"components": [{"w": 1.0, "mu": [1.3e154, 0.0], "var": 1.0}]})
+        _write(tmp_path / "d.pd.json", {"b_min": 0.0, "points": [[0.0, 1.3e154]]})
+        manifest = _write(tmp_path / "manifest.json",
+                          {"entries": [{"diagram": "d.pd.json", "label": "x"}]})
+        assert run("fit", "--manifest", manifest, "--label", "x", "--prior", prior,
+                   "--out", tmp_path / "model.json") == 0
+        assert capfd.readouterr() == ("", "")
+        model = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+        assert np.all(np.isfinite(model.posterior.weights))
 
 
 def _write(path, obj):

@@ -9,13 +9,13 @@ from topobayes import (
     ValidationError,
     bottleneck_distance,
     diagram_from_json,
-    diagram_to_json,
     sublevel_pd,
     tilt,
     untilt,
 )
 from conftest import brute_bottleneck, brute_sublevel_pairs, random_distinct_signal
 import oracles
+from oracles import diagram_to_json
 
 
 def pairs_of(raw):
@@ -90,6 +90,15 @@ _SWEEP_SIGNALS = st.one_of(
     _runs(st.integers(-2, 2).map(float)),
     _runs(st.sampled_from([-0.0, 0.0, -1.0, 1.0])),
     st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=2, max_size=300).map(np.array),
+    # neighbours whose difference overflows: the extrema are found without subtracting
+    st.lists(st.sampled_from([1e308, -1e308, 5e307, -5e307, 0.0, 1.0]), min_size=2,
+             max_size=300).map(np.array),
+    # long monotone runs, whose inner vertices the sweep drops
+    st.builds(lambda n, run, seed: np.cumsum(np.random.default_rng(seed).exponential(size=n)
+                                             * np.resize(np.repeat([1.0, -1.0], run), n)),
+              st.integers(2, 300), st.integers(1, 60), st.integers(0, 2 ** 32 - 1)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+             max_size=2).map(np.array),
 )
 
 

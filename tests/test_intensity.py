@@ -14,12 +14,11 @@ from topobayes import (
     log_eval_intensity,
     log_wedge_mass,
     mixture_from_json,
-    mixture_to_json,
     total_mass,
 )
 from topobayes import intensity
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
-from oracles import restricted_normal_pdf
+from oracles import mixture_to_json, restricted_normal_pdf
 
 
 class TestRestrictedNormal:

@@ -214,6 +214,12 @@ class TestFarPoints:
         # each point's weights sum to 1 / m with one prior component and no clutter
         assert post.weights[1:] == pytest.approx([1 / m] * (m + 1), rel=1e-6)
 
+    def test_point_too_far_for_its_squared_distance_gets_no_weight(self):
+        # ((y - mu) ** 2).sum() overflowed and warned; the pair's q is 0, its limit
+        prior = GaussianMixtureIntensity.single(1.0, (1.3e154, 0.0), 1.0)
+        post = self.update(prior, [diagram((0.0, 1.3e154))])
+        assert post.weights.tolist() == [pytest.approx(0.3)] and np.all(np.isfinite(post.means))
+
     def test_other_components_keep_their_bytes(self):
         prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 1.0)
         near = self.update(prior, [diagram((3.0, 3.0), (4.0, 2.0))])
