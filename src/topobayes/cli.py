@@ -172,19 +172,19 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
     if not 1 <= n <= MAX_SIZE or seed < 0:  # a larger range(n) has no len
         raise ValidationError(f"--n must lie in [1, {MAX_SIZE}] and --seed be at least 0")
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outdir / "manifest.json"
+    previous = (_read(manifest_path, lambda obj: _signal_manifest(obj, labeled=True))
+                if manifest_path.exists() else {"entries": []})
+    if previous.get("rate") not in (None, rate):
+        raise ValidationError(
+            f"manifest {manifest_path} has rate {previous.get('rate')}, "
+            f"refusing to mix with {rate}"
+        )
+    outdir.mkdir(parents=True, exist_ok=True)  # only after the checks: a refusal writes nothing
     names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
                          seed=seed, outdir=outdir), range(n))
-    manifest_path = outdir / "manifest.json"
     entries = [{"signal": name, "label": band} for name in names]
-    if manifest_path.exists():
-        previous = _read(manifest_path, lambda obj: _signal_manifest(obj, labeled=True))
-        if previous.get("rate") not in (None, rate):
-            raise ValidationError(
-                f"manifest {manifest_path} has rate {previous.get('rate')}, "
-                f"refusing to mix with {rate}"
-            )
-        entries += [e for e in previous["entries"] if e["label"] != band]
+    entries += [e for e in previous["entries"] if e["label"] != band]
     entries.sort(key=lambda e: (e["label"], e["signal"]))
     _emit({"rate": rate, "entries": entries}, manifest_path)
 
@@ -287,9 +287,9 @@ def classify(models, diagram, threshold=1.0, out=None):
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
        threshold=1.0, seed=0, out=None):
     """Cross-validate on a labeled manifest; the report, printed unless out is set."""
-    obj, entries = _load_diagram_entries(manifest, labeled=True)
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
+    obj, entries = _load_diagram_entries(manifest, labeled=True)
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)

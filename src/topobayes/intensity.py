@@ -115,6 +115,8 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     whose product could overflow takes each kernel in its own form instead.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):  # a reshape to pairs would silently regroup or drop coordinates
+        raise ValidationError("points must have shape (..., 2)")
     pts = x.reshape(-1, 2)
     out = np.full(len(pts), -np.inf)
     if g.n_components:

@@ -101,11 +101,12 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
 
     Components below 1e-10 of the total weight are dropped, then the 100,000
     heaviest are kept in their original order. Only the weights of all T x K
-    (point, component) pairs are computed, a few thousand pairs at a time,
-    into one array of 8 B per pair; means and variances are built for the
-    kept components alone. Picking the 100,000 heaviest holds 17 B more per
-    pair above the relative cut. Pure function; the output does not depend on
-    how the work is split. An update that would overflow is a ValidationError.
+    (point, component) pairs are computed, in one pass of a few thousand pairs
+    at a time, into one array of 8 B per pair; means and variances are built
+    for the kept components alone. Picking the 100,000 heaviest holds 17 B
+    more per pair above the relative cut. Pure function; the output does not
+    depend on how the work is split or on BLAS's thread count. An update that
+    would overflow is a ValidationError.
     """
     m = len(observations)
     Y = _flatten_observations(observations)
@@ -129,6 +130,7 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
         log_2pi_v = np.log(2.0 * np.pi * (var + so))
         log_mass_prior = log_wedge_mass(mu[:, 0], mu[:, 1], var)
         log_mass_y = log_wedge_mass(Y[:, 0], Y[:, 1], so)
+        clutter = eval_intensity(cfg.clutter, Y)  # all at once: its bytes cannot move with chunks
         step = max(1, _CHUNK_PAIRS // K)
         for lo in range(0, T, step):
             y = Y[lo:lo + step]
@@ -142,21 +144,17 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
                 - log_mass_prior[None, :]
                 - log_mass_y[lo:lo + step, None]
             )
-            np.exp(log_q, out=Q[lo:lo + step])
-        # one product over all pairs: BLAS sums a row in an order that depends on where
-        # the row falls among its kernel's blocks and its threads, so a product per chunk could
-        # move a last bit
-        denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (Q @ c)     # (T,)
-        # a point with zero clutter and zero evidence carries no update; where a subnormal denom
-        # overflows scale * c, the weights, each at most 1 / m, are c q / denom times alpha / m
-        with np.errstate(over="ignore"):
-            scale = np.divide(cfg.alpha / m, denom, out=np.zeros(T), where=denom > 0)
-            far = np.flatnonzero(np.isinf(scale * c.max()))
-        far_weights = cfg.alpha / m * (c * Q[far] / denom[far, None])
-        scale[far] = 0.0
-        for lo in range(0, T, step):
-            np.multiply(scale[lo:lo + step, None] * c, Q[lo:lo + step], out=Q[lo:lo + step])
-        Q[far] = far_weights
+            q = np.exp(log_q, out=Q[lo:lo + step])
+            # numpy's pairwise sum along each row, in an order set by K alone: neither the chunking
+            # nor BLAS's threads can move a denominator's last bit, as a matrix product's could
+            denom = clutter[lo:lo + step] + cfg.alpha * np.multiply(q, c, out=log_q).sum(axis=1)
+            # a point with zero clutter and zero evidence carries no update; where a subnormal denom
+            # overflows scale * c, the weights, each at most 1 / m, are c q / denom times alpha / m
+            with np.errstate(over="ignore"):
+                scale = np.divide(cfg.alpha / m, denom, out=np.zeros(len(y)), where=denom > 0)
+                far = np.isinf(scale * c.max())
+                np.multiply(scale[:, None] * c, q, out=q, where=~far[:, None])
+                q[far] = cfg.alpha / m * (c * q[far] / denom[far, None])
 
     kept = W > _PRUNE_REL_WEIGHT * W.sum()
     cut = np.count_nonzero(kept) - _MAX_COMPONENTS

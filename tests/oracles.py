@@ -138,7 +138,7 @@ def dense_posterior(prior: GaussianMixtureIntensity, observations,
         )
         q = np.exp(log_q)                                                 # (T,K)
 
-        denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (q @ c)      # (T,)
+        denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (q * c).sum(axis=1)  # (T,)
         safe = denom > 0  # a point with zero clutter and zero evidence carries no update
         scale = np.zeros(T)
         with np.errstate(over="ignore"):

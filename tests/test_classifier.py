@@ -156,20 +156,27 @@ class TestFitClassModel:
         rng = np.random.default_rng(7)
         training = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(90)]
         tests = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(4)]
+        # 100 prior components: each point's denominator is then a sum that a BLAS product
+        # would split over its threads
+        big = GaussianMixtureIntensity(rng.uniform(0.5, 2.0, 100), rng.uniform(0.2, 6.0, (100, 2)),
+                                       rng.uniform(0.5, 4.0, 100))
+        long = [PersistenceDiagram(rng.uniform(0.2, 6.0, (5_003, 2)))]
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.2)
-        runs = []
-        before = set_threads(1)
-        try:
-            for threads in (1, 2):
-                set_threads(threads)
-                g = fit_class_model(training, self.prior, cfg, "x").posterior
-                logs = np.array([diagram_log_density(d, ClassModel("x", g)) for d in tests])
-                runs.append((g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes(),
-                             logs.tobytes()))
-        finally:
-            set_threads(before)
-        assert g.n_components == 90 * 156 + 1
-        assert runs[0] == runs[1]
+        for train, prior, size in ((training, self.prior, 90 * 156 + 1),
+                                   (long, big, 100_000)):
+            runs = []
+            before = set_threads(1)
+            try:
+                for threads in (1, 2):
+                    set_threads(threads)
+                    g = fit_class_model(train, prior, cfg, "x").posterior
+                    logs = np.array([diagram_log_density(d, ClassModel("x", g)) for d in tests])
+                    runs.append((g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes(),
+                                 logs.tobytes()))
+            finally:
+                set_threads(before)
+            assert g.n_components == size
+            assert runs[0] == runs[1]
 
     def test_model_json_roundtrip(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)

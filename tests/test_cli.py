@@ -160,6 +160,18 @@ class TestGenerate:
         assert run("generate", "--band", "alpha", "--n", 1, "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {manifest}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]  # no CSV written
+
+    def test_refused_rate_mix_changes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("generate", "--band", "beta", "--n", 2, "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run("generate", "--band", "beta", "--n", 2, "--out", out, "--rate", 512) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "refusing to mix" in err
+        assert err.startswith("error: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_unknown_flag_exits_one(self, tmp_path):
         assert run("generate", "--nonsense") == 1

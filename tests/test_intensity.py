@@ -217,6 +217,12 @@ class TestLogKernelOracle:
         got = log_eval_intensity(g, (1.25, 2.5))
         assert isinstance(got, float)
         assert got == pytest.approx(float(oracle_log_intensity(g, (1.25, 2.5))[0]), abs=1e-12)
+        # a last axis other than 2 is not points, whatever its size or the array's
+        for bad in ([1.0, 2.0, 3.0, 4.0], np.ones((3, 3)), np.ones((0,)), 1.0, np.ones((2, 1))):
+            with pytest.raises(ValidationError, match="shape"):
+                log_eval_intensity(g, bad)
+            with pytest.raises(ValidationError, match="shape"):
+                eval_intensity(g, bad)
 
     @pytest.mark.parametrize("n_points", [5, 6, 7, 12, 13, 19])
     def test_point_counts_straddling_a_chunk(self, rng, monkeypatch, n_points):
