@@ -16,7 +16,6 @@ from .classifier import (
     diagram_log_density,
     fit_class_model,
     log_bayes_factor,
-    model_from_json,
     stratified_folds,
 )
 from .errors import DataFileError, ValidationError
@@ -24,7 +23,6 @@ from .filtration import (
     PersistenceDiagram,
     RawDiagram,
     bottleneck_distance,
-    diagram_from_json,
     sublevel_pd,
     tilt,
     untilt,
@@ -35,7 +33,6 @@ from .intensity import (
     intensity_grid,
     log_eval_intensity,
     log_wedge_mass,
-    mixture_from_json,
     total_mass,
 )
 from .posterior import (
@@ -51,8 +48,6 @@ from .signals import (
     Signal,
     add_noise,
     generate_band_signal,
-    load_signal,
-    signal_from_json,
 )
 
 __version__ = "0.1.0"

@@ -20,12 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, json_floats
+from .errors import ValidationError
 from .filtration import PersistenceDiagram
 from .intensity import (
     GaussianMixtureIntensity,
     log_eval_intensity,
-    mixture_from_json,
     total_mass,
 )
 from .posterior import PosteriorConfig, posterior_intensity
@@ -250,16 +249,3 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
             "threshold_c": float(threshold_c),
         },
     }
-
-
-def model_from_json(obj) -> ClassModel:
-    if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) or "posterior" not in obj:
-        raise ValidationError("model JSON needs a 'label' string and a 'posterior'")
-    model = ClassModel(label=obj["label"], posterior=mixture_from_json(obj["posterior"]))
-    # "lambda" is redundant with the posterior; a file whose value disagrees
-    # was edited or corrupted, so it is rejected rather than ignored
-    mass = model.lam
-    lam = json_floats(obj.get("lambda", mass), "model JSON 'lambda'")
-    if not abs(lam - mass) <= 1e-12 * max(1.0, mass):
-        raise ValidationError("model JSON 'lambda' must equal the posterior's total mass")
-    return model

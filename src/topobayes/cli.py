@@ -1,8 +1,9 @@
 """Batch command-line surface for the signal classification pipeline.
 
 Subcommands: generate, pd, fit, classify, cv, heatmap, pipeline. Structured
-artifacts are JSON; signals and heatmap grids are CSV. Exit codes are stable
-for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
+artifacts are JSON; signals and heatmap grids are CSV. Every format is read and
+written here, not in the library. Exit codes are stable for scripting:
+0 success, 1 validation error, 2 I/O or data-file error.
 """
 
 import argparse
@@ -15,19 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import (
+    ClassModel,
     LabeledDataset,
     classify as classify_diagram,
     cross_validate,
     fit_class_model,
-    model_from_json,
     usable_cpus,
 )
 from .errors import MAX_SIZE, DataFileError, ValidationError
-from .filtration import diagram_from_json, sublevel_pd, tilt
-from .intensity import component_row, intensity_grid, mixture_from_json
+from .filtration import PersistenceDiagram, sublevel_pd, tilt
+from .intensity import GaussianMixtureIntensity, intensity_grid
 from .posterior import PosteriorConfig, default_clutter, default_prior
-from .signals import (ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal,
-                      load_signal, signal_from_json)
+from .signals import ALPHA_BAND, BETA_BAND, Signal, add_noise, check_rate, generate_band_signal
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 # values per block of text a writer formats, so it holds a block, not a file's floats and text
@@ -102,6 +102,7 @@ def _emit(obj, out, row=None, rows=()):
 
 def _write_csv(path, table):
     """One line per row of the 2-D array table, its values comma-separated, round-trip exact."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)  # only here: a refused run writes nothing
     with open(path, "w") as f:
         f.writelines(_blocks(",".join(["%.17g"] * table.shape[1]) + "\n", "", table))
 
@@ -119,6 +120,112 @@ def _emit_diagram(diagram, out):
     """The diagram as {"b_min", "points": [[b, p], ...]} through _emit, without a list per
     point."""
     _emit({"b_min": diagram.b_min, "points": []}, out, [None, None], diagram.points)
+
+
+def json_floats(value, what, *shape):
+    """value, JSON numbers nested in lists of the given lengths, or tuples of set ones, as floats.
+
+    The first length may be None, for any. With no lengths value is one number and comes back
+    as a float, else as an array. A bool, a string, any other non-number, a wrong length or
+    nesting, or an integer too large for a float is a ValidationError about what."""
+    level = [value]
+    for n in shape:
+        if not (set(map(type, level)) <= ({list} if n is None else {list, tuple})
+                and (n is None or set(map(len, level)) <= {n})):
+            raise ValidationError(f"malformed {what}")
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        raise ValidationError(f"malformed {what}: not a number")
+    try:
+        a = np.array(level, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"malformed {what}: a number too large for a float") from None
+    return a.reshape(-1, *shape[1:]) if shape else float(a[0])
+
+
+_COMPONENT_KEYS = frozenset(("mu", "var", "w"))
+
+
+def component_row(obj):
+    """json object_hook: a {"mu": [b, p], "var": v, "w": w} object as its row (w, b, p, v), which
+    mixture_from_json reads as it would read the object; any other object as it is.
+
+    So a parse holds one tuple of 4 floats per component, where it held a dict and a list; and
+    tuples of floats, unlike lists, drop out of the garbage collector's sweeps, which would walk
+    the whole parsed file. A row is 4 long, so no reader of (b, p) pairs takes one for a pair."""
+    if obj.keys() == _COMPONENT_KEYS and type(obj["mu"]) is list and len(obj["mu"]) == 2:
+        return (obj["w"], *obj["mu"], obj["var"])
+    return obj
+
+
+def mixture_from_json(obj) -> GaussianMixtureIntensity:
+    """The mixture of the wire format {"components": [{"w": c, "mu": [b, p], "var": s}, ...]},
+    its components given as objects or as component_row's rows."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
+        raise ValidationError("mixture JSON needs a 'components' list")
+    # a mu that is not a (b, p) pair makes a row that is not 4 long
+    try:
+        rows = [c if type(c) is tuple else (c["w"], *c["mu"], c["var"])
+                for c in obj["components"]]
+    except (KeyError, TypeError):
+        raise ValidationError("mixture JSON has malformed components") from None
+    a = json_floats(rows, "mixture components", None, 4)
+    return GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])
+
+
+def model_from_json(obj) -> ClassModel:
+    if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) or "posterior" not in obj:
+        raise ValidationError("model JSON needs a 'label' string and a 'posterior'")
+    model = ClassModel(label=obj["label"], posterior=mixture_from_json(obj["posterior"]))
+    # "lambda" is redundant with the posterior; a file whose value disagrees
+    # was edited or corrupted, so it is rejected rather than ignored
+    mass = model.lam
+    lam = json_floats(obj.get("lambda", mass), "model JSON 'lambda'")
+    if not abs(lam - mass) <= 1e-12 * max(1.0, mass):
+        raise ValidationError("model JSON 'lambda' must equal the posterior's total mass")
+    return model
+
+
+def diagram_from_json(obj) -> PersistenceDiagram:
+    """The diagram of the wire format {"b_min": r, "points": [[b, p], ...]}, tilted."""
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise ValidationError("diagram JSON needs a 'points' list")
+    pts = json_floats(obj["points"], "diagram points", None, 2)
+    return PersistenceDiagram(pts, json_floats(obj.get("b_min", 0.0), "diagram 'b_min'"))
+
+
+def signal_from_json(obj) -> Signal:
+    """Wire format: {"rate": <Hz>, "samples": [<number>, ...]}."""
+    if not isinstance(obj, dict):
+        raise ValidationError("expected an object with 'rate' and 'samples'")
+    return Signal(json_floats(obj.get("samples"), "'samples'", None), obj.get("rate"))
+
+
+def load_signal(path, rate: float) -> Signal:
+    """Read a CSV signal: one amplitude per line with an optional single header
+    line. CSV carries no sample rate, so `rate` must be supplied."""
+    p = Path(path)
+    if not p.exists():
+        raise DataFileError(f"{p}: no such file")
+    values = []
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as e:
+        raise DataFileError(f"{p}: not UTF-8 text ({e})") from None
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            if ln == 1:
+                continue  # single optional header line
+            raise DataFileError(f"{p}: malformed line {ln}: {line!r}") from None
+    try:
+        return Signal(values, rate)
+    except ValidationError as e:
+        raise DataFileError(f"{p}: {e}") from None
 
 
 def _entries(obj, path_key, labeled):
@@ -180,7 +287,6 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
             f"manifest {manifest_path} has rate {previous.get('rate')}, "
             f"refusing to mix with {rate}"
         )
-    outdir.mkdir(parents=True, exist_ok=True)  # only after the checks: a refusal writes nothing
     names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
                          seed=seed, outdir=outdir), range(n))
     entries = [{"signal": name, "label": band} for name in names]
@@ -195,6 +301,8 @@ def _signal_tasks(manifest, inputs, rate):
     A fault in the list of signals is the manifest's, if one lists them, or the command line's."""
     if rate is not None:
         check_rate(rate)
+    if manifest and inputs:
+        raise ValidationError("pd takes --manifest or signal files, not both")
     if manifest:
         obj = _read(manifest, _signal_manifest)
         tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, json_floats
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +209,3 @@ def _saturates(adj: np.ndarray, need: np.ndarray) -> bool:
 
     matched = maximum_bipartite_matching(csr_matrix(adj[need]), perm_type="column")
     return bool(np.all(matched >= 0))
-
-
-def diagram_from_json(obj) -> PersistenceDiagram:
-    """The diagram of the wire format {"b_min": r, "points": [[b, p], ...]}, tilted."""
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise ValidationError("diagram JSON needs a 'points' list")
-    pts = json_floats(obj["points"], "diagram points", None, 2)
-    return PersistenceDiagram(pts, json_floats(obj.get("b_min", 0.0), "diagram 'b_min'"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_SIZE, ValidationError, json_floats
+from .errors import MAX_SIZE, ValidationError
 
 # rows per chunk of log_eval_intensity: its (rows, K) work array stays near
 # 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
@@ -199,33 +199,3 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     if peak <= 0:
         return np.zeros_like(vals)
     return vals / peak
-
-
-_COMPONENT_KEYS = frozenset(("mu", "var", "w"))
-
-
-def component_row(obj):
-    """json object_hook: a {"mu": [b, p], "var": v, "w": w} object as its row (w, b, p, v), which
-    mixture_from_json reads as it would read the object; any other object as it is.
-
-    So a parse holds one tuple of 4 floats per component, where it held a dict and a list; and
-    tuples of floats, unlike lists, drop out of the garbage collector's sweeps, which would walk
-    the whole parsed file. A row is 4 long, so no reader of (b, p) pairs takes one for a pair."""
-    if obj.keys() == _COMPONENT_KEYS and type(obj["mu"]) is list and len(obj["mu"]) == 2:
-        return (obj["w"], *obj["mu"], obj["var"])
-    return obj
-
-
-def mixture_from_json(obj) -> GaussianMixtureIntensity:
-    """The mixture of the wire format {"components": [{"w": c, "mu": [b, p], "var": s}, ...]},
-    its components given as objects or as component_row's rows."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
-        raise ValidationError("mixture JSON needs a 'components' list")
-    # a mu that is not a (b, p) pair makes a row that is not 4 long
-    try:
-        rows = [c if type(c) is tuple else (c["w"], *c["mu"], c["var"])
-                for c in obj["components"]]
-    except (KeyError, TypeError):
-        raise ValidationError("mixture JSON has malformed components") from None
-    a = json_floats(rows, "mixture components", None, 4)
-    return GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])

@@ -1,19 +1,18 @@
-"""Band-limited synthetic test signals and signal file loading.
+"""Band-limited synthetic test signals.
 
 The generator produces EEG-like oscillatory signals as random sums of
 sinusoids inside a frequency band, normalized to unit RMS power. White
 Gaussian noise can be added at a requested SNR in dB (0 dB means equal
-signal and noise power). Recorded signals are read from CSV or decoded from JSON.
+signal and noise power). The CLI reads recorded signals from CSV or JSON files.
 All randomness is seeded, so every function here is a pure function of its
 arguments and safe to call concurrently.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MAX_SIZE, DataFileError, ValidationError, json_floats
+from .errors import MAX_SIZE, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,44 +127,3 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     z = rng.standard_normal(len(signal.samples))
     sigma = np.sqrt(signal.power() / 10.0 ** (snr_db / 10.0))
     return Signal(signal.samples + sigma * z, signal.sample_rate)
-
-
-def load_signal(path, rate: float | None = None) -> Signal:
-    """Read a CSV signal: one amplitude per line with an optional single header
-    line. CSV carries no sample rate, so `rate` must be supplied."""
-    p = Path(path)
-    if not p.exists():
-        raise DataFileError(f"{p}: no such file")
-    if rate is None:
-        raise ValidationError("csv signals need an explicit sample rate")
-    values = _parse_csv(p)
-    try:
-        return Signal(values, rate)
-    except ValidationError as e:
-        raise DataFileError(f"{p}: {e}") from None
-
-
-def signal_from_json(obj) -> Signal:
-    """Wire format: {"rate": <Hz>, "samples": [<number>, ...]}."""
-    if not isinstance(obj, dict):
-        raise ValidationError("expected an object with 'rate' and 'samples'")
-    return Signal(json_floats(obj.get("samples"), "'samples'", None), obj.get("rate"))
-
-
-def _parse_csv(p: Path) -> list:
-    values = []
-    try:
-        text = p.read_text()
-    except UnicodeDecodeError as e:
-        raise DataFileError(f"{p}: not UTF-8 text ({e})") from None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            if ln == 1:
-                continue  # single optional header line
-            raise DataFileError(f"{p}: malformed line {ln}: {line!r}") from None
-    return values

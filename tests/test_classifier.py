@@ -20,11 +20,11 @@ from topobayes import (
     fit_class_model,
     log_bayes_factor,
     log_eval_intensity,
-    model_from_json,
     stratified_folds,
     total_mass,
 )
 from topobayes import classifier
+from topobayes.cli import model_from_json
 from conftest import sample_ppp_diagram, separable_grid_mass
 from oracles import mixture_to_json, model_to_json
 

@@ -28,18 +28,14 @@ from topobayes import (
     classify,
     default_clutter,
     default_prior,
-    diagram_from_json,
     fit_class_model,
-    load_signal,
-    model_from_json,
     sublevel_pd,
     tilt,
     PosteriorConfig,
     ValidationError,
 )
 from topobayes import cli
-from topobayes.cli import main
-from topobayes.intensity import mixture_from_json
+from topobayes.cli import diagram_from_json, load_signal, main, mixture_from_json, model_from_json
 from oracles import diagram_to_json, mixture_to_json, model_to_json
 
 
@@ -142,9 +138,13 @@ class TestGenerate:
         assert len(workers) == 41
         assert workers == {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
 
-    def test_band_above_nyquist_fails_validation(self, tmp_path):
-        assert run("generate", "--band", "alpha", "--n", 1, "--rate", 20,
+    def test_band_above_nyquist_fails_validation(self, tmp_path, capsys):
+        # the workers refuse the band before writing a signal, so not even the directory is made
+        assert run("generate", "--band", "alpha", "--n", 2, "--rate", 20,
                    "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (tmp_path / "x").exists()
 
     def test_two_bands_merge_in_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -295,6 +295,20 @@ class TestPd:
 
     def test_needs_inputs(self, tmp_path):
         assert run("pd", "--out", tmp_path / "pd") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("x.csv",),  # a CSV signal carries no sample rate
+        ("--manifest", "m.json", "y.csv", "--rate", 100),  # files beside a manifest are not read
+    ], ids=["csv_without_rate", "manifest_and_signal_files"])
+    def test_refused_command_line_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name in ("x", "y"):
+            Path(f"{name}.csv").write_text("0\n1\n0\n")
+        _write(Path("m.json"), {"rate": 100, "entries": [{"signal": "x.csv"}]})
+        assert run("pd", *argv, "--out", "pd") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not Path("pd").exists()
 
     def test_json_signal_input(self, tmp_path):
         src = tmp_path / "sig.json"
@@ -1219,14 +1233,18 @@ class TestEntrypoint:
         assert proc.stderr == f"error: {model}: no such file\n"
 
     def test_import_does_not_load_scipy_special(self):
-        # scipy.special is most of the import's time and memory; generate and pd never need it.
-        # Nor do the commands without workers need the process pool, or cv's thread pool.
         src = Path(__file__).resolve().parent.parent / "src"
-        code = ("import sys, topobayes.cli; print([m for m in ('scipy.special', 'multiprocessing',"
-                " 'concurrent.futures') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+        for module, absent in (
+            # scipy.special is most of the import's time and memory; generate and pd never need
+            # it. Nor do the commands without workers need the process pool, or cv's thread pool.
+            ("topobayes.cli", ("scipy.special", "multiprocessing", "concurrent.futures")),
+            # the library reads no files: the file formats, and argparse, are the CLI's alone
+            ("topobayes", ("topobayes.cli", "argparse")),
+        ):
+            code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+            assert proc.returncode == 0 and proc.stdout == "[]\n", module + proc.stderr
 
 
 class TestPipeline:

@@ -8,11 +8,11 @@ from topobayes import (
     RawDiagram,
     ValidationError,
     bottleneck_distance,
-    diagram_from_json,
     sublevel_pd,
     tilt,
     untilt,
 )
+from topobayes.cli import diagram_from_json
 from conftest import brute_bottleneck, brute_sublevel_pairs, random_distinct_signal
 import oracles
 from oracles import diagram_to_json

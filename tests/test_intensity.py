@@ -13,10 +13,10 @@ from topobayes import (
     intensity_grid,
     log_eval_intensity,
     log_wedge_mass,
-    mixture_from_json,
     total_mass,
 )
 from topobayes import intensity
+from topobayes.cli import mixture_from_json
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
 from oracles import mixture_to_json, restricted_normal_pdf
 

@@ -12,9 +12,8 @@ from topobayes import (
     ValidationError,
     add_noise,
     generate_band_signal,
-    load_signal,
-    signal_from_json,
 )
+from topobayes.cli import load_signal, signal_from_json
 
 
 def dominant_frequency(signal):
@@ -144,12 +143,6 @@ class TestLoadSignal:
         p.write_text("0\n1\nbroken\n")
         with pytest.raises(DataFileError, match="malformed"):
             load_signal(p, rate=100.0)
-
-    def test_csv_requires_rate(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("0\n1\n")
-        with pytest.raises(ValidationError):
-            load_signal(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFileError, match="no such file"):
