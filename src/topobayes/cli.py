@@ -408,6 +408,8 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
 
 def heatmap(model, bounds, res, out):
     """Export a scaled intensity grid for a fitted model."""
+    if not Path(out).name:  # the .json and .csv names are made from the last path component
+        raise ValidationError(f"--out must end in a file name prefix, not {str(out)!r}")
     posterior = _read(model, model_from_json).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")

@@ -5,10 +5,12 @@ upward, every local minimum starts a connected component of the sublevel set
 and every merge at a local maximum kills the younger of the two components
 that meet there (elder rule); the surviving component is paired with the
 global maximum. Runs of equal consecutive samples are collapsed to a single
-vertex first, and only the two ends and the local extrema are swept: a vertex
-between a lower and a higher neighbour starts no component and ends none. Ties
-between distinct vertices break toward the smaller sample index, so the output
-is deterministic.
+vertex first, and only the local extrema are kept: a vertex between a lower and
+a higher neighbour starts no component and ends none. Padded with +inf at both
+ends, the extrema alternate between minima and maxima, and one stack over them
+pairs each minimum with the maximum where it dies (rainflow counting). Ties
+between distinct vertices break toward the smaller sample index, which is
+swept first and is the elder, so the output is deterministic.
 
 Diagrams come in two forms: raw (birth, death) pairs, and the tilted
 representation (birth - min birth, death - birth) living in the wedge
@@ -79,8 +81,8 @@ def sublevel_pd(signal) -> RawDiagram:
     Accepts a Signal or any 1-D value sequence. Returns one (birth, death)
     pair per local minimum of the piecewise-linear interpolation, the global
     minimum being paired with the global maximum. Pairs are sorted by
-    (birth, death). Runs in O(n log n) via a sorted sweep with union-find over
-    the local extrema only.
+    (birth, death). Runs in O(n) plus the final sort, via a stack over the
+    alternating local extrema; of equal values the later vertex is the younger.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -90,42 +92,31 @@ def sublevel_pd(signal) -> RawDiagram:
 
     # drop repeats of equal consecutive samples (keeps component topology)
     w = values[np.concatenate([[True], values[1:] != values[:-1]])]
-    # keep the ends and the local extrema: a vertex between a lower and a higher neighbour only
-    # joins the lower one's component, and dropping it keeps the index order of the rest
-    up = w[1:] > w[:-1]  # not np.diff, whose difference overflows near the double range
-    keep = np.ones(len(w), bool)
+    # pad both ends with +inf and keep the pads and the local extrema: a vertex between a lower
+    # and a higher neighbour only joins the lower one's component, and dropping it keeps the
+    # order of the rest; x reads inf, min, max, ..., min, inf
+    v = np.concatenate([[np.inf], w, [np.inf]])
+    up = v[1:] > v[:-1]  # not np.diff, whose difference overflows near the double range
+    keep = np.ones(len(v), bool)
     keep[1:-1] = up[1:] != up[:-1]
-    x = w[keep]
-    n = len(x)
+    x = v[keep].tolist()  # the stack reads one value at a time, and Python floats read faster
 
-    # by value, then index: a root, its component's first vertex swept, has birth key (x[r], r)
-    order = np.argsort(x, kind="stable").tolist()
-    x = x.tolist()  # the sweep reads one value at a time, and Python floats read faster
-    parent = [-1] * n  # -1: not reached yet
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # rainflow counting (ASTM E1049): an inner minimum-maximum pair nested between its outer
+    # neighbours a and d pairs off, as the minimum's component merges there first and is the
+    # younger; of equal values the earlier vertex is swept first and is the elder
     pairs = []
-    for v in order:
-        parent[v] = v
-        for u in (v - 1, v + 1):
-            if 0 <= u < n and parent[u] >= 0:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    continue
-                # elder rule: the component with the larger (birth, index)
-                # key is younger and dies at the current level
-                if (x[ru], ru) <= (x[rv], rv):
-                    old, young = ru, rv
-                else:
-                    old, young = rv, ru
-                if young != v:  # v alone is born and dies at once: no pair
-                    pairs.append((x[young], x[v]))
-                parent[young] = old
+    s = []
+    for d in x:
+        while len(s) >= 3:
+            a, b, c = s[-3:]
+            if len(s) % 2 and b > d and c < a:  # the minimum b dies at c
+                pairs.append((b, c))
+            elif not len(s) % 2 and c >= a and b <= d:  # the minimum c dies at b
+                pairs.append((c, b))
+            else:
+                break
+            del s[-2:]
+        s.append(d)
     pairs.append((float(w.min()), float(w.max())))  # essential component
 
     arr = np.array(pairs)

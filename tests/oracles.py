@@ -11,10 +11,11 @@ dense_posterior       -- posterior_intensity as it was before it selected the
                          kept components from their weights alone: every
                          array of all (point, component) pairs built, then
                          pruned; its output must match byte for byte
-sublevel_pd           -- filtration.sublevel_pd as it was before its sweep
-                         read birth keys off the union-find roots: per-vertex
-                         birth values, birth indices and reached flags, and
-                         lexsort; its pairs must match byte for byte
+sublevel_pd           -- the union-find sweep that filtration.sublevel_pd
+                         replaced, as it was before it read birth keys off the
+                         union-find roots: per-vertex birth values, birth
+                         indices and reached flags, and lexsort; its pairs must
+                         match byte for byte
 mixture_to_json       -- the wire formats of a mixture, a class model and a diagram, as dicts
 model_to_json            of Python values, written as topobayes wrote them before the CLI
 diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_keys=True) of one

@@ -1138,6 +1138,8 @@ class TestExitCodes:
         _bad_flag("fit", "--sigma-obs=inf"),
         _bad_flag("classify", "--threshold=nan"), _bad_flag("classify", "--threshold=inf"),
         _bad_flag("heatmap", "--bounds=0,0,inf,3"), _bad_flag("cv", "--seed=-1"),
+        # an --out with no last path component to put .json and .csv on
+        _bad_flag("heatmap", "--out=/"), _bad_flag("heatmap", "--out="),
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),
