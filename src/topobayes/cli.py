@@ -228,33 +228,24 @@ def load_signal(path, rate: float) -> Signal:
         raise DataFileError(f"{p}: {e}") from None
 
 
-def _entries(obj, path_key, labeled):
-    """Check obj's 'entries': objects with a string path_key and, where labeled or present,
-    a string 'label'."""
-    entries = obj.get("entries") if isinstance(obj, dict) else None
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise ValidationError("manifest needs an 'entries' list of objects")
-    for e in entries:
-        if not isinstance(e.get(path_key), str):
-            raise ValidationError(f"entry without a '{path_key}' path")
-        if (labeled or "label" in e) and not isinstance(e.get("label"), str):
-            raise ValidationError("entry without a 'label' string")
-
-
-def _signal_manifest(obj, labeled=False):
-    """{"rate": Hz (optional), "entries": [{"signal": path, "label": str}, ...]}"""
-    _entries(obj, "signal", labeled)
-    if "rate" in obj:
-        check_rate(obj["rate"])
-    return obj
-
-
-def _diagram_manifest(obj, labeled=False):
-    """{"k_folds": int (optional), "entries": [{"diagram": path, "label": str}, ...]}"""
-    _entries(obj, "diagram", labeled)
-    if "k_folds" in obj and type(obj["k_folds"]) is not int:  # a bool is not a fold count
-        raise ValidationError("'k_folds' must be an integer")
-    return obj
+def _manifest(path, key, labeled=False):
+    """The manifest at path, {"rate": Hz (optional), "k_folds": int (optional), "entries":
+    [{key: path, "label": str}, ...]}, each label optional unless labeled."""
+    def decode(obj):
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValidationError("manifest needs an 'entries' list of objects")
+        for e in entries:
+            if not isinstance(e.get(key), str):
+                raise ValidationError(f"entry without a '{key}' path")
+            if (labeled or "label" in e) and not isinstance(e.get("label"), str):
+                raise ValidationError("entry without a 'label' string")
+        if "rate" in obj:
+            check_rate(obj["rate"])
+        if "k_folds" in obj and type(obj["k_folds"]) is not int:  # a bool is not a fold count
+            raise ValidationError("'k_folds' must be an integer")
+        return obj
+    return _read(path, decode)
 
 
 def _prior_and_config(prior, clutter, alpha, sigma_obs):
@@ -280,8 +271,8 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
         raise ValidationError(f"--n must lie in [1, {MAX_SIZE}] and --seed be at least 0")
     outdir = Path(out)
     manifest_path = outdir / "manifest.json"
-    previous = (_read(manifest_path, lambda obj: _signal_manifest(obj, labeled=True))
-                if manifest_path.exists() else {"entries": []})
+    previous = (_manifest(manifest_path, "signal", labeled=True) if manifest_path.exists()
+                else {"entries": []})
     if previous.get("rate") not in (None, rate):
         raise ValidationError(
             f"manifest {manifest_path} has rate {previous.get('rate')}, "
@@ -304,7 +295,7 @@ def _signal_tasks(manifest, inputs, rate):
     if manifest and inputs:
         raise ValidationError("pd takes --manifest or signal files, not both")
     if manifest:
-        obj = _read(manifest, _signal_manifest)
+        obj = _manifest(manifest, "signal")
         tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]
         rate = rate if rate is not None else obj.get("rate")
     elif inputs:
@@ -360,7 +351,7 @@ def pd(out, manifest=None, inputs=(), rate=None):
 
 def _load_diagram_entries(manifest_path, label=None, labeled=False):
     """The manifest and its (diagram, label) entries; only those labeled label, if given."""
-    manifest = _read(manifest_path, lambda obj: _diagram_manifest(obj, labeled))
+    manifest = _manifest(manifest_path, "diagram", labeled)
     # read in this process: a worker pool measured no faster for a few hundred diagrams
     return manifest, [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
                        e.get("label"))
@@ -408,7 +399,8 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
 
 def heatmap(model, bounds, res, out):
     """Export a scaled intensity grid for a fitted model."""
-    if not Path(out).name:  # the .json and .csv names are made from the last path component
+    # the .json and .csv names are made from the last path component, and ".." makes "...json"
+    if Path(out).name in ("", ".."):
         raise ValidationError(f"--out must end in a file name prefix, not {str(out)!r}")
     posterior = _read(model, model_from_json).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")

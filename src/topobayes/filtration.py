@@ -18,6 +18,7 @@ representation (birth - min birth, death - birth) living in the wedge
 be recovered, which is what the bottleneck distance works in.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,20 +154,13 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     unmatched and charged their l-infinity distance to the diagonal,
     (death - birth) / 2. Symmetric; zero for equal multisets (and for
     diagrams that differ only in zero-persistence points, which sit on the
-    diagonal). Solved exactly by a binary search over candidate values with
+    diagonal). Solved exactly by bisect over the sorted candidate values, with
     bipartite matching feasibility checks (Hopcroft-Karp); memory grows with
     the product of the two diagram sizes.
     """
-    return _bottleneck_pairs(untilt(d1).pairs, untilt(d2).pairs)
-
-
-def _bottleneck_pairs(A: np.ndarray, B: np.ndarray) -> float:
-    nA, nB = len(A), len(B)
+    A, B = untilt(d1).pairs, untilt(d2).pairs
     diag_a = (A[:, 1] - A[:, 0]) / 2.0
     diag_b = (B[:, 1] - B[:, 0]) / 2.0
-    if nA == 0 or nB == 0:  # every point goes to the diagonal
-        return float(np.concatenate([diag_a, diag_b]).max(initial=0.0))
-
     direct = np.maximum(
         np.abs(A[:, None, 0] - B[None, :, 0]),
         np.abs(A[:, None, 1] - B[None, :, 1]),
@@ -175,20 +169,13 @@ def _bottleneck_pairs(A: np.ndarray, B: np.ndarray) -> float:
 
     def feasible(t):
         adj = direct <= t
-        need_a = np.where(diag_a > t)[0]
-        need_b = np.where(diag_b > t)[0]
         # a matching saturating both sides exists iff each side can be
         # saturated on its own (Mendelsohn-Dulmage)
-        return _saturates(adj, need_a) and _saturates(adj.T, need_b)
+        return _saturates(adj, diag_a > t) and _saturates(adj.T, diag_b > t)
 
-    lo, hi = 0, len(candidates) - 1  # the largest candidate is always feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    # the largest candidate is always feasible, so it is never tested
+    i = bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)
+    return float(candidates[i])
 
 
 def _saturates(adj: np.ndarray, need: np.ndarray) -> bool:

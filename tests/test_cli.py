@@ -892,9 +892,10 @@ def _signal_json(name, text):
 
 
 def _bad_flag(command, flag):
-    """A run that would succeed but for one appended flag that must be rejected."""
+    """A run that would succeed but for one appended flag that must be rejected; {d} in flag
+    is the case's directory."""
     def make(d, files):
-        return (*_base_argv(command, files, d), flag), 1, None
+        return (*_base_argv(command, files, d), flag.format(d=d)), 1, None
     make.__name__ = f"_{command}{flag}"
     return make
 
@@ -1102,6 +1103,9 @@ class TestExitCodes:
         _diagram_manifest("k_folds_a_string", "cv", k_folds="3"),
         _diagram_manifest("k_folds_a_bool", "cv", k_folds=True),
         _diagram_manifest("entry_without_label", "cv", {}),
+        # every manifest's optional fields are checked, whichever command reads it
+        _signal_manifest("signal_manifest_k_folds_not_an_integer", rate=128, k_folds="x"),
+        _diagram_manifest("diagram_manifest_rate_negative", "fit", rate=-1),
         _signal_json("signal_json_samples_a_string", '{"rate": 100, "samples": "12"}'),
         _signal_json("signal_json_sample_too_large_for_a_float",
                      '{"rate": 100, "samples": [0, 1' + "0" * 400 + ']}'),
@@ -1140,6 +1144,8 @@ class TestExitCodes:
         _bad_flag("heatmap", "--bounds=0,0,inf,3"), _bad_flag("cv", "--seed=-1"),
         # an --out with no last path component to put .json and .csv on
         _bad_flag("heatmap", "--out=/"), _bad_flag("heatmap", "--out="),
+        # nor with a last component "..", which would make the names "...json" and "...csv"
+        _bad_flag("heatmap", "--out={d}/.."), _bad_flag("heatmap", "--out={d}/sub/.."),
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),

@@ -168,13 +168,14 @@ class TestBottleneck:
         d = PersistenceDiagram(pts, b_min=-1.0)
         assert bottleneck_distance(d, d) == 0.0
 
-    def test_single_point_vs_empty(self):
-        # frozen from the brute-force matching oracle: diagonal cost p/2
-        d1 = PersistenceDiagram([[0.0, 2.0]])
-        d2 = PersistenceDiagram(np.zeros((0, 2)))
-        got = bottleneck_distance(d1, d2)
-        assert got == pytest.approx(1.0, abs=1e-12)
-        assert got == pytest.approx(brute_bottleneck([(0.0, 2.0)], []), abs=1e-12)
+    @pytest.mark.parametrize("pairs1, pairs2, want", [
+        ([(0.0, 2.0)], [], 1.0), ([], [(0.0, 2.0)], 1.0), ([], [], 0.0),
+    ], ids=["point-empty", "empty-point", "empty-empty"])
+    def test_single_point_vs_empty(self, pairs1, pairs2, want):
+        # frozen from the brute-force matching oracle: diagonal cost p/2, exactly
+        got = bottleneck_distance(PersistenceDiagram(pairs1), PersistenceDiagram(pairs2))
+        assert got == want
+        assert got == pytest.approx(brute_bottleneck(pairs1, pairs2), abs=1e-12)
 
     def test_two_point_example(self):
         # frozen from the brute-force matching oracle (0.1: the direct match
