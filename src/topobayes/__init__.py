@@ -21,7 +21,6 @@ from .classifier import (
 from .errors import DataFileError, ValidationError
 from .filtration import (
     PersistenceDiagram,
-    RawDiagram,
     bottleneck_distance,
     sublevel_pd,
     tilt,

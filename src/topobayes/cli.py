@@ -9,6 +9,7 @@ written here, not in the library. Exit codes are stable for scripting:
 import argparse
 import itertools
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -331,8 +332,10 @@ def pd(out, manifest=None, inputs=(), rate=None):
     """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files.
 
     A signal that fails is left out of the manifest, and one error names every such file."""
-    tasks, rate = _signal_tasks(manifest, inputs, rate)
     outdir = Path(out)
+    if manifest and os.path.realpath(outdir / "manifest.json") == os.path.realpath(manifest):
+        raise ValidationError(f"pd --out {out} would replace its input manifest {manifest}")
+    tasks, rate = _signal_tasks(manifest, inputs, rate)
     errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir),
                   [path for path, _ in tasks])
 
@@ -402,6 +405,11 @@ def heatmap(model, bounds, res, out):
     # the .json and .csv names are made from the last path component, and ".." makes "...json"
     if Path(out).name in ("", ".."):
         raise ValidationError(f"--out must end in a file name prefix, not {str(out)!r}")
+    # with_suffix replaces a suffix on the prefix: --out m.heat next to --model m.json is m.json;
+    # realpath follows links and "..", and unlike Path.resolve raises nothing on a link loop
+    sidecar, table = Path(out).with_suffix(".json"), Path(out).with_suffix(".csv")
+    if os.path.realpath(model) in (os.path.realpath(sidecar), os.path.realpath(table)):
+        raise ValidationError(f"heatmap --out {out} would replace its --model {model}")
     posterior = _read(model, model_from_json).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")
@@ -414,9 +422,9 @@ def heatmap(model, bounds, res, out):
             "cols": "persistence",
             "model": str(model),
         },
-        Path(out).with_suffix(".json"),
+        sidecar,
     )
-    _write_csv(Path(out).with_suffix(".csv"), grid)
+    _write_csv(table, grid)
 
 
 def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):

@@ -1,4 +1,4 @@
-"""Exception types, and the largest size numpy and Python index, shared across the package."""
+"""Exception types, the largest size numpy and Python index, and the check of pair arrays."""
 
 import numpy as np
 
@@ -12,3 +12,12 @@ class ValidationError(ValueError):
 
 class DataFileError(Exception):
     """An input file is missing, malformed, or holds unusable values."""
+
+
+def pairs_array(x, what) -> np.ndarray:
+    """x as a float array of shape (n, 2), an empty x as (0, 2); any other shape is a
+    ValidationError about what, as a reshape to pairs would regroup its coordinates."""
+    a = np.asarray(x, dtype=float)
+    if a.size and a.shape != a.shape[:1] + (2,):
+        raise ValidationError(f"{what} must have shape (n, 2)")
+    return a.reshape(-1, 2)

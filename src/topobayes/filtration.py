@@ -12,10 +12,10 @@ pairs each minimum with the maximum where it dies (rainflow counting). Ties
 between distinct vertices break toward the smaller sample index, which is
 swept first and is the elder, so the output is deterministic.
 
-Diagrams come in two forms: raw (birth, death) pairs, and the tilted
-representation (birth - min birth, death - birth) living in the wedge
-{(b, p) : b >= 0, p >= 0}. The tilt offset is stored so raw coordinates can
-be recovered, which is what the bottleneck distance works in.
+sublevel_pd returns (birth, death) pairs as an (n, 2) array; the one diagram
+type, PersistenceDiagram, holds their tilted form (birth - min birth, death -
+birth) in the wedge {(b, p) : b >= 0, p >= 0}. The tilt offset is stored so
+the pairs can be recovered, which is what the bottleneck distance works in.
 """
 
 import bisect
@@ -23,25 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-
-
-@dataclass(frozen=True, eq=False)
-class RawDiagram:
-    """Multiset of (birth, death) pairs with death >= birth."""
-
-    pairs: np.ndarray
-
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(pairs)):
-            raise ValidationError("diagram pairs must be finite")
-        if np.any(pairs[:, 1] < pairs[:, 0]):
-            raise ValidationError("death must be >= birth in every pair")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self):
-        return len(self.pairs)
+from .errors import ValidationError, pairs_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +39,7 @@ class PersistenceDiagram:
     b_min: float = 0.0
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        points = pairs_array(self.points, "diagram points")
         if not np.all(np.isfinite(points)):
             raise ValidationError("diagram points must be finite")
         # finite points can still overflow it, and a point scored with an infinite b^2 + p^2
@@ -76,14 +58,15 @@ class PersistenceDiagram:
         return len(self.points)
 
 
-def sublevel_pd(signal) -> RawDiagram:
+def sublevel_pd(signal) -> np.ndarray:
     """Persistence pairs of the sublevel-set filtration of a sampled signal.
 
-    Accepts a Signal or any 1-D value sequence. Returns one (birth, death)
-    pair per local minimum of the piecewise-linear interpolation, the global
-    minimum being paired with the global maximum. Pairs are sorted by
-    (birth, death). Runs in O(n) plus the final sort, via a stack over the
-    alternating local extrema; of equal values the later vertex is the younger.
+    Accepts a Signal or any 1-D value sequence. Returns an (n, 2) float array
+    of (birth, death) pairs, one per local minimum of the piecewise-linear
+    interpolation, the global minimum being paired with the global maximum.
+    Pairs are sorted by (birth, death). Runs in O(n) plus the final sort, via
+    a stack over the alternating local extrema; of equal values the later
+    vertex is the younger.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -121,30 +104,31 @@ def sublevel_pd(signal) -> RawDiagram:
     pairs.append((float(w.min()), float(w.max())))  # essential component
 
     arr = np.array(pairs)
-    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    return RawDiagram(arr)
+    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 
-def tilt(raw: RawDiagram) -> PersistenceDiagram:
-    """Map (birth, death) pairs into the wedge.
+def tilt(pairs) -> PersistenceDiagram:
+    """Map (birth, death) pairs, array-like of shape (n, 2), into the wedge.
 
     Each pair becomes (birth - b_min, death - birth) where b_min is the
     smallest birth in this diagram. An empty diagram tilts to an empty
-    diagram with b_min 0 (no shift applied).
+    diagram with b_min 0 (no shift applied). PersistenceDiagram refuses a
+    non-finite pair and a death before its birth.
     """
-    if len(raw) == 0:
+    pairs = pairs_array(pairs, "diagram pairs")
+    if len(pairs) == 0:
         return PersistenceDiagram(np.zeros((0, 2)), 0.0)
-    b_min = float(raw.pairs[:, 0].min())
-    with np.errstate(over="ignore"):  # PersistenceDiagram rejects what overflows
-        pts = np.column_stack([raw.pairs[:, 0] - b_min, raw.pairs[:, 1] - raw.pairs[:, 0]])
+    b_min = float(pairs[:, 0].min())
+    with np.errstate(over="ignore", invalid="ignore"):  # PersistenceDiagram rejects inf and NaN
+        pts = np.column_stack([pairs[:, 0] - b_min, pairs[:, 1] - pairs[:, 0]])
     return PersistenceDiagram(pts, b_min)
 
 
-def untilt(diagram: PersistenceDiagram) -> RawDiagram:
-    """Inverse of tilt using the stored b_min."""
+def untilt(diagram: PersistenceDiagram) -> np.ndarray:
+    """Inverse of tilt using the stored b_min: the (n, 2) array of (birth, death) pairs."""
     b = diagram.points[:, 0] + diagram.b_min
     d = b + diagram.points[:, 1]
-    return RawDiagram(np.column_stack([b, d]))
+    return np.column_stack([b, d])
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -158,7 +142,7 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     bipartite matching feasibility checks (Hopcroft-Karp); memory grows with
     the product of the two diagram sizes.
     """
-    A, B = untilt(d1).pairs, untilt(d2).pairs
+    A, B = untilt(d1), untilt(d2)
     diag_a = (A[:, 1] - A[:, 0]) / 2.0
     diag_b = (B[:, 1] - B[:, 0]) / 2.0
     direct = np.maximum(

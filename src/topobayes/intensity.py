@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_SIZE, ValidationError
+from .errors import MAX_SIZE, ValidationError, pairs_array
 
 # rows per chunk of log_eval_intensity: its (rows, K) work array stays near
 # 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
@@ -59,10 +59,9 @@ class GaussianMixtureIntensity:
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         v = np.atleast_1d(np.asarray(self.variances, dtype=float))
-        try:
-            mu = np.asarray(self.means, dtype=float).reshape(len(w), 2)
-        except ValueError:
-            raise ValidationError("means must have one (b, p) pair per weight") from None
+        mu = pairs_array(self.means, "means")
+        if len(mu) != len(w):
+            raise ValidationError("means must have one (b, p) pair per weight")
         if len(v) != len(w):
             raise ValidationError("weights and variances must have equal length")
         # a finite total mass implies finite weights, and keeps a model's lambda finite;

@@ -24,8 +24,7 @@ diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_ke
 
 import numpy as np
 
-from topobayes import (GaussianMixtureIntensity, PosteriorConfig, RawDiagram, ValidationError,
-                       eval_intensity)
+from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
 from topobayes import posterior
 from topobayes.intensity import log_wedge_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
@@ -178,13 +177,14 @@ def _collapse_plateaus(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def sublevel_pd(signal) -> RawDiagram:
+def sublevel_pd(signal) -> np.ndarray:
     """Persistence pairs of the sublevel-set filtration of a sampled signal.
 
-    Accepts a Signal or any 1-D value sequence. Returns one (birth, death)
-    pair per local minimum of the piecewise-linear interpolation, the global
-    minimum being paired with the global maximum. Pairs are sorted by
-    (birth, death). Runs in O(n log n) via a sorted sweep with union-find.
+    Accepts a Signal or any 1-D value sequence. Returns an (n, 2) float array
+    of (birth, death) pairs, one per local minimum of the piecewise-linear
+    interpolation, the global minimum being paired with the global maximum.
+    Pairs are sorted by (birth, death). Runs in O(n log n) via a sorted sweep
+    with union-find.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -195,7 +195,7 @@ def sublevel_pd(signal) -> RawDiagram:
     w = _collapse_plateaus(values)
     n = len(w)
     if n == 1:  # constant signal: one degenerate essential pair
-        return RawDiagram(np.array([[w[0], w[0]]]))
+        return np.array([[w[0], w[0]]])
 
     order = np.lexsort((np.arange(n), w))  # by value, then by index
     parent = np.arange(n)
@@ -231,8 +231,7 @@ def sublevel_pd(signal) -> RawDiagram:
     pairs.append((float(w.min()), float(w.max())))  # essential component
 
     arr = np.array(pairs)
-    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    return RawDiagram(arr)
+    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 
 def mixture_to_json(g: GaussianMixtureIntensity) -> dict:

@@ -170,7 +170,7 @@ def test_criterion_3_filtration_oracle():
         vals = rng.normal(size=n)
         while len(np.unique(vals)) < n:
             vals = rng.normal(size=n)
-        got = sorted(map(tuple, sublevel_pd(vals).pairs))
+        got = sorted(map(tuple, sublevel_pd(vals)))
         want = brute_sublevel_pairs(vals)
         assert got == want  # exact multiset equality, both copy sample values
         checked += 1

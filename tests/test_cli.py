@@ -310,6 +310,17 @@ class TestPd:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert not Path("pd").exists()
 
+    @pytest.mark.parametrize("out", ["sig", "sig/../sig"])
+    def test_refuses_to_replace_its_signal_manifest(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "--band", "alpha", "--n", 2, "--rate", 128, "--out", "sig") == 0
+        before = {p: p.read_bytes() for p in Path("sig").iterdir()}
+        # the diagram manifest would be written over the signal manifest it was made from
+        assert run("pd", "--manifest", "sig/manifest.json", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert {p: p.read_bytes() for p in Path("sig").iterdir()} == before
+
     def test_json_signal_input(self, tmp_path):
         src = tmp_path / "sig.json"
         src.write_text(json.dumps({"rate": 100.0, "samples": [0, -1, 0, -2, 0]}))
@@ -893,9 +904,9 @@ def _signal_json(name, text):
 
 def _bad_flag(command, flag):
     """A run that would succeed but for one appended flag that must be rejected; {d} in flag
-    is the case's directory."""
+    is the case's directory, and {files} that of the module-wide inputs."""
     def make(d, files):
-        return (*_base_argv(command, files, d), flag.format(d=d)), 1, None
+        return (*_base_argv(command, files, d), flag.format(d=d, files=files)), 1, None
     make.__name__ = f"_{command}{flag}"
     return make
 
@@ -1146,6 +1157,9 @@ class TestExitCodes:
         _bad_flag("heatmap", "--out=/"), _bad_flag("heatmap", "--out="),
         # nor with a last component "..", which would make the names "...json" and "...csv"
         _bad_flag("heatmap", "--out={d}/.."), _bad_flag("heatmap", "--out={d}/sub/.."),
+        # nor one whose .json sidecar is the --model itself, {files}/alpha.json
+        _bad_flag("heatmap", "--out={files}/alpha.heat"),
+        _bad_flag("heatmap", "--out={files}/alpha"),
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),
@@ -1155,7 +1169,10 @@ class TestExitCodes:
     ], ids=lambda f: f.__name__.lstrip("_"))
     def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, cli_files, make_case):
         argv, code, bad_file = make_case(tmp_path, cli_files)
+        inputs = {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()}
         assert run(*argv) == code
+        # a refused run changes none of the module-wide inputs, such as the model it was given
+        assert {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()} == inputs
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err

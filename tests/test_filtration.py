@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topobayes import (
+    GaussianMixtureIntensity,
     PersistenceDiagram,
-    RawDiagram,
     ValidationError,
     bottleneck_distance,
     sublevel_pd,
@@ -18,8 +18,8 @@ import oracles
 from oracles import diagram_to_json
 
 
-def pairs_of(raw):
-    return sorted(map(tuple, raw.pairs))
+def pairs_of(pairs):
+    return sorted(map(tuple, pairs))
 
 
 class TestSublevelPD:
@@ -55,7 +55,7 @@ class TestSublevelPD:
                       if (i == 0 or vals[i] > vals[i - 1])
                       and (i == n - 1 or vals[i] > vals[i + 1])}
             maxima.add(max(vals))
-            for _, death in sublevel_pd(vals).pairs:
+            for _, death in sublevel_pd(vals):
                 assert death in maxima
 
     def test_rejects_bad_input(self):
@@ -115,24 +115,24 @@ class TestSweepOracle:
     @example(np.array([-0.0, 1.0, -0.0, 1.0, 0.0]))
     @settings(max_examples=400, deadline=None)
     def test_pairs_match_the_oracle_byte_for_byte(self, x):
-        got, want = sublevel_pd(x).pairs, oracles.sublevel_pd(x).pairs
+        got, want = sublevel_pd(x), oracles.sublevel_pd(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTilt:
     def test_examples(self):
-        d = tilt(RawDiagram([[-2, 0], [-1, 0]]))
+        d = tilt([[-2, 0], [-1, 0]])
         assert sorted(map(tuple, d.points)) == [(0.0, 2.0), (1.0, 1.0)]
         assert d.b_min == -2.0
 
-        d = tilt(RawDiagram([[0, 3]]))
+        d = tilt([[0, 3]])
         assert sorted(map(tuple, d.points)) == [(0.0, 3.0)]
 
-        d = tilt(RawDiagram([[5, 7], [6, 6.5]]))
+        d = tilt([[5, 7], [6, 6.5]])
         assert sorted(map(tuple, d.points)) == [(0.0, 2.0), (1.0, 0.5)]
 
     def test_empty(self):
-        d = tilt(RawDiagram(np.zeros((0, 2))))
+        d = tilt(np.zeros((0, 2)))
         assert len(d) == 0 and d.b_min == 0.0
 
     def test_untilt_roundtrip(self, rng):
@@ -140,9 +140,9 @@ class TestTilt:
             k = int(rng.integers(1, 8))
             b = rng.normal(size=k)
             d = b + rng.uniform(0, 3, k)
-            raw = RawDiagram(np.column_stack([b, d]))
-            back = untilt(tilt(raw))
-            assert np.allclose(sorted(map(tuple, back.pairs)), sorted(map(tuple, raw.pairs)))
+            pairs = np.column_stack([b, d])
+            back = untilt(tilt(pairs))
+            assert np.allclose(sorted(map(tuple, back)), sorted(map(tuple, pairs)))
 
     @given(
         st.lists(
@@ -156,9 +156,9 @@ class TestTilt:
     )
     @settings(max_examples=100, deadline=None)
     def test_lands_in_wedge_and_keeps_cardinality(self, bd):
-        raw = RawDiagram([[b, b + p] for b, p in bd])
-        d = tilt(raw)
-        assert len(d) == len(raw)
+        pairs = [[b, b + p] for b, p in bd]
+        d = tilt(pairs)
+        assert len(d) == len(pairs)
         assert np.all(d.points >= 0)
 
 
@@ -194,8 +194,7 @@ class TestBottleneck:
             A[:, 1] += A[:, 0]
             B = np.column_stack([rng.uniform(0, 4, nB), rng.uniform(0, 4, nB)])
             B[:, 1] += B[:, 0]
-            d1 = tilt(RawDiagram(A)) if nA else PersistenceDiagram(np.zeros((0, 2)))
-            d2 = tilt(RawDiagram(B)) if nB else PersistenceDiagram(np.zeros((0, 2)))
+            d1, d2 = tilt(A), tilt(B)
             got = bottleneck_distance(d1, d2)
             want = brute_bottleneck(list(map(tuple, A)), list(map(tuple, B)))
             assert got == pytest.approx(want, abs=1e-12)
@@ -224,7 +223,7 @@ class TestBottleneck:
         theta = 2 * np.pi * np.arange(2400) / 2400
         ring = np.column_stack([50 * np.cos(theta), 200 + 50 * np.sin(theta)])
         gap = np.abs(np.diff(ring, axis=0, append=ring[:1])).max()
-        d1, d2 = tilt(RawDiagram(ring[0::2])), tilt(RawDiagram(ring[1::2]))
+        d1, d2 = tilt(ring[0::2]), tilt(ring[1::2])
         dist = bottleneck_distance(d1, d2)
         assert np.isfinite(dist)
         assert dist == bottleneck_distance(d2, d1)
@@ -252,9 +251,29 @@ class TestDiagramJSON:
 
 
 class TestDiagramTypes:
-    def test_raw_rejects_death_before_birth(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf must be refused quietly
+    @pytest.mark.parametrize("pairs", [
+        [[1.0, 0.5]], [[0, np.inf]], [[np.nan, 1]], [[np.inf, np.inf]], [[-np.inf, 0]],
+    ], ids=["death_before_birth", "infinite_death", "nan_birth", "both_infinite",
+            "birth_minus_infinity"])
+    def test_tilt_rejects_a_pair_outside_every_diagram(self, pairs):
         with pytest.raises(ValidationError):
-            RawDiagram([[1.0, 0.5]])
+            tilt(pairs)
+
+    @pytest.mark.parametrize("make", [
+        lambda x: PersistenceDiagram(x).points,
+        lambda x: tilt(x).points,
+        # one weight per two coordinates: the count a reshape to pairs accepted
+        lambda x: GaussianMixtureIntensity(np.ones(np.size(x) // 2), x,
+                                           np.ones(np.size(x) // 2)).means,
+    ], ids=["diagram_points", "tilt_pairs", "mixture_means"])
+    def test_only_n_by_2_arrays_are_read_as_pairs(self, make):
+        # a reshape to pairs regrouped each of these into points without a word
+        for x in ([[0, 1, 2, 3]], np.zeros((3, 2, 2)), [0.0, 1.0], [[0.0], [1.0]]):
+            with pytest.raises(ValidationError, match=r"shape \(n, 2\)"):
+                make(x)
+        for empty in ([], np.zeros((0, 2))):
+            assert make(empty).shape == (0, 2)
 
     def test_tilted_rejects_outside_wedge(self):
         with pytest.raises(ValidationError):
@@ -271,6 +290,6 @@ class TestDiagramTypes:
 
     def test_tilt_of_a_pair_past_the_float_range_is_rejected_quietly(self):
         # 1e308 - (-1e308) overflows: the diagram is rejected, without a RuntimeWarning
-        raw = sublevel_pd([1e308, -1e308, 1e308])
+        pairs = sublevel_pd([1e308, -1e308, 1e308])
         with pytest.raises(ValidationError, match="finite"):
-            tilt(raw)
+            tilt(pairs)
