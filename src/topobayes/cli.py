@@ -51,6 +51,16 @@ def _read(path, decode):
         raise DataFileError(f"{p}: {e}") from None
 
 
+def _check_out(command, out, written, *inputs):
+    """Refuse an --out whose written files include one of the command's input files, before
+    those are read; a path of None, an option left out, is no file."""
+    # realpath follows links and "..", and unlike Path.resolve raises nothing on a link loop
+    targets = {os.path.realpath(p) for p in written if p is not None}
+    for path in inputs:
+        if targets and path is not None and os.path.realpath(path) in targets:
+            raise ValidationError(f"{command} --out {out} would replace its input {path}")
+
+
 def _map(fn, items):
     """[fn(item) for item in items], computed in one worker process per usable CPU.
 
@@ -333,11 +343,13 @@ def pd(out, manifest=None, inputs=(), rate=None):
 
     A signal that fails is left out of the manifest, and one error names every such file."""
     outdir = Path(out)
-    if manifest and os.path.realpath(outdir / "manifest.json") == os.path.realpath(manifest):
-        raise ValidationError(f"pd --out {out} would replace its input manifest {manifest}")
+    _check_out("pd", out, [outdir / "manifest.json"], manifest)
     tasks, rate = _signal_tasks(manifest, inputs, rate)
-    errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir),
-                  [path for path, _ in tasks])
+    signals = [path for path, _ in tasks]
+    # nor, once the signals are known, a diagram or manifest it writes over one of them
+    written = [outdir / "manifest.json", *(outdir / (s.stem + ".pd.json") for s in signals)]
+    _check_out("pd", out, written, manifest, *signals)
+    errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir), signals)
 
     entries = []
     for (path, label), error in zip(tasks, errors):
@@ -352,18 +364,23 @@ def pd(out, manifest=None, inputs=(), rate=None):
         raise DataFileError("; ".join(failures))
 
 
-def _load_diagram_entries(manifest_path, label=None, labeled=False):
-    """The manifest and its (diagram, label) entries; only those labeled label, if given."""
+def _load_diagram_entries(command, out, manifest_path, *inputs, label=None, labeled=False):
+    """The manifest and its (diagram, label) entries; only those labeled label, if given. An
+    --out that is the manifest or one of inputs is refused before the manifest is read, and one
+    that is a listed diagram before any diagram is."""
+    _check_out(command, out, [out], manifest_path, *inputs)
     manifest = _manifest(manifest_path, "diagram", labeled)
+    listed = [(Path(manifest_path).parent / e["diagram"], e.get("label"))
+              for e in manifest["entries"]]
+    _check_out(command, out, [out], *(path for path, _ in listed))
     # read in this process: a worker pool measured no faster for a few hundred diagrams
-    return manifest, [(_read(Path(manifest_path).parent / e["diagram"], diagram_from_json),
-                       e.get("label"))
-                      for e in manifest["entries"] if label in (None, e.get("label"))]
+    return manifest, [(_read(path, diagram_from_json), lab) for path, lab in listed
+                      if label in (None, lab)]
 
 
 def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None):
     """Fit one class model from the labeled diagrams in a manifest."""
-    _, entries = _load_diagram_entries(manifest, label)
+    _, entries = _load_diagram_entries("fit", out, manifest, prior, clutter, label=label)
     if not entries:
         raise ValidationError(f"no diagrams labeled {label!r} in manifest")
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
@@ -372,6 +389,7 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 
 def classify(models, diagram, threshold=1.0, out=None):
     """Classify one diagram against two or more fitted models, read in worker processes."""
+    _check_out("classify", out, [out], *models, diagram)
     import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
     models = _map(partial(_read, decode=model_from_json), models)
     result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
@@ -391,7 +409,7 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
     """Cross-validate on a labeled manifest; the report, printed unless out is set."""
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
-    obj, entries = _load_diagram_entries(manifest, labeled=True)
+    obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter, labeled=True)
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
@@ -405,11 +423,9 @@ def heatmap(model, bounds, res, out):
     # the .json and .csv names are made from the last path component, and ".." makes "...json"
     if Path(out).name in ("", ".."):
         raise ValidationError(f"--out must end in a file name prefix, not {str(out)!r}")
-    # with_suffix replaces a suffix on the prefix: --out m.heat next to --model m.json is m.json;
-    # realpath follows links and "..", and unlike Path.resolve raises nothing on a link loop
+    # with_suffix replaces a suffix on the prefix: --out m.heat next to --model m.json is m.json
     sidecar, table = Path(out).with_suffix(".json"), Path(out).with_suffix(".csv")
-    if os.path.realpath(model) in (os.path.realpath(sidecar), os.path.realpath(table)):
-        raise ValidationError(f"heatmap --out {out} would replace its --model {model}")
+    _check_out("heatmap", out, [sidecar, table], model)
     posterior = _read(model, model_from_json).posterior
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")

@@ -138,9 +138,10 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     unmatched and charged their l-infinity distance to the diagonal,
     (death - birth) / 2. Symmetric; zero for equal multisets (and for
     diagrams that differ only in zero-persistence points, which sit on the
-    diagonal). Solved exactly by bisect over the sorted candidate values, with
-    bipartite matching feasibility checks (Hopcroft-Karp); memory grows with
-    the product of the two diagram sizes.
+    diagonal). Solved exactly as the smallest feasible candidate value, each
+    test a bipartite matching (Hopcroft-Karp): a lower bound is tested first,
+    and only if it fails does a bisection run over the candidates above it.
+    Memory grows with the product of the two diagram sizes.
     """
     A, B = untilt(d1), untilt(d2)
     diag_a = (A[:, 1] - A[:, 0]) / 2.0
@@ -155,19 +156,29 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         adj = direct <= t
         # a matching saturating both sides exists iff each side can be
         # saturated on its own (Mendelsohn-Dulmage)
-        return _saturates(adj, diag_a > t) and _saturates(adj.T, diag_b > t)
+        return _saturates(adj[diag_a > t]) and _saturates(adj.T[diag_b > t])
 
+    # every point is matched, at no less than its nearest distance across, or sent to the
+    # diagonal, so the largest of each point's smaller cost is a lower bound and a candidate
+    low = max(np.minimum(diag_a, direct.min(axis=1, initial=np.inf)).max(initial=0.0),
+              np.minimum(diag_b, direct.min(axis=0, initial=np.inf)).max(initial=0.0))
     # the largest candidate is always feasible, so it is never tested
-    i = bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)
+    i, top = np.searchsorted(candidates, low), len(candidates) - 1
+    if i < top and not feasible(candidates[i]):
+        i = bisect.bisect_left(candidates, True, lo=i + 1, hi=top, key=feasible)
     return float(candidates[i])
 
 
-def _saturates(adj: np.ndarray, need: np.ndarray) -> bool:
-    """Can every row in `need` be matched to a distinct column?"""
+def _saturates(sub: np.ndarray) -> bool:
+    """Can every row of the boolean matrix sub be matched to a distinct column? Its CSR graph
+    is built from the flat indices of sub's True entries, which run row by row."""
     # imported here: csgraph adds a tenth of a second and ~10 MB to
     # `import topobayes`, which only the bottleneck distance needs
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    matched = maximum_bipartite_matching(csr_matrix(adj[need]), perm_type="column")
+    edges = np.flatnonzero(sub)
+    indptr = np.searchsorted(edges, np.arange(len(sub) + 1) * sub.shape[1])
+    graph = csr_matrix((np.ones(len(edges), bool), edges % sub.shape[1], indptr), sub.shape)
+    matched = maximum_bipartite_matching(graph, perm_type="column")
     return bool(np.all(matched >= 0))

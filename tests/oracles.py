@@ -16,16 +16,22 @@ sublevel_pd           -- the union-find sweep that filtration.sublevel_pd
                          union-find roots: per-vertex birth values, birth
                          indices and reached flags, and lexsort; its pairs must
                          match byte for byte
+bottleneck_distance   -- the search that filtration.bottleneck_distance replaced: a plain
+                         bisection over all candidate values, each test's graph a dense
+                         csr_matrix(adj[need]); its distances must match byte for byte
 mixture_to_json       -- the wire formats of a mixture, a class model and a diagram, as dicts
 model_to_json            of Python values, written as topobayes wrote them before the CLI
 diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_keys=True) of one
                          is the file the CLI must write byte for byte
 """
 
+import bisect
+
 import numpy as np
 
 from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
 from topobayes import posterior
+from topobayes.filtration import untilt
 from topobayes.intensity import log_wedge_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
 
@@ -232,6 +238,35 @@ def sublevel_pd(signal) -> np.ndarray:
 
     arr = np.array(pairs)
     return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
+
+def bottleneck_distance(d1, d2) -> float:
+    """Bottleneck distance of two tilted diagrams by bisection over every sorted candidate
+    value, as filtration.bottleneck_distance found it before it tested a lower bound first
+    and built its graphs' CSR arrays itself."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    def saturates(adj, need):
+        matched = maximum_bipartite_matching(csr_matrix(adj[need]), perm_type="column")
+        return bool(np.all(matched >= 0))
+
+    A, B = untilt(d1), untilt(d2)
+    diag_a = (A[:, 1] - A[:, 0]) / 2.0
+    diag_b = (B[:, 1] - B[:, 0]) / 2.0
+    direct = np.maximum(
+        np.abs(A[:, None, 0] - B[None, :, 0]),
+        np.abs(A[:, None, 1] - B[None, :, 1]),
+    )
+    candidates = np.unique(np.concatenate([[0.0], direct.ravel(), diag_a, diag_b]))
+
+    def feasible(t):
+        adj = direct <= t
+        return saturates(adj, diag_a > t) and saturates(adj.T, diag_b > t)
+
+    # the largest candidate is always feasible, so it is never tested
+    i = bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)
+    return float(candidates[i])
 
 
 def mixture_to_json(g: GaussianMixtureIntensity) -> dict:

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -837,6 +838,37 @@ def _signal_nested_too_deep(d, files):
     return ("pd", signal, "--out", d / "pd"), 2, signal
 
 
+def _out_is_an_input(name, command, flag, *paths, out=None):
+    """command on a copy of the module-wide inputs, with flag given paths and --out the first of
+    them (or out, another name of that file): a run that went ahead would replace the copy."""
+    def make(d, files):
+        root = d / "files"
+        shutil.copytree(files, root)
+        for mixture in ("prior.json", "clutter.json"):
+            _write(root / mixture, {"components": [{"w": 1, "mu": [3, 3], "var": 1}]})
+        return (*_base_argv(command, root, d), flag, *(root / p for p in paths),
+                "--out", root / (out or paths[0])), 1, None
+    return _named(name, make)
+
+
+def _pd_out_is_its_signal(d, files):
+    signal = _write(d / "manifest.json", {"rate": 100, "samples": [0, 1, 0, 2, 0]})
+    return ("pd", signal, "--out", d), 1, None
+
+
+def _pd_out_is_a_listed_signal(d, files):
+    _write(d / "manifest.json", {"rate": 100, "samples": [0, 1, 0, 2, 0]})
+    signals = _write(d / "signals.json", {"entries": [{"signal": "manifest.json"}]})
+    return ("pd", "--manifest", signals, "--out", d), 1, None
+
+
+def _pd_diagram_over_its_signal(d, files):
+    # x.csv's diagram is x.pd.json, a signal it was also given: the stems x and x.pd differ
+    (d / "x.csv").write_text("0\n1\n0\n")
+    signal = _write(d / "x.pd.json", {"rate": 100, "samples": [0, 1, 0, 2, 0]})
+    return ("pd", d / "x.csv", signal, "--rate", 100, "--out", d), 1, None
+
+
 def _named(name, make):
     make.__name__ = f"_{name}"
     return make
@@ -1160,6 +1192,26 @@ class TestExitCodes:
         # nor one whose .json sidecar is the --model itself, {files}/alpha.json
         _bad_flag("heatmap", "--out={files}/alpha.heat"),
         _bad_flag("heatmap", "--out={files}/alpha"),
+        # nor an --out of fit, classify or cv that is one of its own inputs
+        _out_is_an_input("fit_out_is_its_manifest", "fit", "--manifest", "diagrams/manifest.json"),
+        _out_is_an_input("fit_out_is_its_prior", "fit", "--prior", "prior.json"),
+        _out_is_an_input("fit_out_is_its_clutter", "fit", "--clutter", "clutter.json"),
+        # a diagram of another label, which fit does not read, is still one its manifest lists
+        _out_is_an_input("fit_out_is_a_listed_diagram", "fit", "--manifest",
+                         "diagrams/manifest.json", out="diagrams/beta_000.pd.json"),
+        _out_is_an_input("classify_out_is_one_of_its_models", "classify", "--models",
+                         "alpha.json", "beta.json"),
+        _out_is_an_input("classify_out_is_its_diagram", "classify", "--diagram",
+                         "diagrams/alpha_000.pd.json"),
+        _out_is_an_input("cv_out_is_its_manifest", "cv", "--manifest", "diagrams/manifest.json"),
+        _out_is_an_input("cv_out_is_its_manifest_by_another_name", "cv", "--manifest",
+                         "diagrams/manifest.json", out="signals/../diagrams/manifest.json"),
+        _out_is_an_input("cv_out_is_its_prior", "cv", "--prior", "prior.json"),
+        _out_is_an_input("cv_out_is_its_clutter", "cv", "--clutter", "clutter.json"),
+        _out_is_an_input("cv_out_is_a_listed_diagram", "cv", "--manifest",
+                         "diagrams/manifest.json", out="diagrams/alpha_001.pd.json"),
+        # nor a pd --out whose manifest.json or diagram is a signal file it was given or listed
+        _pd_out_is_its_signal, _pd_out_is_a_listed_signal, _pd_diagram_over_its_signal,
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),
@@ -1170,9 +1222,13 @@ class TestExitCodes:
     def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, cli_files, make_case):
         argv, code, bad_file = make_case(tmp_path, cli_files)
         inputs = {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()}
+        own = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert run(*argv) == code
-        # a refused run changes none of the module-wide inputs, such as the model it was given
+        # a refused run changes none of the module-wide inputs, such as the model it was given,
+        # and adds no file among them
         assert {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()} == inputs
+        # nor does it change any file its case made
+        assert {p: p.read_bytes() for p in own} == own
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err

@@ -230,6 +230,54 @@ class TestBottleneck:
         assert dist <= gap + 1e-12
 
 
+def _lower_bound(A, B):
+    """The largest, over both sides' points, of the smaller of its diagonal cost and its nearest
+    l-infinity distance across: no matching costs less."""
+    def side(P, Q):
+        return [min((d - b) / 2, *(max(abs(b - c), abs(d - e)) for c, e in Q)) for b, d in P]
+    return max([0.0, *side(A, B), *side(B, A)])
+
+
+def _random_pairs(family, n, rng):
+    """n (birth, death) pairs of one of four families; integer and tenths abound in ties."""
+    b, p = {
+        "uniform": lambda: rng.uniform(0, 4, (2, n)),
+        "integer": lambda: rng.integers(0, 6, (2, n)).astype(float),
+        "tenths": lambda: np.round(rng.uniform(0, 2, (2, n)), 1),
+        "exponential": lambda: rng.exponential(1.0, (2, n)),
+    }[family]()
+    return np.column_stack([b, b + p])
+
+
+class TestBisectionOracle:
+    """bottleneck_distance against tests/oracles.py's plain bisection over every candidate, each
+    test's graph a dense csr_matrix: the same float, byte for byte."""
+
+    @pytest.mark.parametrize("family", ["uniform", "integer", "tenths", "exponential"])
+    def test_distances_match_the_oracle_byte_for_byte(self, family):
+        rng = np.random.default_rng([2026, *family.encode()])
+        # both sides empty, then each side empty once, then 0-40 points a side
+        sizes = [(0, 0), (0, 7), (7, 0), *rng.integers(0, 41, (250, 2))]
+        for n1, n2 in sizes:
+            d1, d2 = tilt(_random_pairs(family, n1, rng)), tilt(_random_pairs(family, n2, rng))
+            got, want = bottleneck_distance(d1, d2), oracles.bottleneck_distance(d1, d2)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n1, n2)
+
+    @pytest.mark.parametrize("A, B, at_bound", [
+        # the perturbed point's nearest match is its distance: the bound passes its one test
+        ([(0.0, 2.0), (1.0, 1.5)], [(0.0, 2.1), (1.0, 1.5)], True),
+        # both points' nearest match is the one point across, so one goes to the diagonal at 5:
+        # the bound 0 fails, and the bisection runs above it
+        ([(0.0, 10.0), (0.0, 10.0)], [(0.0, 10.0)], False),
+    ], ids=["distance_is_the_bound", "distance_above_the_bound"])
+    def test_both_branches(self, A, B, at_bound):
+        got = bottleneck_distance(tilt(A), tilt(B))
+        assert got == oracles.bottleneck_distance(tilt(A), tilt(B))
+        assert got == pytest.approx(brute_bottleneck(A, B), abs=1e-12)
+        assert (got == _lower_bound(A, B)) is at_bound
+        assert got >= _lower_bound(A, B)
+
+
 class TestDiagramJSON:
     def test_roundtrip(self):
         d = PersistenceDiagram([[0.0, 2.0], [1.5, 0.25]], b_min=-3.25)
