@@ -212,9 +212,9 @@ def signal_from_json(obj) -> Signal:
     return Signal(json_floats(obj.get("samples"), "'samples'", None), obj.get("rate"))
 
 
-def load_signal(path, rate: float) -> Signal:
-    """Read a CSV signal: one amplitude per line with an optional single header
-    line. CSV carries no sample rate, so `rate` must be supplied."""
+def load_signal(path) -> np.ndarray:
+    """The samples of a CSV signal, one amplitude per line with an optional single header line,
+    as a float array; sublevel_pd refuses under 2 finite ones. CSV carries no sample rate."""
     p = Path(path)
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
@@ -233,10 +233,7 @@ def load_signal(path, rate: float) -> Signal:
             if ln == 1:
                 continue  # single optional header line
             raise DataFileError(f"{p}: malformed line {ln}: {line!r}") from None
-    try:
-        return Signal(values, rate)
-    except ValidationError as e:
-        raise DataFileError(f"{p}: {e}") from None
+    return np.array(values)
 
 
 def _manifest(path, key, labeled=False):
@@ -297,18 +294,15 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
     _emit({"rate": rate, "entries": entries}, manifest_path)
 
 
-def _signal_tasks(manifest, inputs, rate):
-    """The (path, label) of each signal and the rate of the CSV ones, checked before any is read.
+def _signal_tasks(manifest, inputs):
+    """The (path, label) of each signal, checked before any is read.
 
     A fault in the list of signals is the manifest's, if one lists them, or the command line's."""
-    if rate is not None:
-        check_rate(rate)
     if manifest and inputs:
         raise ValidationError("pd takes --manifest or signal files, not both")
     if manifest:
         obj = _manifest(manifest, "signal")
         tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]
-        rate = rate if rate is not None else obj.get("rate")
     elif inputs:
         tasks = [(Path(p), None) for p in inputs]
     else:
@@ -319,37 +313,35 @@ def _signal_tasks(manifest, inputs, rate):
         other = first.setdefault(path.stem, path)
         if other is not path:  # one diagram file would silently overwrite the other
             raise fault(f"{prefix}{other} and {path} would both write {path.stem}.pd.json")
-    if rate is None and any(path.suffix != ".json" for path, _ in tasks):
-        raise fault(f"{prefix}csv signals need a sample rate: a manifest 'rate' or --rate")
-    return tasks, rate
+    return tasks
 
 
-def _signal_diagram(path, rate, outdir):
+def _signal_diagram(path, outdir):
     """Write the diagram of the signal at path into outdir; the error naming the file, or None."""
     try:
-        sig = (_read(path, signal_from_json) if path.suffix == ".json"
-               else load_signal(path, rate))
+        sig = _read(path, signal_from_json) if path.suffix == ".json" else load_signal(path)
         diagram = tilt(sublevel_pd(sig))
     except (DataFileError, OSError) as err:  # each names the file
         return str(err)
-    except ValidationError as err:  # a diagram no reader would take: samples 1.8e308 apart
+    except ValidationError as err:  # no diagram, or none a reader would take: samples 1.8e308 apart
         return f"{path}: {err}"
     _emit_diagram(diagram, outdir / (path.stem + ".pd.json"))
     return None
 
 
-def pd(out, manifest=None, inputs=(), rate=None):
+def pd(out, manifest=None, inputs=()):
     """Convert CSV and JSON signals, told apart by suffix, to tilted persistence diagram files.
 
-    A signal that fails is left out of the manifest, and one error names every such file."""
+    A diagram depends on the samples alone, so a CSV signal needs no sample rate. A signal that
+    fails is left out of the manifest, and one error names every such file."""
     outdir = Path(out)
     _check_out("pd", out, [outdir / "manifest.json"], manifest)
-    tasks, rate = _signal_tasks(manifest, inputs, rate)
+    tasks = _signal_tasks(manifest, inputs)
     signals = [path for path, _ in tasks]
     # nor, once the signals are known, a diagram or manifest it writes over one of them
     written = [outdir / "manifest.json", *(outdir / (s.stem + ".pd.json") for s in signals)]
     _check_out("pd", out, written, manifest, *signals)
-    errors = _map(partial(_signal_diagram, rate=rate, outdir=outdir), signals)
+    errors = _map(partial(_signal_diagram, outdir=outdir), signals)
 
     entries = []
     for (path, label), error in zip(tasks, errors):
@@ -506,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pd", help="convert signals to persistence diagrams")
     p.add_argument("inputs", nargs="*", help="signal files (alternative to --manifest)")
     p.add_argument("--manifest")
-    p.add_argument("--rate", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=pd)
 

@@ -35,9 +35,6 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
-    def __len__(self):
-        return len(self.samples)
-
     def power(self) -> float:
         """Mean squared amplitude."""
         return float(np.mean(self.samples**2))

@@ -68,7 +68,7 @@ def _base_argv(command, files, out):
     manifest = files / "diagrams" / "manifest.json"
     return {
         "generate": ["generate", "--band", "alpha", "--n", 1, "--out", out / "sig"],
-        "pd": ["pd", files / "signals" / "alpha_000.csv", "--rate", 128, "--out", out / "pd"],
+        "pd": ["pd", files / "signals" / "alpha_000.csv", "--out", out / "pd"],
         "fit": ["fit", "--manifest", manifest, "--label", "alpha", "--out", out / "m.json"],
         "classify": ["classify", "--models", files / "alpha.json", files / "beta.json",
                      "--diagram", files / "diagrams" / "alpha_000.pd.json"],
@@ -187,7 +187,7 @@ class TestPd:
         src = tmp_path / "sig.csv"
         src.write_text("0\n-1\n0\n-2\n0\n")
         out = tmp_path / "pd"
-        assert run("pd", str(src), "--rate", 100, "--out", out) == 0
+        assert run("pd", str(src), "--out", out) == 0
         d = diagram_from_json(read_json(out / "sig.pd.json"))
         assert sorted(map(tuple, d.points)) == [(0.0, 2.0), (1.0, 1.0)]
         assert d.b_min == -2.0
@@ -196,13 +196,13 @@ class TestPd:
         src = tmp_path / "mono.csv"
         src.write_text("0\n1\n2\n3\n")
         out = tmp_path / "pd"
-        assert run("pd", str(src), "--rate", 100, "--out", out) == 0
+        assert run("pd", str(src), "--out", out) == 0
         d = diagram_from_json(read_json(out / "mono.pd.json"))
         assert len(d) == 1
 
     def test_missing_file_exit_two_names_path(self, tmp_path, capsys):
         out = tmp_path / "pd"
-        assert run("pd", tmp_path / "absent.csv", "--rate", 100, "--out", out) == 2
+        assert run("pd", tmp_path / "absent.csv", "--out", out) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'absent.csv'}: no such file\n"
 
     def test_continues_past_bad_file(self, tmp_path, capsys):
@@ -211,7 +211,7 @@ class TestPd:
         bad = tmp_path / "bad.csv"
         bad.write_text("0\nbroken\n")
         out = tmp_path / "pd"
-        assert run("pd", good, bad, "--rate", 100, "--out", out) == 2
+        assert run("pd", good, bad, "--out", out) == 2
         assert (out / "good.pd.json").exists()
         assert "bad.csv" in capsys.readouterr().err
 
@@ -223,7 +223,7 @@ class TestPd:
         bad2 = tmp_path / "bad2.csv"
         bad2.write_text("0\n")
         out = tmp_path / "pd"
-        assert run("pd", bad2, good, bad1, "--rate", 100, "--out", out) == 2
+        assert run("pd", bad2, good, bad1, "--out", out) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad2}:")
         assert err.index(str(bad2)) < err.index(str(bad1))
@@ -257,7 +257,7 @@ class TestPd:
             path = sig_dir / e["signal"]
             if path.name != "bad.csv":
                 sig = (Signal(read_json(path)["samples"], 50.0) if path.suffix == ".json"
-                       else load_signal(path, 100.0))
+                       else load_signal(path))
                 cli._emit_diagram(tilt(sublevel_pd(sig)), want / f"{path.stem}.pd.json")
                 listed.append({"diagram": f"{path.stem}.pd.json", "label": e["label"]})
         cli._emit({"entries": listed}, want / "manifest.json")
@@ -275,8 +275,7 @@ class TestPd:
         for name in ("a", "b", "c"):
             (tmp_path / f"{name}.csv").write_text("0\n1\n0\n")
         monkeypatch.setattr(cli, "sublevel_pd", die)
-        assert run("pd", *sorted(tmp_path.glob("*.csv")), "--rate", 100,
-                   "--out", tmp_path / "pd") == 1
+        assert run("pd", *sorted(tmp_path.glob("*.csv")), "--out", tmp_path / "pd") == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
 
@@ -287,7 +286,7 @@ class TestPd:
         manifest = _write(tmp_path / "m.json",
                           {"rate": 100, "entries": [{"signal": "a/x.csv"}, {"signal": "b/x.csv"}]})
         out = tmp_path / "pd"
-        for argv, code in (((tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv", "--rate", 100), 1),
+        for argv, code in (((tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"), 1),
                            (("--manifest", manifest), 2)):
             assert run("pd", *argv, "--out", out) == code
             err = capsys.readouterr().err
@@ -298,9 +297,8 @@ class TestPd:
         assert run("pd", "--out", tmp_path / "pd") == 1
 
     @pytest.mark.parametrize("argv", [
-        ("x.csv",),  # a CSV signal carries no sample rate
-        ("--manifest", "m.json", "y.csv", "--rate", 100),  # files beside a manifest are not read
-    ], ids=["csv_without_rate", "manifest_and_signal_files"])
+        ("--manifest", "m.json", "y.csv"),  # files beside a manifest are not read
+    ], ids=["manifest_and_signal_files"])
     def test_refused_command_line_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         for name in ("x", "y"):
@@ -310,6 +308,26 @@ class TestPd:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert not Path("pd").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("x.csv", "y.csv"),
+        ("--manifest", "m.json"),
+    ], ids=["csv_without_rate", "signal_manifest_without_rate_for_csv_signals"])
+    def test_csv_signals_need_no_rate(self, tmp_path, capsys, monkeypatch, argv):
+        # a diagram depends on the samples alone, so no sample rate is asked for
+        monkeypatch.chdir(tmp_path)
+        samples = {"x": [0.0, -1.0, 0.5, -2.0, 0.25], "y": [3.0, 1.0, 2.0]}
+        for name, values in samples.items():
+            Path(f"{name}.csv").write_text("".join(f"{v!r}\n" for v in values))
+        _write(Path("m.json"), {"entries": [{"signal": "x.csv"}, {"signal": "y.csv"}]})
+        assert run("pd", *argv, "--out", "pd") == 0
+        assert capsys.readouterr() == ("", "")
+        for name, values in samples.items():
+            cli._emit_diagram(tilt(sublevel_pd(values)), f"want/{name}.pd.json")
+        cli._emit({"entries": [{"diagram": "x.pd.json"}, {"diagram": "y.pd.json"}]},
+                  "want/manifest.json")
+        assert {p.name: p.read_bytes() for p in Path("pd").iterdir()} == {
+            p.name: p.read_bytes() for p in Path("want").iterdir()}
 
     @pytest.mark.parametrize("out", ["sig", "sig/../sig"])
     def test_refuses_to_replace_its_signal_manifest(self, tmp_path, capsys, monkeypatch, out):
@@ -653,7 +671,7 @@ class TestHugeDiagramPoints:
         big, ok = tmp_path / "big.csv", tmp_path / "ok.csv"
         big.write_text("1e308\n-1e308\n1e308\n")
         ok.write_text("0.5\n-1\n0.25\n1\n-0.5\n")
-        assert run("pd", big, ok, "--rate", 128, "--out", tmp_path / "pd") == 2
+        assert run("pd", big, ok, "--out", tmp_path / "pd") == 2
         assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite\n")
         assert read_json(tmp_path / "pd" / "manifest.json") == {
             "entries": [{"diagram": "ok.pd.json"}]}
@@ -822,14 +840,14 @@ def _pd_inputs_sharing_an_output_name(name, *paths):
         for p in paths:
             (d / p).parent.mkdir(parents=True, exist_ok=True)
             (d / p).write_text((files / "signals" / "alpha_000.csv").read_text())
-        return ("pd", *(d / p for p in paths), "--rate", 128, "--out", d / "pd"), 1, None
+        return ("pd", *(d / p for p in paths), "--out", d / "pd"), 1, None
     return _named(name, make)
 
 
 def _signal_not_utf8(d, files):
     signal = d / "s.csv"
     signal.write_bytes(b"\xff\xfe0\n1\n")
-    return ("pd", signal, "--rate", 100, "--out", d / "pd"), 2, signal
+    return ("pd", signal, "--out", d / "pd"), 2, signal
 
 
 def _signal_nested_too_deep(d, files):
@@ -866,7 +884,7 @@ def _pd_diagram_over_its_signal(d, files):
     # x.csv's diagram is x.pd.json, a signal it was also given: the stems x and x.pd differ
     (d / "x.csv").write_text("0\n1\n0\n")
     signal = _write(d / "x.pd.json", {"rate": 100, "samples": [0, 1, 0, 2, 0]})
-    return ("pd", d / "x.csv", signal, "--rate", 100, "--out", d), 1, None
+    return ("pd", d / "x.csv", signal, "--out", d), 1, None
 
 
 def _named(name, make):
@@ -955,7 +973,7 @@ _CV = {"--k-folds": _INT, "--threshold": _REAL, "--seed": _INT}
 _SAMPLING = {"--duration": _REAL, "--rate": _REAL, "--snr": _REAL, "--seed": _INT, "--n": _INT}
 _NUMERIC_FLAGS = {
     "generate": _SAMPLING,
-    "pd": {"--rate": _REAL},
+    "pd": {},
     "fit": _POSTERIOR,
     "classify": {"--threshold": _REAL},
     "cv": {**_POSTERIOR, **_CV},
@@ -992,7 +1010,7 @@ def _write_mutation_inputs(d):
             "pd": ("pd", "--manifest", files["signal_manifest"], "--out", d / "pd"),
             "generate": ("generate", "--band", "alpha", "--n", 1, "--duration", 0.25,
                          "--rate", 128, "--out", d)},
-        "signal_csv": {"pd": ("pd", files["signal_csv"], "--rate", 128, "--out", d / "pd")},
+        "signal_csv": {"pd": ("pd", files["signal_csv"], "--out", d / "pd")},
         "signal_json": {"pd": ("pd", files["signal_json"], "--out", d / "pd")},
         "diagram_manifest": {"fit": fit, "cv": ("cv", "--manifest", files["diagram_manifest"])},
         "diagram": {"classify": classify, "fit": fit},
@@ -1119,7 +1137,7 @@ class TestParser:
         (("cv", "pipeline"), ("seed",)),  # pipeline passes cv's other options on
     ])
     def test_commands_sharing_an_option_default_it_alike(self, commands, options):
-        # the options of build_parser's parent parsers; pd's --rate is its own
+        # the options of build_parser's parent parsers
         for option in options:
             defaults = {inspect.signature(getattr(cli, c)).parameters[option].default
                         for c in commands}
@@ -1161,7 +1179,6 @@ class TestExitCodes:
         _model_lambda_too_large_for_a_float("heatmap"),
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
-        _signal_manifest("signal_manifest_without_rate_for_csv_signals"),
         # every JSON file is parsed with component_row: a component's keys elsewhere are malformed
         _manifest_entry_a_component("pd"), _manifest_entry_a_component("fit"),
         _manifest_entry_a_component("cv"),
@@ -1176,6 +1193,7 @@ class TestExitCodes:
         _pd_inputs_sharing_an_output_name("pd_same_stem_in_two_directories", "a/x.csv", "b/x.csv"),
         _pd_inputs_sharing_an_output_name("pd_same_stem_csv_and_json", "x.csv", "x.json"),
         _pd_inputs_sharing_an_output_name("pd_same_file_twice", "x.csv", "x.csv"),
+        # pd has no --rate: a diagram depends on the samples alone
         _bad_flag("pd", "--rate=0"), _bad_flag("pd", "--rate=nan"),
         _bad_flag("generate", "--duration=inf"), _bad_flag("generate", "--duration=nan"),
         # numpy refuses the 1.8 PiB sample array at once, without trying to allocate it

@@ -13,7 +13,7 @@ from topobayes import (
     add_noise,
     generate_band_signal,
 )
-from topobayes.cli import load_signal, signal_from_json
+from topobayes.cli import load_signal, main, signal_from_json
 
 
 def dominant_frequency(signal):
@@ -113,40 +113,42 @@ class TestSignalType:
 
 
 class TestLoadSignal:
+    """load_signal parses a CSV signal's samples; pd refuses one that sublevel_pd cannot take,
+    with exit 2 and one error line naming the file."""
+
     def test_csv_parse_identity(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\n1\n0\n")
-        sig = load_signal(p, rate=100.0)
-        assert np.array_equal(sig.samples, [0.0, 1.0, 0.0])
-        assert sig.sample_rate == 100.0
+        samples = load_signal(p)
+        assert samples.dtype == float and np.array_equal(samples, [0.0, 1.0, 0.0])
 
     def test_csv_optional_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("amplitude\n0.5\n-0.5\n")
-        sig = load_signal(p, rate=50.0)
-        assert np.array_equal(sig.samples, [0.5, -0.5])
+        assert np.array_equal(load_signal(p), [0.5, -0.5])
 
-    def test_nan_row_reports_nonfinite(self, tmp_path):
+    def test_nan_row_reports_nonfinite(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         p.write_text("0\nNaN\n1\n")
-        with pytest.raises(DataFileError, match="non-finite sample"):
-            load_signal(p, rate=100.0)
+        assert np.array_equal(load_signal(p), [0.0, np.nan, 1.0], equal_nan=True)
+        assert main(["pd", str(p), "--out", str(tmp_path / "pd")]) == 2
+        assert capsys.readouterr().err == f"error: {p}: signal contains a non-finite sample\n"
 
-    def test_empty_file_reports_too_few(self, tmp_path):
+    def test_empty_file_reports_too_few(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         p.write_text("")
-        with pytest.raises(DataFileError, match="too few samples"):
-            load_signal(p, rate=100.0)
+        assert main(["pd", str(p), "--out", str(tmp_path / "pd")]) == 2
+        assert capsys.readouterr().err == f"error: {p}: signal needs at least 2 samples\n"
 
     def test_malformed_line_reported(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("0\n1\nbroken\n")
         with pytest.raises(DataFileError, match="malformed"):
-            load_signal(p, rate=100.0)
+            load_signal(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFileError, match="no such file"):
-            load_signal(tmp_path / "absent.csv", rate=1.0)
+            load_signal(tmp_path / "absent.csv")
 
 
 class TestSignalFromJson:
