@@ -7,6 +7,7 @@ written here, not in the library. Exit codes are stable for scripting:
 """
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -28,7 +29,7 @@ from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
 from .intensity import GaussianMixtureIntensity, intensity_grid
 from .posterior import PosteriorConfig, default_clutter, default_prior
-from .signals import ALPHA_BAND, BETA_BAND, Signal, add_noise, check_rate, generate_band_signal
+from .signals import ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 # values per block of text a writer formats, so it holds a block, not a file's floats and text
@@ -205,11 +206,12 @@ def diagram_from_json(obj) -> PersistenceDiagram:
     return PersistenceDiagram(pts, json_floats(obj.get("b_min", 0.0), "diagram 'b_min'"))
 
 
-def signal_from_json(obj) -> Signal:
-    """Wire format: {"rate": <Hz>, "samples": [<number>, ...]}."""
+def signal_from_json(obj) -> np.ndarray:
+    """The samples of the wire format {"rate": <Hz>, "samples": [<number>, ...]}, as floats."""
     if not isinstance(obj, dict):
         raise ValidationError("expected an object with 'rate' and 'samples'")
-    return Signal(json_floats(obj.get("samples"), "'samples'", None), obj.get("rate"))
+    check_rate(obj.get("rate"))
+    return json_floats(obj.get("samples"), "'samples'", None)
 
 
 def load_signal(path) -> np.ndarray:
@@ -237,7 +239,7 @@ def load_signal(path) -> np.ndarray:
 
 
 def _manifest(path, key, labeled=False):
-    """The manifest at path, {"rate": Hz (optional), "k_folds": int (optional), "entries":
+    """The manifest at path, {"rate": Hz (optional), "k_folds": int >= 2 (optional), "entries":
     [{key: path, "label": str}, ...]}, each label optional unless labeled."""
     def decode(obj):
         entries = obj.get("entries") if isinstance(obj, dict) else None
@@ -250,8 +252,8 @@ def _manifest(path, key, labeled=False):
                 raise ValidationError("entry without a 'label' string")
         if "rate" in obj:
             check_rate(obj["rate"])
-        if "k_folds" in obj and type(obj["k_folds"]) is not int:  # a bool is not a fold count
-            raise ValidationError("'k_folds' must be an integer")
+        if type(obj.get("k_folds", 2)) is not int or obj.get("k_folds", 2) < 2:  # not a bool
+            raise ValidationError("'k_folds' must be an integer of at least 2")
         return obj
     return _read(path, decode)
 
@@ -319,8 +321,8 @@ def _signal_tasks(manifest, inputs):
 def _signal_diagram(path, outdir):
     """Write the diagram of the signal at path into outdir; the error naming the file, or None."""
     try:
-        sig = _read(path, signal_from_json) if path.suffix == ".json" else load_signal(path)
-        diagram = tilt(sublevel_pd(sig))
+        samples = _read(path, signal_from_json) if path.suffix == ".json" else load_signal(path)
+        diagram = tilt(sublevel_pd(samples))
     except (DataFileError, OSError) as err:  # each names the file
         return str(err)
     except ValidationError as err:  # no diagram, or none a reader would take: samples 1.8e308 apart
@@ -467,73 +469,50 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# what a signature cannot say of an option, keyed by its flag, or by its command and flag where
+# the help differs between commands; a flag has one type in every command
+_OPTIONS = {
+    "--band": {"choices": sorted(_BANDS)},
+    **dict.fromkeys(("--n", "--seed"), {"type": int}),
+    **dict.fromkeys(("--duration", "--rate", "--snr", "--alpha", "--sigma-obs", "--threshold"),
+                    {"type": float}),
+    "--k-folds": {"type": int, "help": "default: the manifest's k_folds, else 10"},
+    "--models": {"nargs": "+"},
+    "inputs": {"nargs": "*", "help": "signal files (alternative to --manifest)"},
+    "generate --snr": {"help": "SNR in dB; omit for clean signals"},
+    "heatmap --bounds": {"help": "bmin,pmin,bmax,pmax"},
+    "heatmap --res": {"help": "NxM grid resolution"},
+    "heatmap --out": {"help": "output path prefix"},
+}
+
+_COMMANDS = {
+    generate: "write synthetic band-limited signals",
+    pd: "convert signals to persistence diagrams",
+    fit: "fit one class model from labeled diagrams",
+    classify: "classify one diagram against fitted models",
+    cv: "k-fold cross validation on a labeled manifest",
+    heatmap: "export a scaled intensity grid as CSV",
+    pipeline: "generate -> pd -> cv in one command",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topobayes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    # options shared by several subcommands, each declared once
-    sampling = _Parser(add_help=False)
-    sampling.add_argument("--duration", type=float)
-    sampling.add_argument("--rate", type=float)
-    seeding = _Parser(add_help=False)
-    seeding.add_argument("--seed", type=int)
-    posterior = _Parser(add_help=False)
-    posterior.add_argument("--alpha", type=float)
-    posterior.add_argument("--sigma-obs", type=float)
-    posterior.add_argument("--prior")
-    posterior.add_argument("--clutter")
-    voting = _Parser(add_help=False)
-    voting.add_argument("--threshold", type=float)
-    folding = _Parser(add_help=False)
-    folding.add_argument("--k-folds", type=int, help="default: the manifest's k_folds, else 10")
-
-    p = sub.add_parser("generate", parents=[sampling, seeding],
-                       help="write synthetic band-limited signals")
-    p.add_argument("--band", choices=sorted(_BANDS), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--snr", type=float, help="SNR in dB; omit for clean signals")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=generate)
-
-    p = sub.add_parser("pd", help="convert signals to persistence diagrams")
-    p.add_argument("inputs", nargs="*", help="signal files (alternative to --manifest)")
-    p.add_argument("--manifest")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=pd)
-
-    p = sub.add_parser("fit", parents=[posterior], help="fit one class model from labeled diagrams")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--label", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=fit)
-
-    p = sub.add_parser("classify", parents=[voting],
-                       help="classify one diagram against fitted models")
-    p.add_argument("--models", nargs="+", required=True)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=classify)
-
-    p = sub.add_parser("cv", parents=[posterior, folding, voting, seeding],
-                       help="k-fold cross validation on a labeled manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cv)
-
-    p = sub.add_parser("heatmap", help="export a scaled intensity grid as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--bounds", required=True, help="bmin,pmin,bmax,pmax")
-    p.add_argument("--res", required=True, help="NxM grid resolution")
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=heatmap)
-
-    p = sub.add_parser("pipeline", parents=[sampling, seeding, posterior, folding, voting],
-                       help="generate -> pd -> cv in one command")
-    p.add_argument("--n", type=int)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=pipeline)
-
+    for func, summary in _COMMANDS.items():
+        p = sub.add_parser(func.__name__, help=summary)
+        p.set_defaults(func=func)
+        params = dict(inspect.signature(func).parameters)
+        if params.pop("options", None):  # pipeline's for cv: all but its own and the manifest
+            params.update((name, param) for name, param in inspect.signature(cv).parameters.items()
+                          if name not in params and name != "manifest")
+        for name, param in params.items():
+            # pd's signal files are its one positional argument
+            flag = name if name == "inputs" else "--" + name.replace("_", "-")
+            kwargs = {**_OPTIONS.get(flag, {}), **_OPTIONS.get(f"{func.__name__} {flag}", {})}
+            if param.default is param.empty:
+                kwargs["required"] = True
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -551,9 +530,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entrypoint():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

@@ -1110,7 +1110,7 @@ class TestParser:
         ("fit --manifest m --label a --out o", "manifest label out"),
         ("classify --models a b --diagram d", "models diagram"),
         ("cv --manifest m", "manifest"),
-        ("cv --manifest m --seed 3", "manifest seed"),  # an option of a parent parser
+        ("cv --manifest m --seed 3", "manifest seed"),  # an option that has a default
         ("heatmap --model m --bounds 0,0,1,1 --res 2x2 --out o", "model bounds res out"),
         ("pipeline --out o", "out"),
     ])
@@ -1119,16 +1119,26 @@ class TestParser:
         assert set(options) == {*given.split(), "command", "func"}
 
     def test_every_option_is_a_parameter_of_its_command(self):
-        # argparse derives each option's name from its flag; pipeline passes cv's on
+        # argparse derives each option's name from its flag; pipeline passes cv's on, all but
+        # the manifest it writes itself
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         for command, parser in subparsers.choices.items():
             func = parser.get_default("func")
             params = set(inspect.signature(func).parameters)
             if func is cli.pipeline:
-                params |= set(inspect.signature(cli.cv).parameters)
+                params |= set(inspect.signature(cli.cv).parameters) - {"manifest"}
+                params.remove("options")
             options = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
-            assert options and options <= params, (command, options - params)
+            assert options == params, (command, options ^ params)
+
+    @pytest.mark.parametrize("command", ["generate", "pd", "fit", "classify", "cv", "heatmap",
+                                         "pipeline"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: topobayes {command} ")
 
     @pytest.mark.parametrize("commands, options", [
         (("generate", "pipeline"), ("duration", "rate", "seed")),
@@ -1137,7 +1147,6 @@ class TestParser:
         (("cv", "pipeline"), ("seed",)),  # pipeline passes cv's other options on
     ])
     def test_commands_sharing_an_option_default_it_alike(self, commands, options):
-        # the options of build_parser's parent parsers
         for option in options:
             defaults = {inspect.signature(getattr(cli, c)).parameters[option].default
                         for c in commands}
@@ -1163,6 +1172,8 @@ class TestExitCodes:
         _diagram_manifest("label_not_a_string", "cv", {"label": 0}),
         _diagram_manifest("k_folds_a_string", "cv", k_folds="3"),
         _diagram_manifest("k_folds_a_bool", "cv", k_folds=True),
+        _diagram_manifest("k_folds_one", "cv", k_folds=1),
+        _diagram_manifest("k_folds_zero", "cv", k_folds=0),
         _diagram_manifest("entry_without_label", "cv", {}),
         # every manifest's optional fields are checked, whichever command reads it
         _signal_manifest("signal_manifest_k_folds_not_an_integer", rate=128, k_folds="x"),
@@ -1311,7 +1322,8 @@ class TestExitCodes:
 
 
 class TestEntrypoint:
-    """`python -m topobayes.cli`, the path the installed script takes."""
+    """`python -m topobayes.cli`, which exits with main's return code as the installed script
+    does."""
 
     def _run(self, *argv):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -12,6 +12,7 @@ from topobayes import (
     ValidationError,
     add_noise,
     generate_band_signal,
+    sublevel_pd,
 )
 from topobayes.cli import load_signal, main, signal_from_json
 
@@ -134,9 +135,14 @@ class TestLoadSignal:
         assert main(["pd", str(p), "--out", str(tmp_path / "pd")]) == 2
         assert capsys.readouterr().err == f"error: {p}: signal contains a non-finite sample\n"
 
-    def test_empty_file_reports_too_few(self, tmp_path, capsys):
-        p = tmp_path / "s.csv"
-        p.write_text("")
+    # sublevel_pd is pd's one check of the sample count, for CSV and JSON signals alike
+    @pytest.mark.parametrize("name, text", [
+        ("s.csv", ""),
+        ("s.json", '{"rate": 128, "samples": [0]}'),
+    ], ids=["csv", "json"])
+    def test_empty_file_reports_too_few(self, tmp_path, capsys, name, text):
+        p = tmp_path / name
+        p.write_text(text)
         assert main(["pd", str(p), "--out", str(tmp_path / "pd")]) == 2
         assert capsys.readouterr().err == f"error: {p}: signal needs at least 2 samples\n"
 
@@ -153,9 +159,8 @@ class TestLoadSignal:
 
 class TestSignalFromJson:
     def test_roundtrip(self):
-        sig = signal_from_json(json.loads('{"rate": 128.0, "samples": [0.0, 1.5, -2.0]}'))
-        assert sig.sample_rate == 128.0
-        assert np.array_equal(sig.samples, [0.0, 1.5, -2.0])
+        samples = signal_from_json(json.loads('{"rate": 128.0, "samples": [0.0, 1.5, -2.0]}'))
+        assert samples.dtype == float and np.array_equal(samples, [0.0, 1.5, -2.0])
 
     @pytest.mark.parametrize("obj", [
         [0.0, 1.0],
@@ -173,5 +178,6 @@ class TestSignalFromJson:
         {"rate": 128.0, "samples": [0.0, float("nan")]},
     ])
     def test_malformed(self, obj):
+        # what pd reads of a JSON signal: sublevel_pd refuses too few or non-finite samples
         with pytest.raises(ValidationError):
-            signal_from_json(obj)
+            sublevel_pd(signal_from_json(obj))
