@@ -123,22 +123,21 @@ def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> Classif
         raise ValidationError("need at least 2 class models")
     if not 0 < threshold_c < math.inf:
         raise ValidationError("threshold_c must be positive and finite")
-    labels = [m.label for m in models]
-    if len(set(labels)) != len(labels):
+    ld = dict.fromkeys(sorted(m.label for m in models))
+    if len(ld) != len(models):
         raise ValidationError("class labels must be distinct")
-    by_label = {m.label: m for m in models}
-    order = sorted(labels)
+    for m in models:
+        ld[m.label] = diagram_log_density(d, m)
     log_c = math.log(threshold_c)
 
-    ld = {lab: diagram_log_density(d, by_label[lab]) for lab in order}
-    votes = {lab: 0 for lab in order}
-    for a, b in itertools.combinations(order, 2):
+    votes = dict.fromkeys(ld, 0)
+    for a, b in itertools.combinations(ld, 2):
         lbf = _log_ratio(ld[a], ld[b])
         if lbf > log_c:
             votes[a] += 1
         elif lbf < log_c:
             votes[b] += 1
-    winner = min(order, key=lambda lab: (-votes[lab], -ld[lab], lab))
+    winner = min(ld, key=lambda lab: (-votes[lab], -ld[lab], lab))
     return ClassifyResult(winner, votes, ld)
 
 
@@ -146,27 +145,16 @@ def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
     """Seeded per-class partition into data.k_folds folds.
 
     Each class's entries are shuffled once and split into k nearly equal
-    chunks; fold f tests on every class's chunk f. Returns a list of
-    (train_indices, test_indices) pairs of sorted global indices. Every
-    entry appears in exactly one test fold.
+    chunks; fold f tests on every class's chunk f and trains on the rest.
+    Returns a list of (train_indices, test_indices) pairs of sorted global
+    indices. Every entry appears in exactly one test fold.
     """
     rng = np.random.default_rng(seed)
-    k = data.k_folds
-    by_label = {lab: [] for lab in data.labels}
-    for i, (_, lab) in enumerate(data.entries):
-        by_label[lab].append(i)
-    chunks = {
-        lab: np.array_split(rng.permutation(np.asarray(idx)), k)
-        for lab, idx in by_label.items()
-    }
-    folds = []
-    for f in range(k):
-        test = np.concatenate([chunks[lab][f] for lab in data.labels])
-        train = np.concatenate(
-            [chunks[lab][g] for lab in data.labels for g in range(k) if g != f]
-        )
-        folds.append((np.sort(train), np.sort(test)))
-    return folds
+    members = [[i for i, (_, lab) in enumerate(data.entries) if lab == label]
+               for label in data.labels]
+    chunks = [np.array_split(rng.permutation(idx), data.k_folds) for idx in members]
+    tests = [np.sort(np.concatenate([c[f] for c in chunks])) for f in range(data.k_folds)]
+    return [(np.setdiff1d(np.arange(len(data.entries)), test), test) for test in tests]
 
 
 def usable_cpus() -> int:
@@ -226,21 +214,14 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
     finally:
         if set_threads:
             set_threads(held)
-    lab_pos = {lab: i for i, lab in enumerate(labels)}
-    per_fold = []
-    confusion = np.zeros((len(labels), len(labels)), dtype=int)
-    for (_, test_idx), fold_labels in zip(folds, predicted):
-        correct = 0
-        for i, label in zip(test_idx, fold_labels):
-            true_lab = data.entries[i][1]
-            confusion[lab_pos[true_lab], lab_pos[label]] += 1
-            correct += label == true_lab
-        per_fold.append(correct / len(test_idx))
+    truth = [[data.entries[i][1] for i in test_idx] for _, test_idx in folds]
+    per_fold = [sum(a == b for a, b in zip(t, p)) / len(t) for t, p in zip(truth, predicted)]
+    pairs = Counter(zip(itertools.chain(*truth), itertools.chain(*predicted)))
     return {
         "accuracy": float(np.mean(per_fold)),
-        "per_fold": [float(a) for a in per_fold],
+        "per_fold": per_fold,
         "labels": labels,
-        "confusion": confusion.tolist(),
+        "confusion": [[pairs[t, p] for p in labels] for t in labels],
         "k_folds": data.k_folds,
         "seed": int(seed),
         "config": {

@@ -23,6 +23,13 @@ mixture_to_json       -- the wire formats of a mixture, a class model and a diag
 model_to_json            of Python values, written as topobayes wrote them before the CLI
 diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_keys=True) of one
                          is the file the CLI must write byte for byte
+stratified_folds      -- classifier.stratified_folds as it was before each fold's training set
+                         became the complement of its test set: per-label index lists, and
+                         every other chunk concatenated per fold; its folds must match byte
+                         for byte
+cv_tally              -- cross_validate's per-fold accuracies and confusion matrix as it tallied
+                         them before the confusion matrix came from one Counter: a numpy count
+                         array filled in a loop over the held-out entries
 """
 
 import bisect
@@ -294,3 +301,40 @@ def diagram_to_json(diagram) -> dict:
         "b_min": float(diagram.b_min),
         "points": [[float(b), float(p)] for b, p in diagram.points],
     }
+
+
+def stratified_folds(data, seed=0) -> list:
+    """(train_indices, test_indices) pairs of sorted global indices, one per fold."""
+    rng = np.random.default_rng(seed)
+    k = data.k_folds
+    by_label = {lab: [] for lab in data.labels}
+    for i, (_, lab) in enumerate(data.entries):
+        by_label[lab].append(i)
+    chunks = {
+        lab: np.array_split(rng.permutation(np.asarray(idx)), k)
+        for lab, idx in by_label.items()
+    }
+    folds = []
+    for f in range(k):
+        test = np.concatenate([chunks[lab][f] for lab in data.labels])
+        train = np.concatenate(
+            [chunks[lab][g] for lab in data.labels for g in range(k) if g != f]
+        )
+        folds.append((np.sort(train), np.sort(test)))
+    return folds
+
+
+def cv_tally(data, folds, predicted):
+    """(per_fold, confusion) of cross_validate's report, from each fold's predicted labels."""
+    labels = data.labels
+    lab_pos = {lab: i for i, lab in enumerate(labels)}
+    per_fold = []
+    confusion = np.zeros((len(labels), len(labels)), dtype=int)
+    for (_, test_idx), fold_labels in zip(folds, predicted):
+        correct = 0
+        for i, label in zip(test_idx, fold_labels):
+            true_lab = data.entries[i][1]
+            confusion[lab_pos[true_lab], lab_pos[label]] += 1
+            correct += label == true_lab
+        per_fold.append(correct / len(test_idx))
+    return [float(a) for a in per_fold], confusion.tolist()

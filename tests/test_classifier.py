@@ -26,6 +26,7 @@ from topobayes import (
 from topobayes import classifier
 from topobayes.cli import model_from_json
 from conftest import sample_ppp_diagram, separable_grid_mass
+import oracles
 from oracles import mixture_to_json, model_to_json
 
 
@@ -408,6 +409,49 @@ class TestCrossValidate:
         data = LabeledDataset(tuple(entries), 5)
         with pytest.raises(ValidationError):
             cross_validate(data, self.prior, self.cfg)
+
+
+class TestFoldOracle:
+    """The folds and the report's tallies against the loop versions they replaced."""
+
+    LABELS = ("a", "b", 'say "hi"', "naïve ☃", "x\x00", "x", "")
+
+    def test_folds_byte_identical_to_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            labels = rng.choice(len(self.LABELS), int(rng.integers(1, 5)), replace=False)
+            entry_labels = [self.LABELS[i] for i in labels
+                            for _ in range(int(rng.integers(k, k + 16)))]
+            rng.shuffle(entry_labels)
+            data = LabeledDataset(tuple((EMPTY, lab) for lab in entry_labels), k)
+            seed = int(rng.integers(0, 2**40))
+            got, want = stratified_folds(data, seed), oracles.stratified_folds(data, seed)
+            assert len(got) == len(want) == k
+            for pair, want_pair in zip(got, want):
+                for a, b in zip(pair, want_pair):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_report_tallies_equal_oracle(self, rng):
+        # three overlapping classes of uneven size, so some held-out diagrams are misclassified
+        entries = []
+        for label, center, n in (("lo", (1.0, 1.0), 9), ("mid", (1.0, 1.2), 13),
+                                 ("hi", (1.0, 1.4), 17)):
+            g = GaussianMixtureIntensity.single(6.0, center, 0.2)
+            entries += [(sample_ppp_diagram(rng, g), label) for _ in range(n)]
+        data = LabeledDataset(tuple(entries), 4)
+        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.1)
+        report = cross_validate(data, prior, cfg, seed=6)
+        folds = oracles.stratified_folds(data, 6)
+        predicted = [classifier._fold_labels(f, data, prior, cfg, 1.0) for f in folds]
+        per_fold, confusion = oracles.cv_tally(data, folds, predicted)
+        assert 0.0 < report["accuracy"] < 1.0
+        assert report["per_fold"] == per_fold
+        assert report["confusion"] == confusion
+        assert report["accuracy"] == float(np.mean(per_fold))
+        assert all(type(a) is float for a in report["per_fold"])
+        assert all(type(n) is int for row in report["confusion"] for n in row)
 
 
 class TestClassModelType:
