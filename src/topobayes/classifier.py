@@ -117,17 +117,20 @@ def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> Classif
     falls below, no vote on an exact tie. The label with most votes wins;
     vote ties break toward the larger total log density, then toward the
     lexicographically smallest label. The full evidence trail is returned.
-    Invariant under permutation of the models list.
+    Invariant under permutation of the models, which may be any iterable: one
+    pass holds one model at a time, so a generator can build each when asked.
     """
-    if len(models) < 2:
-        raise ValidationError("need at least 2 class models")
     if not 0 < threshold_c < math.inf:
         raise ValidationError("threshold_c must be positive and finite")
-    ld = dict.fromkeys(sorted(m.label for m in models))
-    if len(ld) != len(models):
-        raise ValidationError("class labels must be distinct")
+    ld = {}
     for m in models:
+        if m.label in ld:
+            raise ValidationError("class labels must be distinct")
         ld[m.label] = diagram_log_density(d, m)
+        del m  # let go before the next model is asked for, and so before it is built
+    if len(ld) < 2:
+        raise ValidationError("need at least 2 class models")
+    ld = dict(sorted(ld.items()))
     log_c = math.log(threshold_c)
 
     votes = dict.fromkeys(ld, 0)

@@ -7,6 +7,7 @@ written here, not in the library. Exit codes are stable for scripting:
 """
 
 import argparse
+import contextlib
 import inspect
 import itertools
 import json
@@ -46,10 +47,15 @@ def _read(path, decode):
         obj = json.loads(p.read_text(), object_hook=component_row)
     except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
+    return _decoded(p, decode, obj)
+
+
+def _decoded(path, decode, obj):
+    """decode(obj) of obj read from the file at path; a fault in it is a DataFileError naming it."""
     try:
         return decode(obj)
     except ValidationError as e:
-        raise DataFileError(f"{p}: {e}") from None
+        raise DataFileError(f"{path}: {e}") from None
 
 
 def _check_out(command, out, written, *inputs):
@@ -62,22 +68,26 @@ def _check_out(command, out, written, *inputs):
             raise ValidationError(f"{command} --out {out} would replace its input {path}")
 
 
-def _map(fn, items):
-    """[fn(item) for item in items], computed in one worker process per usable CPU.
+@contextlib.contextmanager
+def _pool(items):
+    """A pool of one worker process per usable CPU for items, and never more workers than items.
 
     Limit the workers as for any process, with taskset. A worker that dies, as when the kernel
     kills it for want of memory, is a MemoryError: main reports it as one error line."""
     from concurrent.futures import ProcessPoolExecutor  # not paid for by commands without workers
     from concurrent.futures.process import BrokenProcessPool
-
-    workers = max(1, min(len(items), usable_cpus()))
-    # an item is often milliseconds of work, so a worker takes up to 32 at a time, but fewer
-    # where that would leave a worker idle
     try:
-        with ProcessPoolExecutor(workers) as pool:
-            return list(pool.map(fn, items, chunksize=max(1, min(32, len(items) // workers))))
+        with ProcessPoolExecutor(max(1, min(len(items), usable_cpus()))) as pool:
+            yield pool
     except BrokenProcessPool:
         raise MemoryError("a worker process died, perhaps killed for want of memory") from None
+
+
+def _map(fn, items):
+    """[fn(item) for item in items], computed in _pool's workers. An item is often milliseconds
+    of work, so a worker takes up to 32 at a time, but fewer where that would leave one idle."""
+    with _pool(items) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, min(32, len(items) // usable_cpus()))))
 
 
 def _blocks(item, sep, table):
@@ -173,6 +183,11 @@ def component_row(obj):
 def mixture_from_json(obj) -> GaussianMixtureIntensity:
     """The mixture of the wire format {"components": [{"w": c, "mu": [b, p], "var": s}, ...]},
     its components given as objects or as component_row's rows."""
+    return GaussianMixtureIntensity(*mixture_arrays(obj))
+
+
+def mixture_arrays(obj) -> tuple:
+    """mixture_from_json's weights, means and variances, checked as far as needs no scipy."""
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValidationError("mixture JSON needs a 'components' list")
     # a mu that is not a (b, p) pair makes a row that is not 4 long
@@ -182,13 +197,23 @@ def mixture_from_json(obj) -> GaussianMixtureIntensity:
     except (KeyError, TypeError):
         raise ValidationError("mixture JSON has malformed components") from None
     a = json_floats(rows, "mixture components", None, 4)
-    return GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])
+    return a[:, 0], a[:, 1:3], a[:, 3]
 
 
 def model_from_json(obj) -> ClassModel:
+    return model_from_arrays(model_arrays(obj))
+
+
+def model_arrays(obj) -> dict:
+    """obj, a model's JSON, with its posterior as mixture_arrays's arrays."""
     if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) or "posterior" not in obj:
         raise ValidationError("model JSON needs a 'label' string and a 'posterior'")
-    model = ClassModel(label=obj["label"], posterior=mixture_from_json(obj["posterior"]))
+    return {**obj, "posterior": mixture_arrays(obj["posterior"])}
+
+
+def model_from_arrays(obj) -> ClassModel:
+    """The model of model_arrays's obj, its 'lambda' checked against its posterior."""
+    model = ClassModel(label=obj["label"], posterior=GaussianMixtureIntensity(*obj["posterior"]))
     # "lambda" is redundant with the posterior; a file whose value disagrees
     # was edited or corrupted, so it is rejected rather than ignored
     mass = model.lam
@@ -382,11 +407,15 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 
 
 def classify(models, diagram, threshold=1.0, out=None):
-    """Classify one diagram against two or more fitted models, read in worker processes."""
+    """Classify one diagram against fitted models, parsed in worker processes, built one by one."""
     _check_out("classify", out, [out], *models, diagram)
-    import scipy.special  # decoding a model needs it: imported once, and forked workers inherit it
-    models = _map(partial(_read, decode=model_from_json), models)
-    result = classify_diagram(_read(diagram, diagram_from_json), models, threshold)
+    with _pool(models) as pool:
+        parsing = pool.map(partial(_read, decode=model_arrays), models)
+        import scipy.special  # building a model needs it, and the workers do not: loaded meanwhile
+        parsed = list(parsing)  # a fault in a model file is reported before one in the diagram
+    # each model's arrays leave the list as it is built, so they go when the model does
+    built = (_decoded(path, model_from_arrays, parsed.pop(0)) for path in models)
+    result = classify_diagram(_read(diagram, diagram_from_json), built, threshold)
     report = {
         "label": result.label,
         "votes": result.votes,

@@ -82,9 +82,10 @@ class GaussianMixtureIntensity:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             log_norm = (np.log(w) - np.log(2.0 * np.pi * v)
                         - log_wedge_mass(mu[:, 0], mu[:, 1], v))
-            s = -0.5 / v
-            coef = np.vstack([-2.0 * s * mu.T, s,
-                              s * (mu ** 2).sum(axis=1) + log_norm])
+            coef = np.empty((4, len(w)))  # rows written in place: a stack would copy each row
+            s = np.divide(-0.5, v, out=coef[2])
+            np.multiply(-2.0 * s, mu.T, out=coef[:2])
+            coef[3] = s * (mu ** 2).sum(axis=1) + log_norm
         # finite parameters can still overflow a log kernel, which would score NaN everywhere
         if not np.all(np.isfinite(coef)):
             raise ValidationError("mixture component too extreme: its log kernel is not finite")

@@ -108,17 +108,27 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     depend on how the work is split or on BLAS's thread count. An update that
     would overflow is a ValidationError.
     """
-    m = len(observations)
     Y = _flatten_observations(observations)
-    K, T = prior.n_components, len(Y)
-    c, mu, var, so = prior.weights, prior.means, prior.variances, cfg.sigma_obs
+    K, mu, var, so = prior.n_components, prior.means, prior.variances, cfg.sigma_obs
     # var * sigma_obs, sigma_obs * |mu| and var * |y| at their largest: an overflow guts the update
     with np.errstate(over="ignore"):
         big = var.max(initial=0.0) * np.array([so, Y.max(initial=0.0)])  # Y is in the wedge
         if not np.all(np.isfinite([*big, so * np.abs(mu).max(initial=0.0)])):
             raise ValidationError("sigma_obs, prior and points overflow the update's products")
     v_post = var * so / (var + so)                                        # (K,)
+    # the pairs' arrays go with the frame that picks the kept components, before those are built
+    weights, keep = _kept_weights(prior, Y, cfg, v_post, len(observations))
+    n = np.searchsorted(keep, K)  # kept components of group (i) come first
+    t, k = np.divmod(keep[n:] - K, K)
+    means = np.concatenate([mu[keep[:n]], _conjugate_means(mu[k], var[k], Y[t], so)])
+    return GaussianMixtureIntensity(weights, means, np.concatenate([var[keep[:n]], v_post[k]]))
 
+
+def _kept_weights(prior, Y, cfg, v_post, m) -> tuple:
+    """The weights of the components posterior_intensity keeps, and their indices in its output
+    order; of all pairs only the weights are computed, a chunk of pairs at a time."""
+    K, T = prior.n_components, len(Y)
+    c, mu, var, so = prior.weights, prior.means, prior.variances, cfg.sigma_obs
     update = T > 0 and K > 0 and cfg.alpha > 0
     W = np.empty(K + T * K if update else K)  # weights in output order: (i), then (ii) by y
     W[:K] = (1.0 - cfg.alpha) * c
@@ -161,7 +171,4 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     # if too many are left, the heaviest of them, in their original order
     heavy = np.sort(np.argpartition(W[kept], cut)[cut:]) if cut > 0 else slice(None)
     keep = np.flatnonzero(kept)[heavy]
-    n = np.searchsorted(keep, K)  # kept components of group (i) come first
-    t, k = np.divmod(keep[n:] - K, K)
-    means = np.concatenate([mu[keep[:n]], _conjugate_means(mu[k], var[k], Y[t], so)])
-    return GaussianMixtureIntensity(W[keep], means, np.concatenate([var[keep[:n]], v_post[k]]))
+    return W[keep], keep

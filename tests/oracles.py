@@ -30,6 +30,9 @@ stratified_folds      -- classifier.stratified_folds as it was before each fold'
 cv_tally              -- cross_validate's per-fold accuracies and confusion matrix as it tallied
                          them before the confusion matrix came from one Counter: a numpy count
                          array filled in a loop over the held-out entries
+log_kernel_constants  -- GaussianMixtureIntensity's (coef, log_norm, reach) as it computed them
+                         before it wrote the (4, K) coefficients into one array in place: an
+                         np.vstack of each row's temporaries; they must match byte for byte
 """
 
 import bisect
@@ -338,3 +341,17 @@ def cv_tally(data, folds, predicted):
             correct += label == true_lab
         per_fold.append(correct / len(test_idx))
     return [float(a) for a in per_fold], confusion.tolist()
+
+
+def log_kernel_constants(weights, means, variances):
+    """(coef, log_norm, reach) of the components (weights, means, variances), given as arrays,
+    built as GaussianMixtureIntensity built them from an np.vstack; coef may hold a value that
+    is not finite, where the mixture refuses the components."""
+    w, mu, v = weights, means, variances
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_norm = (np.log(w) - np.log(2.0 * np.pi * v)
+                    - log_wedge_mass(mu[:, 0], mu[:, 1], v))
+        s = -0.5 / v
+        coef = np.vstack([-2.0 * s * mu.T, s,
+                          s * (mu ** 2).sum(axis=1) + log_norm])
+    return coef, log_norm, max(coef.max(initial=0.0), -coef.min(initial=0.0))

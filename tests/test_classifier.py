@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -240,8 +241,10 @@ class TestClassify:
             assert classify(d, models).label == classify(d, scaled).label
 
     def test_needs_two_models(self):
-        with pytest.raises(ValidationError):
-            classify(EMPTY, [model_at((1.0, 1.0), "a")])
+        for given in (list, iter):  # a list, or a one-pass iterator as a generator is
+            for models in ([], [model_at((1.0, 1.0), "a")]):
+                with pytest.raises(ValidationError, match="need at least 2 class models"):
+                    classify(EMPTY, given(models))
 
     def test_threshold_must_be_positive(self):
         models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "b")]
@@ -251,8 +254,34 @@ class TestClassify:
 
     def test_duplicate_labels_rejected(self):
         models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "a")]
-        with pytest.raises(ValidationError):
-            classify(EMPTY, models)
+        for given in (list, iter):
+            with pytest.raises(ValidationError, match="class labels must be distinct"):
+                classify(EMPTY, given(models))
+
+    def test_a_generator_of_models_gives_the_lists_result(self, rng):
+        specs = [((1.0, 1.0), "c"), ((5.0, 3.0), "a"), ((2.0, 4.0), "b")]
+        for _ in range(5):
+            d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
+            want = classify(d, [model_at(*spec) for spec in specs], threshold_c=2.0)
+            assert classify(d, (model_at(*spec) for spec in specs), threshold_c=2.0) == want
+            assert list(want.log_densities) == list(want.votes) == ["a", "b", "c"]
+
+    def test_holds_one_model_at_a_time(self):
+        # each model is let go before the next is asked for, so a generator that builds them
+        # as they are asked for holds one: every one it yielded before is dead by then
+        refs = []
+
+        def models():
+            for i, center in enumerate([(1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 4.0)]):
+                assert [r() for r in refs] == [None] * len(refs), i
+                m = model_at(center, str(i))
+                refs.append(weakref.ref(m))
+                yield m
+                del m
+
+        d = diagram((1.0, 1.0), (2.5, 1.5))
+        assert classify(d, models()).label == "0"
+        assert len(refs) == 4
 
 
 def clustered_dataset(rng, n_per_class, k, centers, var=0.05):

@@ -11,8 +11,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -91,8 +92,10 @@ def many_diagrams(tmp_path_factory):
 
 
 def _serially(monkeypatch):
-    """Make cli._map a list comprehension in this process."""
-    monkeypatch.setattr(cli, "_map", lambda fn, items: [fn(x) for x in items])
+    """Make cli._pool a pool whose map is the builtin map, in this process: _map then computes a
+    list comprehension, and classify parses its model files where it builds them."""
+    pool = SimpleNamespace(map=lambda fn, items, chunksize=1: map(fn, items))
+    monkeypatch.setattr(cli, "_pool", lambda items: nullcontext(pool))
 
 
 @pytest.fixture
@@ -643,6 +646,49 @@ class TestMixtureFiles:
         # the text, twice while it is decoded, then one tuple of 4 floats per component, 168 B;
         # a dict and a list per component took 3.3 times the file's size
         assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+
+
+class TestClassifyMemory:
+    """classify parses each model file in a worker process that never loads scipy, and builds
+    and scores the models in its own process one at a time."""
+
+    @staticmethod
+    def _model_file(path, label, seed):
+        a = np.random.default_rng(seed).uniform(0.1, 2.0, size=(100_000, 4))
+        cli._emit_model(ClassModel(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])),
+                        path)
+        return path
+
+    def test_holds_one_built_model_at_a_time(self, tmp_path, cli_files):
+        import scipy.special  # noqa: F401 -- loaded outside the trace, as in any process after it
+        models = [self._model_file(tmp_path / f"{label}.json", label, seed)
+                  for seed, label in enumerate(("b", "a"))]
+        diagram = cli_files / "diagrams" / "alpha_001.pd.json"
+        tracemalloc.start()
+        try:
+            assert run("classify", "--models", *models, "--diagram", diagram,
+                       "--out", tmp_path / "report.json") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = classify(cli._read(diagram, diagram_from_json),
+                        [cli._read(path, model_from_json) for path in models])
+        report = read_json(tmp_path / "report.json")
+        assert (report["label"], report["votes"], report["log_densities"]) == want
+        # the rows of both models, 3.2 MB each, and one model's kernel constants, 4 MB, with a
+        # chunk of scores; the parent held both built models and a pickled copy of each: 21.9 MB
+        assert peak < 17e6, peak
+
+    def test_a_worker_decodes_a_model_without_scipy(self, tmp_path):
+        path = self._model_file(tmp_path / "m.json", "m", 0)
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; from topobayes import cli; "
+                f"obj = cli._read({str(path)!r}, cli.model_arrays); "
+                "print(obj['label'], [a.shape for a in obj['posterior']], "
+                "'scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.stdout == "m [(100000,), (100000, 2), (100000,)] False\n", proc.stderr
 
 
 class TestHugeDiagramPoints:

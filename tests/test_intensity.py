@@ -18,7 +18,7 @@ from topobayes import (
 from topobayes import intensity
 from topobayes.cli import mixture_from_json
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
-from oracles import mixture_to_json, restricted_normal_pdf
+from oracles import log_kernel_constants, mixture_to_json, restricted_normal_pdf
 
 
 class TestRestrictedNormal:
@@ -236,6 +236,48 @@ class TestLogKernelOracle:
         assert np.array_equal(np.isneginf(got), np.isneginf(want))
         finite = np.isfinite(want)
         assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
+def _same_constants(g, w, mu, v):
+    coef, log_norm, reach = g._log_kernel_constants
+    want = log_kernel_constants(w, mu, v)
+    assert coef.shape == want[0].shape == (4, len(w))
+    assert coef.tobytes() == want[0].tobytes() and log_norm.tobytes() == want[1].tobytes()
+    assert reach == want[2]
+
+
+class TestKernelConstantsOracle:
+    """The (4, K) coefficients, written row by row into one array, against the np.vstack of
+    temporaries they were built from before: byte for byte, and refused exactly where that
+    construction held a value that was not finite."""
+
+    @pytest.mark.parametrize("k", [0, 1, 14_000, 100_000])
+    def test_seeded_mixtures(self, k):
+        rng = np.random.default_rng(k)
+        w, mu, v = rng.uniform(1e-6, 2.0, k), rng.uniform(-1.0, 8.0, (k, 2)), rng.uniform(0.01, 20.0, k)
+        _same_constants(GaussianMixtureIntensity(w, mu, v), w, mu, v)
+
+    @pytest.mark.parametrize("mean, variances", [
+        # |mu|^2 / (2 v) passes the double range below v = 0.278, and below v = 2.8e-9
+        ((1e154, 0.0), np.geomspace(1e-3, 1e3, 120)),
+        ((1e150, 1.0), np.geomspace(1e-12, 1e-6, 120)),
+        # log_ndtr(-1e154 / sqrt(v)) falls to -inf below v = 0.278
+        ((-1e154, 3.0), np.geomspace(1e-3, 1e3, 120)),
+        # 2 pi v, in log_norm, passes it above v = 2.9e307
+        ((1.0, 1.0), np.geomspace(1e306, 1e308, 120)),
+    ])
+    def test_components_either_side_of_the_guard(self, mean, variances):
+        kept = refused = 0
+        for var in variances:
+            w, mu, v = np.array([1.5]), np.array([mean]), np.array([var])
+            if np.all(np.isfinite(log_kernel_constants(w, mu, v)[0])):
+                _same_constants(GaussianMixtureIntensity(w, mu, v), w, mu, v)
+                kept += 1
+            else:
+                with pytest.raises(ValidationError, match="log kernel is not finite"):
+                    GaussianMixtureIntensity(w, mu, v)
+                refused += 1
+        assert kept and refused, (kept, refused)
 
 
 class TestFarRows:

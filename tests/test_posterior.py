@@ -13,6 +13,7 @@ from topobayes import (
     PersistenceDiagram,
     PosteriorConfig,
     ValidationError,
+    default_prior,
     eval_intensity,
     posterior_intensity,
     total_mass,
@@ -364,3 +365,20 @@ class TestSelectThenBuild:
         # all of them) while the 100,000 heaviest are picked, and 16 MB for the arrays of a
         # chunk of pairs and for building the kept components
         assert peak < 25 * K * T + 16e6, peak
+
+    def test_fit_lets_go_of_the_pairs_before_building_the_mixture(self):
+        # default prior, 120k observed points, 100k components kept: the pairs' weights, the
+        # points, their clutter and evidence and the last chunk's arrays, 20.1 MB at their peak
+        # alongside the kept components, go before the mixture computes its own constants
+        rng = np.random.default_rng(1)
+        obs = [PersistenceDiagram(rng.uniform(0.0, 6.0, (160, 2))) for _ in range(750)]
+        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.2)
+        posterior_intensity(default_prior(), obs[:1], cfg)  # scipy.special loads outside the trace
+        tracemalloc.start()
+        try:
+            post = posterior_intensity(default_prior(), obs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.n_components == 100_000
+        assert peak < 16e6, peak
