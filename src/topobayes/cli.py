@@ -44,7 +44,7 @@ def _read(path, decode):
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
     try:
-        obj = json.loads(p.read_text(), object_hook=component_row)
+        obj = json.loads(p.read_text(encoding="utf-8"), object_hook=component_row)
     except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
     return _decoded(p, decode, obj)
@@ -247,7 +247,7 @@ def load_signal(path) -> np.ndarray:
         raise DataFileError(f"{p}: no such file")
     values = []
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise DataFileError(f"{p}: not UTF-8 text ({e})") from None
     for ln, raw in enumerate(text.splitlines(), start=1):

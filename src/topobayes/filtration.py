@@ -66,7 +66,7 @@ def sublevel_pd(signal) -> np.ndarray:
     interpolation, the global minimum being paired with the global maximum.
     Pairs are sorted by (birth, death). Runs in O(n) plus the final sort, via
     a stack over the alternating local extrema; of equal values the later
-    vertex is the younger.
+    vertex is the younger. This is the one check of samples: at least 2, all finite.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1 or values.size < 2:

@@ -17,27 +17,14 @@ from .errors import MAX_SIZE, ValidationError
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Uniformly sampled real time series.
+    """Uniformly sampled real time series: a plain record, as the generators return it.
 
-    samples -- 1-D float array, at least 2 finite values
-    sample_rate -- sampling frequency in Hz, > 0
+    samples -- 1-D float array; sublevel_pd checks them (at least 2, finite)
+    sample_rate -- sampling frequency in Hz; check_rate checks one read from a file
     """
 
     samples: np.ndarray
     sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValidationError("signal has too few samples (need at least 2)")
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("signal contains a non-finite sample")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
-
-    def power(self) -> float:
-        """Mean squared amplitude."""
-        return float(np.mean(self.samples**2))
 
 
 def check_rate(value) -> float:
@@ -120,7 +107,8 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     # a bound far past any physical SNR keeps 10**(snr_db/10) and the noise inside float range
     if not -3000.0 <= snr_db <= 3000.0:
         raise ValidationError("snr_db must lie in [-3000, 3000] dB")
+    x = np.asarray(signal.samples, dtype=float)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(len(signal.samples))
-    sigma = np.sqrt(signal.power() / 10.0 ** (snr_db / 10.0))
-    return Signal(signal.samples + sigma * z, signal.sample_rate)
+    z = rng.standard_normal(len(x))
+    sigma = np.sqrt(np.mean(x**2) / 10.0 ** (snr_db / 10.0))
+    return Signal(x + sigma * z, signal.sample_rate)

@@ -33,9 +33,13 @@ cv_tally              -- cross_validate's per-fold accuracies and confusion matr
 log_kernel_constants  -- GaussianMixtureIntensity's (coef, log_norm, reach) as it computed them
                          before it wrote the (4, K) coefficients into one array in place: an
                          np.vstack of each row's temporaries; they must match byte for byte
+CheckedSignal         -- signals.Signal and signals.add_noise as they were when a Signal checked
+add_noise                its samples and rate and add_noise read the power off Signal.power();
+                         the noisy samples must match byte for byte
 """
 
 import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from topobayes import posterior
 from topobayes.filtration import untilt
 from topobayes.intensity import log_wedge_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
+from topobayes.signals import check_rate
 
 
 def restricted_normal_pdf(x, mean, var):
@@ -355,3 +360,35 @@ def log_kernel_constants(weights, means, variances):
         coef = np.vstack([-2.0 * s * mu.T, s,
                           s * (mu ** 2).sum(axis=1) + log_norm])
     return coef, log_norm, max(coef.max(initial=0.0), -coef.min(initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedSignal:
+    """signals.Signal as it was when it checked its fields: it refuses fewer than 2 samples, a
+    non-finite one and a bad rate, and holds the samples as floats and the rate as a float."""
+
+    samples: np.ndarray
+    sample_rate: float
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1 or samples.size < 2:
+            raise ValidationError("signal has too few samples (need at least 2)")
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("signal contains a non-finite sample")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
+
+    def power(self) -> float:
+        """Mean squared amplitude."""
+        return float(np.mean(self.samples**2))
+
+
+def add_noise(signal: CheckedSignal, snr_db: float, seed: int) -> CheckedSignal:
+    """signal plus zero-mean white Gaussian noise of variance power / 10**(snr_db / 10)."""
+    if not -3000.0 <= snr_db <= 3000.0:
+        raise ValidationError("snr_db must lie in [-3000, 3000] dB")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(len(signal.samples))
+    sigma = np.sqrt(signal.power() / 10.0 ** (snr_db / 10.0))
+    return CheckedSignal(signal.samples + sigma * z, signal.sample_rate)

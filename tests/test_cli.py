@@ -92,8 +92,9 @@ def many_diagrams(tmp_path_factory):
 
 
 def _serially(monkeypatch):
-    """Make cli._pool a pool whose map is the builtin map, in this process: _map then computes a
-    list comprehension, and classify parses its model files where it builds them."""
+    """Make cli._pool a pool whose map is the builtin map, in this process: generate's and pd's
+    _map then compute a list comprehension, and classify parses its model files where it builds
+    them. fit, cv and heatmap start no pool, so it changes nothing for them."""
     pool = SimpleNamespace(map=lambda fn, items, chunksize=1: map(fn, items))
     monkeypatch.setattr(cli, "_pool", lambda items: nullcontext(pool))
 
@@ -433,13 +434,6 @@ class TestFitClassifyRoundtrip:
                                                           monkeypatch):
         argv = ["classify", "--models", cli_files / "beta.json", cli_files / "alpha.json",
                 "--diagram", cli_files / "diagrams" / "alpha_001.pd.json"]
-        assert run(*argv, "--out", tmp_path / "workers.json") == 0
-        _serially(monkeypatch)
-        assert run(*argv, "--out", tmp_path / "serial.json") == 0
-        assert (tmp_path / "workers.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
-
-    def test_fit_matches_serially_read_diagrams(self, many_diagrams, tmp_path, monkeypatch):
-        argv = ["fit", "--manifest", many_diagrams, "--label", "alpha"]
         assert run(*argv, "--out", tmp_path / "workers.json") == 0
         _serially(monkeypatch)
         assert run(*argv, "--out", tmp_path / "serial.json") == 0

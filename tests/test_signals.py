@@ -15,6 +15,8 @@ from topobayes import (
     sublevel_pd,
 )
 from topobayes.cli import load_signal, main, signal_from_json
+from topobayes.signals import check_rate
+import oracles
 
 
 def dominant_frequency(signal):
@@ -46,7 +48,7 @@ class TestGenerateBandSignal:
     def test_unit_rms(self):
         for seed in range(5):
             sig = generate_band_signal(BETA_BAND, 1.0, 200.0, seed=seed)
-            assert abs(np.sqrt(sig.power()) - 1.0) < 1e-9
+            assert abs(np.sqrt(np.mean(sig.samples ** 2)) - 1.0) < 1e-9
 
     def test_nyquist_rejected(self):
         with pytest.raises(ValidationError):
@@ -68,12 +70,12 @@ class TestAddNoise:
         sig = generate_band_signal(ALPHA_BAND, 2.0, 256.0, seed=3)  # 512 samples
         noisy = add_noise(sig, 0.0, seed=4)
         noise_power = np.mean((noisy.samples - sig.samples) ** 2)
-        assert 0.9 <= noise_power / sig.power() <= 1.1
+        assert 0.9 <= noise_power / np.mean(sig.samples ** 2) <= 1.1
 
     def test_high_snr_vanishing_noise(self):
         sig = generate_band_signal(ALPHA_BAND, 2.0, 256.0, seed=3)
         noisy = add_noise(sig, 60.0, seed=4)
-        rel = np.sqrt(np.mean((noisy.samples - sig.samples) ** 2) / sig.power())
+        rel = np.sqrt(np.mean((noisy.samples - sig.samples) ** 2) / np.mean(sig.samples ** 2))
         assert rel < 0.01
 
     def test_db_ratio_between_snr_levels(self):
@@ -98,19 +100,37 @@ class TestAddNoise:
         assert np.array_equal(add_noise(sig, 5.0, 2).samples, add_noise(sig, 5.0, 2).samples)
 
 
+class TestAddNoiseOracle:
+    @pytest.mark.parametrize("band", [ALPHA_BAND, BETA_BAND], ids=["alpha", "beta"])
+    def test_samples_match_the_checked_signal_oracle(self, band):
+        for snr_db in (-20.0, 0.0, 5.0, 40.0):
+            for seed in range(60):
+                sig = generate_band_signal(band, 2.0, 256.0, seed=seed)
+                want = oracles.add_noise(oracles.CheckedSignal(sig.samples, sig.sample_rate),
+                                         snr_db, seed + 1000)
+                got = add_noise(sig, snr_db, seed + 1000)
+                assert got.samples.tobytes() == want.samples.tobytes(), (snr_db, seed)
+                assert got.sample_rate == want.sample_rate
+
+
 class TestSignalType:
+    """Signal is a plain record: sublevel_pd checks its samples, given as an array or a Signal,
+    and check_rate a rate read from a file."""
+
     def test_rejects_short(self):
-        with pytest.raises(ValidationError):
-            Signal([1.0], 10.0)
+        for signal in (np.array([1.0]), Signal(np.array([1.0]), 10.0)):
+            with pytest.raises(ValidationError, match="at least 2 samples"):
+                sublevel_pd(signal)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            Signal([1.0, np.nan], 10.0)
+        for signal in (np.array([1.0, np.nan]), Signal(np.array([1.0, np.nan]), 10.0)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                sublevel_pd(signal)
 
     def test_rejects_bad_rate(self):
         for rate in (0.0, "128", "abc", [1], None, True, 10**400):  # 10**400: too large for a float
             with pytest.raises(ValidationError):
-                Signal([1.0, 2.0], rate)
+                check_rate(rate)
 
 
 class TestLoadSignal:
@@ -127,6 +147,16 @@ class TestLoadSignal:
         p = tmp_path / "s.csv"
         p.write_text("amplitude\n0.5\n-0.5\n")
         assert np.array_equal(load_signal(p), [0.5, -0.5])
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one; the first sample is a minimum
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text("0.5\n1.5\n-1.0\n2.0\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(load_signal(bom), load_signal(plain))
+        assert main(["pd", str(plain), str(bom), "--out", str(tmp_path / "pd")]) == 0
+        assert ((tmp_path / "pd" / "bom.pd.json").read_bytes()
+                == (tmp_path / "pd" / "plain.pd.json").read_bytes())
 
     def test_nan_row_reports_nonfinite(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
@@ -150,6 +180,12 @@ class TestLoadSignal:
         p = tmp_path / "s.csv"
         p.write_text("0\n1\nbroken\n")
         with pytest.raises(DataFileError, match="malformed"):
+            load_signal(p)
+
+    def test_non_utf8_reported(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"0\n\xb5\n")  # Latin-1 micro sign
+        with pytest.raises(DataFileError, match="not UTF-8 text"):
             load_signal(p)
 
     def test_missing_file(self, tmp_path):
