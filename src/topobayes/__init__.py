@@ -9,12 +9,10 @@ voting and k-fold cross validation.
 
 from .classifier import (
     ClassifyResult,
-    ClassModel,
     LabeledDataset,
     classify,
     cross_validate,
     diagram_log_density,
-    fit_class_model,
     log_bayes_factor,
     stratified_folds,
 )

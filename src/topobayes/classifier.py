@@ -1,8 +1,8 @@
 """Poisson-density scoring of diagrams and Bayes-factor classification.
 
-A fitted class model is a posterior intensity, whose total mass lambda is
-the expected number of points. A diagram D is scored by the Poisson
-point-process log density
+A fitted class is a (label, posterior intensity) pair; the posterior's total
+mass lambda is the expected number of points. A diagram D is scored by the
+Poisson point-process log density
 
     log p(D) = -lambda - log(|D|!) + sum_{x in D} log intensity(x)
 
@@ -31,19 +31,6 @@ from .posterior import PosteriorConfig, posterior_intensity
 
 
 @dataclass(frozen=True, eq=False)
-class ClassModel:
-    """A fitted class: a label and its posterior intensity."""
-
-    label: str
-    posterior: GaussianMixtureIntensity
-
-    @property
-    def lam(self) -> float:
-        """Total mass of the posterior, the expected number of points."""
-        return total_mass(self.posterior)
-
-
-@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Labeled diagrams plus the fold count used for cross validation."""
 
@@ -66,15 +53,8 @@ class LabeledDataset:
         return sorted({lab for _, lab in self.entries})
 
 
-def fit_class_model(training, prior: GaussianMixtureIntensity,
-                    cfg: PosteriorConfig, label) -> ClassModel:
-    """Fit one class by conditioning the prior on its training diagrams."""
-    post = posterior_intensity(prior, training, cfg)
-    return ClassModel(label=str(label), posterior=post)
-
-
-def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
-    """Log Poisson-process density of a diagram under a fitted model.
+def diagram_log_density(d: PersistenceDiagram, g: GaussianMixtureIntensity) -> float:
+    """Log Poisson-process density of a diagram under the intensity g.
 
     Returns -inf when any point falls where the intensity vanishes (outside
     the wedge, or under an empty mixture). The factorial term uses log-gamma
@@ -83,9 +63,9 @@ def diagram_log_density(d: PersistenceDiagram, model: ClassModel) -> float:
     from scipy.special import gammaln  # imported here, as in intensity.log_wedge_mass
     pts = d.points
     if len(pts) == 0:
-        return -model.lam
-    logs = log_eval_intensity(model.posterior, pts)
-    return float(-model.lam - gammaln(len(pts) + 1) + logs.sum())
+        return -total_mass(g)
+    logs = log_eval_intensity(g, pts)
+    return float(-total_mass(g) - gammaln(len(pts) + 1) + logs.sum())
 
 
 def _log_ratio(li: float, lj: float) -> float:
@@ -93,14 +73,14 @@ def _log_ratio(li: float, lj: float) -> float:
     return 0.0 if li == lj == -math.inf else li - lj
 
 
-def log_bayes_factor(d: PersistenceDiagram, model_i: ClassModel,
-                     model_j: ClassModel) -> float:
-    """log of the ratio of posterior predictive densities, i over j.
+def log_bayes_factor(d: PersistenceDiagram, g_i: GaussianMixtureIntensity,
+                     g_j: GaussianMixtureIntensity) -> float:
+    """log of the ratio of posterior predictive densities, g_i over g_j.
 
     When both densities are zero there is no evidence either way and the
     result is defined as 0.
     """
-    return _log_ratio(diagram_log_density(d, model_i), diagram_log_density(d, model_j))
+    return _log_ratio(diagram_log_density(d, g_i), diagram_log_density(d, g_j))
 
 
 class ClassifyResult(NamedTuple):
@@ -117,17 +97,18 @@ def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> Classif
     falls below, no vote on an exact tie. The label with most votes wins;
     vote ties break toward the larger total log density, then toward the
     lexicographically smallest label. The full evidence trail is returned.
-    Invariant under permutation of the models, which may be any iterable: one
-    pass holds one model at a time, so a generator can build each when asked.
+    The models are (label, mixture) pairs, from any iterable, dict.items()
+    included; the result is invariant under their order. One pass holds one
+    mixture at a time, so a generator can build each when asked.
     """
     if not 0 < threshold_c < math.inf:
         raise ValidationError("threshold_c must be positive and finite")
     ld = {}
-    for m in models:
-        if m.label in ld:
+    for label, g in models:
+        if label in ld:
             raise ValidationError("class labels must be distinct")
-        ld[m.label] = diagram_log_density(d, m)
-        del m  # let go before the next model is asked for, and so before it is built
+        ld[label] = diagram_log_density(d, g)
+        del g  # let go before the next model is asked for, and so before it is built
     if len(ld) < 2:
         raise ValidationError("need at least 2 class models")
     ld = dict(sorted(ld.items()))
@@ -181,7 +162,7 @@ def _fold_labels(fold, data: LabeledDataset, prior, cfg, threshold_c) -> list:
     models = []
     for lab in data.labels:
         training = [data.entries[i][0] for i in train_idx if data.entries[i][1] == lab]
-        models.append(fit_class_model(training, prior, cfg, lab))
+        models.append((lab, posterior_intensity(prior, training, cfg)))
     return [classify(data.entries[i][0], models, threshold_c).label for i in test_idx]
 
 

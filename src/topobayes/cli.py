@@ -18,18 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (
-    ClassModel,
-    LabeledDataset,
-    classify as classify_diagram,
-    cross_validate,
-    fit_class_model,
-    usable_cpus,
-)
+from .classifier import LabeledDataset, classify as classify_diagram, cross_validate, usable_cpus
 from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
-from .intensity import GaussianMixtureIntensity, intensity_grid
-from .posterior import PosteriorConfig, default_clutter, default_prior
+from .intensity import GaussianMixtureIntensity, intensity_grid, total_mass
+from .posterior import PosteriorConfig, default_clutter, default_prior, posterior_intensity
 from .signals import ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
@@ -38,13 +31,13 @@ _BLOCK_VALUES = 2 ** 14
 
 
 def _read(path, decode):
-    """decode() of the JSON file at path, its component objects parsed as component_row's rows;
-    a fault in the file is a DataFileError naming it."""
+    """decode() of the JSON file at path, its component objects parsed as component_row's rows
+    and a leading byte-order mark dropped; a fault in the file is a DataFileError naming it."""
     p = Path(path)
     if not p.exists():
         raise DataFileError(f"{p}: no such file")
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"), object_hook=component_row)
+        obj = json.loads(p.read_text(encoding="utf-8-sig"), object_hook=component_row)
     except (ValueError, RecursionError) as e:  # ValueError: also an integer of over 4300 digits
         raise DataFileError(f"{p}: malformed JSON ({e})") from None
     return _decoded(p, decode, obj)
@@ -129,11 +122,10 @@ def _write_csv(path, table):
         f.writelines(_blocks(",".join(["%.17g"] * table.shape[1]) + "\n", "", table))
 
 
-def _emit_model(model, out):
-    """The model as {"label", "lambda", "posterior": {"components": [{"mu", "var", "w"}, ...]}}
-    through _emit, without a dict per component."""
-    g = model.posterior
-    _emit({"label": model.label, "lambda": model.lam, "posterior": {"components": []}}, out,
+def _emit_model(label, g, out):
+    """The model of label and its mixture g as {"label", "lambda", "posterior": {"components":
+    [{"mu", "var", "w"}, ...]}} through _emit, without a dict per component."""
+    _emit({"label": label, "lambda": total_mass(g), "posterior": {"components": []}}, out,
           {"mu": [None, None], "var": None, "w": None},
           np.column_stack([g.means, g.variances, g.weights]))
 
@@ -200,7 +192,7 @@ def mixture_arrays(obj) -> tuple:
     return a[:, 0], a[:, 1:3], a[:, 3]
 
 
-def model_from_json(obj) -> ClassModel:
+def model_from_json(obj) -> tuple:
     return model_from_arrays(model_arrays(obj))
 
 
@@ -211,16 +203,16 @@ def model_arrays(obj) -> dict:
     return {**obj, "posterior": mixture_arrays(obj["posterior"])}
 
 
-def model_from_arrays(obj) -> ClassModel:
-    """The model of model_arrays's obj, its 'lambda' checked against its posterior."""
-    model = ClassModel(label=obj["label"], posterior=GaussianMixtureIntensity(*obj["posterior"]))
+def model_from_arrays(obj) -> tuple:
+    """The (label, mixture) of model_arrays's obj, its 'lambda' checked against its posterior."""
+    g = GaussianMixtureIntensity(*obj["posterior"])
     # "lambda" is redundant with the posterior; a file whose value disagrees
     # was edited or corrupted, so it is rejected rather than ignored
-    mass = model.lam
+    mass = total_mass(g)
     lam = json_floats(obj.get("lambda", mass), "model JSON 'lambda'")
     if not abs(lam - mass) <= 1e-12 * max(1.0, mass):
         raise ValidationError("model JSON 'lambda' must equal the posterior's total mass")
-    return model
+    return obj["label"], g
 
 
 def diagram_from_json(obj) -> PersistenceDiagram:
@@ -383,12 +375,12 @@ def pd(out, manifest=None, inputs=()):
         raise DataFileError("; ".join(failures))
 
 
-def _load_diagram_entries(command, out, manifest_path, *inputs, label=None, labeled=False):
-    """The manifest and its (diagram, label) entries; only those labeled label, if given. An
-    --out that is the manifest or one of inputs is refused before the manifest is read, and one
-    that is a listed diagram before any diagram is."""
+def _load_diagram_entries(command, out, manifest_path, *inputs, label=None):
+    """The manifest and its (diagram, label) entries: only those labeled label, if given, else
+    all, each of which must have a label. An --out that is the manifest or one of inputs is
+    refused before the manifest is read, and one that is a listed diagram before any diagram is."""
     _check_out(command, out, [out], manifest_path, *inputs)
-    manifest = _manifest(manifest_path, "diagram", labeled)
+    manifest = _manifest(manifest_path, "diagram", labeled=label is None)
     listed = [(Path(manifest_path).parent / e["diagram"], e.get("label"))
               for e in manifest["entries"]]
     _check_out(command, out, [out], *(path for path, _ in listed))
@@ -403,7 +395,7 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
     if not entries:
         raise ValidationError(f"no diagrams labeled {label!r} in manifest")
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
-    _emit_model(fit_class_model([d for d, _ in entries], prior, cfg, label), out)
+    _emit_model(label, posterior_intensity(prior, [d for d, _ in entries], cfg), out)
 
 
 def classify(models, diagram, threshold=1.0, out=None):
@@ -432,7 +424,7 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
     """Cross-validate on a labeled manifest; the report, printed unless out is set."""
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
-    obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter, labeled=True)
+    obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter)
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
@@ -449,7 +441,7 @@ def heatmap(model, bounds, res, out):
     # with_suffix replaces a suffix on the prefix: --out m.heat next to --model m.json is m.json
     sidecar, table = Path(out).with_suffix(".json"), Path(out).with_suffix(".csv")
     _check_out("heatmap", out, [sidecar, table], model)
-    posterior = _read(model, model_from_json).posterior
+    _, posterior = _read(model, model_from_json)
     bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
     resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")
     grid = intensity_grid(posterior, bounds, resolution)

@@ -46,7 +46,7 @@ import numpy as np
 from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
 from topobayes import posterior
 from topobayes.filtration import untilt
-from topobayes.intensity import log_wedge_mass, wedge_rectangle
+from topobayes.intensity import log_wedge_mass, total_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
 from topobayes.signals import check_rate
 
@@ -294,12 +294,12 @@ def mixture_to_json(g: GaussianMixtureIntensity) -> dict:
     }
 
 
-def model_to_json(model) -> dict:
+def model_to_json(label, g: GaussianMixtureIntensity) -> dict:
     """Wire format: {"label": str, "lambda": total mass, "posterior": mixture_to_json}."""
     return {
-        "label": model.label,
-        "lambda": float(model.lam),
-        "posterior": mixture_to_json(model.posterior),
+        "label": label,
+        "lambda": total_mass(g),
+        "posterior": mixture_to_json(g),
     }
 
 

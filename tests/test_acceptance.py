@@ -14,7 +14,6 @@ from scipy.stats import binomtest
 from topobayes import (
     ALPHA_BAND,
     BETA_BAND,
-    ClassModel,
     GaussianMixtureIntensity,
     LabeledDataset,
     PersistenceDiagram,
@@ -26,13 +25,13 @@ from topobayes import (
     default_prior,
     diagram_log_density,
     eval_intensity,
-    fit_class_model,
     generate_band_signal,
     log_bayes_factor,
     posterior_intensity,
     stratified_folds,
     sublevel_pd,
     tilt,
+    total_mass,
 )
 from conftest import brute_sublevel_pairs, sample_ppp_diagram, separable_grid_mass
 from oracles import posterior_quadrature, quadrature_nodes
@@ -229,12 +228,8 @@ def test_criterion_6_bayes_factor_algebra():
     rng = np.random.default_rng(555)
     prior = default_prior()
     cfg = PosteriorConfig(alpha=0.6, sigma_obs=0.4)
-    m1 = fit_class_model(
-        [PersistenceDiagram(rng.uniform(0, 4, (5, 2)))], prior, cfg, "one"
-    )
-    m2 = fit_class_model(
-        [PersistenceDiagram(rng.uniform(2, 8, (4, 2)))], prior, cfg, "two"
-    )
+    m1 = posterior_intensity(prior, [PersistenceDiagram(rng.uniform(0, 4, (5, 2)))], cfg)
+    m2 = posterior_intensity(prior, [PersistenceDiagram(rng.uniform(2, 8, (4, 2)))], cfg)
     exact = 0
     for _ in range(100):
         d = PersistenceDiagram(rng.uniform(0, 8, (int(rng.integers(0, 8)), 2)))
@@ -260,10 +255,8 @@ def test_criterion_7_density_sanity():
     shifted = GaussianMixtureIntensity(
         [4.0, 3.0], np.array([[2.0, 2.0], [5.0, 1.5]]) + shift, [var, var]
     )
-    m_t = ClassModel("true", truth)
-    m_s = ClassModel("shifted", shifted)
     diffs = np.array([
-        diagram_log_density(d, m_t) - diagram_log_density(d, m_s)
+        diagram_log_density(d, truth) - diagram_log_density(d, shifted)
         for d in (sample_ppp_diagram(rng, truth) for _ in range(1000))
     ])
     wins = int((diffs > 0).sum())
@@ -291,13 +284,10 @@ def test_criterion_8_mass_consistency(eeg_datasets, experiment_config):
                 training = [
                     data.entries[i][0] for i in train_idx if data.entries[i][1] == label
                 ]
-                model = fit_class_model(
-                    training, default_prior(), experiment_config, label
-                )
-                g = model.posterior
+                g = posterior_intensity(default_prior(), training, experiment_config)
                 box = float(np.max(g.means) + 8.0 * np.sqrt(g.variances.max()))
                 quad = separable_grid_mass(g, box, 3200)
-                rel = abs(quad - model.lam) / model.lam
+                rel = abs(quad - total_mass(g)) / total_mass(g)
                 worst = max(worst, rel)
                 n_models += 1
     elapsed = time.perf_counter() - start

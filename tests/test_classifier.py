@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from topobayes import (
-    ClassModel,
     GaussianMixtureIntensity,
     LabeledDataset,
     PersistenceDiagram,
@@ -18,9 +17,9 @@ from topobayes import (
     classify,
     cross_validate,
     diagram_log_density,
-    fit_class_model,
     log_bayes_factor,
     log_eval_intensity,
+    posterior_intensity,
     stratified_folds,
     total_mass,
 )
@@ -31,9 +30,12 @@ import oracles
 from oracles import mixture_to_json, model_to_json
 
 
+def mixture_at(mean, lam=5.0, var=0.5):
+    return GaussianMixtureIntensity.single(lam, mean, var)
+
+
 def model_at(mean, label="m", lam=5.0, var=0.5):
-    g = GaussianMixtureIntensity.single(lam, mean, var)
-    return ClassModel(label=label, posterior=g)
+    return label, mixture_at(mean, lam, var)
 
 
 def diagram(*points):
@@ -45,26 +47,26 @@ EMPTY = PersistenceDiagram(np.zeros((0, 2)))
 
 class TestDiagramLogDensity:
     def test_empty_diagram(self):
-        m = model_at((2.0, 2.0), lam=3.5)
-        assert diagram_log_density(EMPTY, m) == -3.5
+        g = mixture_at((2.0, 2.0), lam=3.5)
+        assert diagram_log_density(EMPTY, g) == -3.5
 
     def test_single_point(self):
-        m = model_at((2.0, 2.0), lam=3.5)
+        g = mixture_at((2.0, 2.0), lam=3.5)
         x = (2.5, 1.5)
-        v = log_eval_intensity(m.posterior, x)
-        assert diagram_log_density(diagram(x), m) == pytest.approx(-3.5 + v, rel=1e-12)
+        v = log_eval_intensity(g, x)
+        assert diagram_log_density(diagram(x), g) == pytest.approx(-3.5 + v, rel=1e-12)
 
     def test_point_permutation_invariant(self, rng):
-        m = model_at((2.0, 2.0))
+        g = mixture_at((2.0, 2.0))
         pts = rng.uniform(0, 5, (6, 2))
-        a = diagram_log_density(PersistenceDiagram(pts), m)
-        b = diagram_log_density(PersistenceDiagram(pts[::-1]), m)
+        a = diagram_log_density(PersistenceDiagram(pts), g)
+        b = diagram_log_density(PersistenceDiagram(pts[::-1]), g)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_empty_model_scores_minus_inf(self):
-        empty_model = ClassModel("none", GaussianMixtureIntensity.empty())
-        assert diagram_log_density(diagram((1.0, 1.0)), empty_model) == -np.inf
-        assert diagram_log_density(EMPTY, empty_model) == 0.0
+        empty = GaussianMixtureIntensity.empty()
+        assert diagram_log_density(diagram((1.0, 1.0)), empty) == -np.inf
+        assert diagram_log_density(EMPTY, empty) == 0.0
 
     def test_monte_carlo_prefers_true_model(self, rng):
         # sampler as oracle: diagrams drawn from a known process score higher
@@ -75,39 +77,37 @@ class TestDiagramLogDensity:
         shifted = GaussianMixtureIntensity(
             [4.0, 3.0], [[3.5, 3.5], [6.5, 2.5]], [0.5, 0.5]
         )
-        m_true = ClassModel("t", truth)
-        m_shift = ClassModel("s", shifted)
         diffs = []
         for _ in range(300):
             d = sample_ppp_diagram(rng, truth)
-            diffs.append(diagram_log_density(d, m_true) - diagram_log_density(d, m_shift))
+            diffs.append(diagram_log_density(d, truth) - diagram_log_density(d, shifted))
         assert np.mean(diffs) > 0
         assert np.mean(np.array(diffs) > 0) > 0.9
 
 
 class TestLogBayesFactor:
     def test_identical_models_give_zero(self, rng):
-        m = model_at((2.0, 2.0))
+        g = mixture_at((2.0, 2.0))
         for _ in range(20):
             d = PersistenceDiagram(rng.uniform(0, 5, (4, 2)))
-            assert log_bayes_factor(d, m, m) == 0.0
+            assert log_bayes_factor(d, g, g) == 0.0
 
     def test_antisymmetry_exact(self, rng):
-        a = model_at((2.0, 2.0), "a")
-        b = model_at((4.0, 1.0), "b", lam=7.0)
+        a = mixture_at((2.0, 2.0))
+        b = mixture_at((4.0, 1.0), lam=7.0)
         for _ in range(50):
             d = PersistenceDiagram(rng.uniform(0, 6, (int(rng.integers(0, 6)), 2)))
             assert log_bayes_factor(d, a, b) == -log_bayes_factor(d, b, a)
 
     def test_diagram_near_model_i_scores_positive(self, rng):
-        a = model_at((1.0, 1.0), "a")
-        b = model_at((6.0, 6.0), "b")
-        d = sample_ppp_diagram(rng, a.posterior)
+        a = mixture_at((1.0, 1.0))
+        b = mixture_at((6.0, 6.0))
+        d = sample_ppp_diagram(rng, a)
         assert log_bayes_factor(d, a, b) > 0
 
     def test_double_minus_inf_defined_as_zero(self):
-        none_a = ClassModel("a", GaussianMixtureIntensity.empty())
-        none_b = ClassModel("b", GaussianMixtureIntensity.empty())
+        none_a = GaussianMixtureIntensity.empty()
+        none_b = GaussianMixtureIntensity.empty()
         assert log_bayes_factor(diagram((1.0, 1.0)), none_a, none_b) == 0.0
 
 
@@ -117,38 +117,37 @@ class TestFitClassModel:
 
     def test_alpha_zero_keeps_prior(self):
         cfg = PosteriorConfig(alpha=0.0, sigma_obs=1.0)
-        m = fit_class_model([diagram((1.0, 1.0))], self.prior, cfg, "x")
-        assert np.array_equal(m.posterior.weights, self.prior.weights)
-        assert m.lam == total_mass(self.prior)
+        g = posterior_intensity(self.prior, [diagram((1.0, 1.0))], cfg)
+        assert np.array_equal(g.weights, self.prior.weights)
+        assert total_mass(g) == total_mass(self.prior)
 
     def test_duplicated_diagram_changes_nothing(self):
         # the update averages over diagrams, so m identical copies match m=1
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
         d = diagram((2.0, 2.0), (4.0, 1.0))
-        one = fit_class_model([d], self.prior, cfg, "x")
-        two = fit_class_model([d, d], self.prior, cfg, "x")
+        one = posterior_intensity(self.prior, [d], cfg)
+        two = posterior_intensity(self.prior, [d, d], cfg)
         pts = np.random.default_rng(0).uniform(0, 6, (50, 2))
         assert np.allclose(
-            log_eval_intensity(one.posterior, pts),
-            log_eval_intensity(two.posterior, pts),
+            log_eval_intensity(one, pts),
+            log_eval_intensity(two, pts),
             rtol=1e-10,
         )
-        assert one.lam == pytest.approx(two.lam, rel=1e-12)
+        assert total_mass(one) == pytest.approx(total_mass(two), rel=1e-12)
 
     def test_lambda_matches_quadrature(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
-        m = fit_class_model(
-            [diagram((2.0, 2.0), (4.0, 1.0)), diagram((3.0, 2.5))],
-            self.prior, cfg, "x",
+        g = posterior_intensity(
+            self.prior, [diagram((2.0, 2.0), (4.0, 1.0)), diagram((3.0, 2.5))], cfg,
         )
-        box = float(np.max(m.posterior.means) + 8 * np.sqrt(m.posterior.variances.max()))
-        quad = separable_grid_mass(m.posterior, box, 4000)
-        assert m.lam == pytest.approx(quad, rel=1e-4)
+        box = float(np.max(g.means) + 8 * np.sqrt(g.variances.max()))
+        quad = separable_grid_mass(g, box, 4000)
+        assert total_mass(g) == pytest.approx(quad, rel=1e-4)
 
     def test_empty_training_rejected(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
         with pytest.raises(ValidationError):
-            fit_class_model([], self.prior, cfg, "x")
+            posterior_intensity(self.prior, [], cfg)
 
     def test_model_and_scores_same_at_one_and_two_blas_threads(self):
         set_threads = classifier._openblas_set_threads()
@@ -171,8 +170,8 @@ class TestFitClassModel:
             try:
                 for threads in (1, 2):
                     set_threads(threads)
-                    g = fit_class_model(train, prior, cfg, "x").posterior
-                    logs = np.array([diagram_log_density(d, ClassModel("x", g)) for d in tests])
+                    g = posterior_intensity(prior, train, cfg)
+                    logs = np.array([diagram_log_density(d, g) for d in tests])
                     runs.append((g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes(),
                                  logs.tobytes()))
             finally:
@@ -182,27 +181,27 @@ class TestFitClassModel:
 
     def test_model_json_roundtrip(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
-        m = fit_class_model([diagram((2.0, 2.0))], self.prior, cfg, "x")
-        back = model_from_json(model_to_json(m))
-        assert back.label == m.label
-        assert back.lam == m.lam
-        assert np.array_equal(back.posterior.weights, m.posterior.weights)
-        assert np.array_equal(back.posterior.means, m.posterior.means)
+        g = posterior_intensity(self.prior, [diagram((2.0, 2.0))], cfg)
+        label, back = model_from_json(model_to_json("x", g))
+        assert label == "x"
+        assert total_mass(back) == total_mass(g)
+        assert np.array_equal(back.weights, g.weights)
+        assert np.array_equal(back.means, g.means)
 
 
 class TestClassify:
     def test_two_class_margin(self, rng):
         a = model_at((1.0, 1.0), "a")
         b = model_at((6.0, 6.0), "b")
-        d = sample_ppp_diagram(rng, a.posterior)
+        d = sample_ppp_diagram(rng, a[1])
         result = classify(d, [a, b])
         assert result.label == "a"
         assert result.votes == {"a": 1, "b": 0}
 
     def test_identical_models_tie_breaks_to_first_label(self):
         g = GaussianMixtureIntensity.single(2.0, (2.0, 2.0), 1.0)
-        m1 = ClassModel("x", g)
-        m2 = ClassModel("y", g)
+        m1 = ("x", g)
+        m2 = ("y", g)
         result = classify(diagram((2.0, 2.0)), [m1, m2])
         assert result.votes == {"x": 0, "y": 0}  # exact tie casts no vote
         assert result.label == "x"  # broken by label order
@@ -230,11 +229,8 @@ class TestClassify:
     def test_weight_identity_scaling_keeps_argmax(self, rng):
         models = [model_at((1.0, 1.0), "a"), model_at((5.0, 3.0), "b")]
         scaled = [
-            ClassModel(m.label,
-                       GaussianMixtureIntensity(m.posterior.weights * 1.0,
-                                                m.posterior.means,
-                                                m.posterior.variances))
-            for m in models
+            (label, GaussianMixtureIntensity(g.weights * 1.0, g.means, g.variances))
+            for label, g in models
         ]
         for _ in range(10):
             d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
@@ -266,18 +262,26 @@ class TestClassify:
             assert classify(d, (model_at(*spec) for spec in specs), threshold_c=2.0) == want
             assert list(want.log_densities) == list(want.votes) == ["a", "b", "c"]
 
+    def test_a_dicts_items_give_the_lists_result(self, rng):
+        mixtures = {"c": mixture_at((1.0, 1.0)), "a": mixture_at((5.0, 3.0)),
+                    "b": mixture_at((2.0, 4.0))}
+        for _ in range(5):
+            d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
+            want = classify(d, list(mixtures.items()), threshold_c=2.0)
+            assert classify(d, mixtures.items(), threshold_c=2.0) == want
+
     def test_holds_one_model_at_a_time(self):
-        # each model is let go before the next is asked for, so a generator that builds them
+        # each mixture is let go before the next is asked for, so a generator that builds them
         # as they are asked for holds one: every one it yielded before is dead by then
         refs = []
 
         def models():
             for i, center in enumerate([(1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 4.0)]):
                 assert [r() for r in refs] == [None] * len(refs), i
-                m = model_at(center, str(i))
-                refs.append(weakref.ref(m))
-                yield m
-                del m
+                g = mixture_at(center)
+                refs.append(weakref.ref(g))
+                yield str(i), g
+                del g
 
         d = diagram((1.0, 1.0), (2.5, 1.5))
         assert classify(d, models()).label == "0"
@@ -363,29 +367,31 @@ class TestCrossValidate:
         if set_threads is None:
             pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
         data = clustered_dataset(rng, 8, 4, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
-        fit_once = classifier.fit_class_model
+        fit_once = classifier.posterior_intensity
         held_counts = []
         fault = ValidationError("one fold fails")
         held_out, held_out_label = data.entries[0]
+        held_out_class = [d for d, lab in data.entries if lab == held_out_label]
 
-        def recording_fit(training, prior, cfg, label):
+        def recording_fit(prior, training, cfg):
             held_counts.append(set_threads(1))  # sets the count it should already be
-            return fit_once(training, prior, cfg, label)
+            return fit_once(prior, training, cfg)
 
-        def failing_fit(training, prior, cfg, label):
+        def failing_fit(prior, training, cfg):
             # fails only in the fold that holds entry 0 out
-            if label == held_out_label and not any(d is held_out for d in training):
+            if (any(d is training[0] for d in held_out_class)
+                    and not any(d is held_out for d in training)):
                 raise fault
-            return fit_once(training, prior, cfg, label)
+            return fit_once(prior, training, cfg)
 
         monkeypatch.setattr(classifier, "usable_cpus", lambda: 3)
         before = set_threads(2)
         try:
-            monkeypatch.setattr(classifier, "fit_class_model", recording_fit)
+            monkeypatch.setattr(classifier, "posterior_intensity", recording_fit)
             cross_validate(data, self.prior, self.cfg)
             assert held_counts == [1] * 8
             assert set_threads(2) == 2
-            monkeypatch.setattr(classifier, "fit_class_model", failing_fit)
+            monkeypatch.setattr(classifier, "posterior_intensity", failing_fit)
             with pytest.raises(ValidationError) as caught:
                 cross_validate(data, self.prior, self.cfg)
             assert caught.value is fault
@@ -407,9 +413,8 @@ class TestCrossValidate:
                                                 [20.0, 2.0, 3.0])
             training = [data.entries[i][0] for i in train if data.entries[i][1] == "a"]
             cfg = tb.PosteriorConfig(alpha=0.7, sigma_obs=0.2)
-            model = tb.fit_class_model(training, prior, cfg, "a")
-            logs = np.array([tb.diagram_log_density(data.entries[i][0], model) for i in test])
-            g = model.posterior
+            g = tb.posterior_intensity(prior, training, cfg)
+            logs = np.array([tb.diagram_log_density(data.entries[i][0], g) for i in test])
             print(g.n_components, hashlib.sha256(logs.tobytes() + g.weights.tobytes()
                                                  + g.means.tobytes()).hexdigest())
         """)
@@ -487,8 +492,8 @@ class TestClassModelType:
     def test_lambda_must_match_mass(self):
         g = GaussianMixtureIntensity.single(2.0, (1.0, 1.0), 1.0)
         obj = {"label": "x", "posterior": mixture_to_json(g)}
-        assert model_from_json(obj).lam == 2.0
-        assert model_from_json({**obj, "lambda": 2.0}).lam == 2.0
+        assert total_mass(model_from_json(obj)[1]) == 2.0
+        assert total_mass(model_from_json({**obj, "lambda": 2.0})[1]) == 2.0
         for bad in (3.0, 2.0 + 1e-9, "x", "2.0", None, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValidationError):
                 model_from_json({**obj, "lambda": bad})

@@ -23,14 +23,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from topobayes import (
-    ClassModel,
     GaussianMixtureIntensity,
     PersistenceDiagram,
     Signal,
     classify,
     default_clutter,
     default_prior,
-    fit_class_model,
+    posterior_intensity,
     sublevel_pd,
     tilt,
     PosteriorConfig,
@@ -353,6 +352,30 @@ class TestPd:
         assert sorted(map(tuple, d.points)) == [(0.0, 2.0), (1.0, 1.0)]
 
 
+class TestJsonByteOrderMark:
+    """A JSON file that starts with a UTF-8 byte-order mark reads as the file without it."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_signal_gives_the_plain_files_diagram(self, tmp_path):
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text('{"rate": 128, "samples": [0.5, 1.5, -1.0, 2.0]}')
+        bom.write_bytes(self.BOM + plain.read_bytes())
+        assert run("pd", plain, bom, "--out", tmp_path / "pd") == 0
+        assert ((tmp_path / "pd" / "bom.pd.json").read_bytes()
+                == (tmp_path / "pd" / "plain.pd.json").read_bytes())
+
+    def test_model_gives_the_plain_files_report(self, tmp_path, cli_files, capsys):
+        bom = tmp_path / "alpha.json"
+        bom.write_bytes(self.BOM + (cli_files / "alpha.json").read_bytes())
+        reports = []
+        for alpha in (cli_files / "alpha.json", bom):
+            assert run("classify", "--models", alpha, cli_files / "beta.json",
+                       "--diagram", cli_files / "diagrams" / "alpha_000.pd.json") == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1] and reports[0].err == ""
+
+
 class TestFitClassifyRoundtrip:
     def test_fit_alpha_zero_emits_prior(self, dataset):
         model_path = dataset / "model.json"
@@ -387,7 +410,7 @@ class TestFitClassifyRoundtrip:
                 diagram_from_json(read_json(dataset / "diagrams" / e["diagram"]))
                 for e in entries if e["label"] == label
             ]
-            models.append(fit_class_model(training, default_prior(), cfg, label))
+            models.append((label, posterior_intensity(default_prior(), training, cfg)))
         want = classify(diagram_from_json(read_json(target)), models, 1.0)
         assert report["label"] == want.label
         assert report["votes"] == want.votes
@@ -416,8 +439,8 @@ class TestFitClassifyRoundtrip:
         training = [diagram_from_json(read_json(dataset / "diagrams" / e["diagram"]))
                     for e in read_json(manifest)["entries"] if e["label"] == "alpha"]
         cfg = PosteriorConfig(alpha=0.6, sigma_obs=0.3, clutter=default_clutter())
-        model = fit_class_model(training, default_prior(), cfg, "alpha")
-        want = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+        g = posterior_intensity(default_prior(), training, cfg)
+        want = json.dumps(model_to_json("alpha", g), indent=2, sort_keys=True) + "\n"
         assert model_path.read_text() == want
 
     def test_classify_writes_zero_density_as_string(self, cli_files, tmp_path, capsys):
@@ -628,15 +651,14 @@ class TestMixtureFiles:
     def test_reading_a_model_holds_its_text_and_a_row_per_component(self, tmp_path):
         a = np.random.default_rng(0).uniform(0.1, 2.0, size=(100_000, 4))
         path = tmp_path / "m.json"
-        cli._emit_model(ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])),
-                        path)
+        cli._emit_model("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]), path)
         tracemalloc.start()
         try:
-            model = cli._read(path, model_from_json)
+            _, g = cli._read(path, model_from_json)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert model.posterior.weights.tobytes() == a[:, 0].tobytes()
+        assert g.weights.tobytes() == a[:, 0].tobytes()
         # the text, twice while it is decoded, then one tuple of 4 floats per component, 168 B;
         # a dict and a list per component took 3.3 times the file's size
         assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
@@ -649,8 +671,7 @@ class TestClassifyMemory:
     @staticmethod
     def _model_file(path, label, seed):
         a = np.random.default_rng(seed).uniform(0.1, 2.0, size=(100_000, 4))
-        cli._emit_model(ClassModel(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3])),
-                        path)
+        cli._emit_model(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]), path)
         return path
 
     def test_holds_one_built_model_at_a_time(self, tmp_path, cli_files):
@@ -785,8 +806,8 @@ class TestUpdateOverflow:
         assert run("fit", "--manifest", manifest, "--label", "x", "--prior", prior,
                    "--out", tmp_path / "model.json") == 0
         assert capfd.readouterr() == ("", "")
-        model = model_from_json(json.loads((tmp_path / "model.json").read_text()))
-        assert np.all(np.isfinite(model.posterior.weights))
+        _, g = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+        assert np.all(np.isfinite(g.weights))
 
 
 def _write(path, obj):
@@ -1442,10 +1463,10 @@ class TestWriters:
         lambda cs: math.isfinite(sum(c[0] for c in cs))), block=_BLOCK_SIZES)
     def test_model_file_is_the_indented_json_of_model_to_json(self, label, comps, block):
         a = np.array(comps, dtype=float).reshape(-1, 4)
-        model = ClassModel(label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
-        want = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+        model = (label, GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        want = json.dumps(model_to_json(*model), indent=2, sort_keys=True) + "\n"
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_VALUES", block):
-            cli._emit_model(model, Path(tmp) / "m.json")
+            cli._emit_model(*model, Path(tmp) / "m.json")
             assert (Path(tmp) / "m.json").read_bytes() == want.encode()
 
     @settings(max_examples=150, deadline=None)
@@ -1472,7 +1493,7 @@ class TestWriters:
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 11])  # B = 4 rows a block: 0, 1, B-1 ... 2B+3
     def test_files_of_n_rows_in_blocks_of_four_rows(self, tmp_path, capsys, monkeypatch, n):
         a = np.random.default_rng(n).uniform(0.1, 2.0, size=(n, 4))
-        model = ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        model = ("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
         diagram = PersistenceDiagram(a[:, :2], -0.5)
         table = a[:, 1:]
 
@@ -1480,7 +1501,7 @@ class TestWriters:
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
         for width, write, want in [
-            (4, lambda path: cli._emit_model(model, path), dump(model_to_json(model))),
+            (4, lambda path: cli._emit_model(*model, path), dump(model_to_json(*model))),
             (2, lambda path: cli._emit_diagram(diagram, path), dump(diagram_to_json(diagram))),
             (3, lambda path: cli._write_csv(path, table),
              "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)),
@@ -1495,9 +1516,9 @@ class TestWriters:
         # the whole text of either file would be tens of MB; the model's (K, 4) rows are 3.2 MB
         rng = np.random.default_rng(0)
         a = rng.uniform(0.1, 2.0, size=(100_000, 4))
-        model = ClassModel("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
+        model = ("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]))
         table = rng.normal(size=(1000, 1000))
-        for write, limit in [(lambda: cli._emit_model(model, tmp_path / "m.json"), 8e6),
+        for write, limit in [(lambda: cli._emit_model(*model, tmp_path / "m.json"), 8e6),
                              (lambda: cli._write_csv(tmp_path / "t.csv", table), 2e6)]:
             tracemalloc.start()
             try:
