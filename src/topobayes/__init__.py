@@ -41,7 +41,6 @@ from .posterior import (
 from .signals import (
     ALPHA_BAND,
     BETA_BAND,
-    BandSpec,
     Signal,
     add_noise,
     generate_band_signal,

@@ -49,7 +49,7 @@ class GaussianMixtureIntensity:
     means     -- (K, 2) component centers in (birth, persistence) coordinates
     variances -- (K,) strictly positive isotropic variances (covariance var*I)
 
-    An empty mixture (K = 0) is allowed and evaluates to zero everywhere.
+    The empty mixture (K = 0), GaussianMixtureIntensity([], [], []), is zero everywhere.
     """
 
     weights: np.ndarray
@@ -91,10 +91,6 @@ class GaussianMixtureIntensity:
             raise ValidationError("mixture component too extreme: its log kernel is not finite")
         object.__setattr__(self, "_log_kernel_constants",
                            (coef, log_norm, max(coef.max(initial=0.0), -coef.min(initial=0.0))))
-
-    @classmethod
-    def empty(cls) -> "GaussianMixtureIntensity":
-        return cls(np.zeros(0), np.zeros((0, 2)), np.zeros(0))
 
     @classmethod
     def single(cls, weight, mean, var) -> "GaussianMixtureIntensity":
@@ -178,17 +174,14 @@ def wedge_rectangle(bounds):
 def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarray:
     """Scaled intensity map over a rectangle inside the wedge.
 
-    bounds is (b_lo, p_lo, b_hi, p_hi); resolution an int or (nb, np) pair,
-    each at least 2. Samples the intensity on inclusive linspace axes
+    bounds is (b_lo, p_lo, b_hi, p_hi); resolution the (nb, np) pair of axis
+    sizes, each at least 2. Samples the intensity on inclusive linspace axes
     b_axis, p_axis and divides by its maximum, giving values in [0, 1]; an
     identically zero field is returned as zeros. Entry [i, j] is the scaled
     intensity at (b_axis[i], p_axis[j]).
     """
     b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
-    if isinstance(resolution, int):
-        nb = npts = resolution
-    else:
-        nb, npts = resolution
+    nb, npts = resolution
     # the (nb, npts, 2) points are the largest array, checked before any array is made
     if not (2 <= nb and 2 <= npts and nb * npts * 16 <= MAX_SIZE):
         raise ValidationError("grid resolution must be at least 2x2, and its grid fit an array")

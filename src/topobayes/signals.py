@@ -39,41 +39,27 @@ def check_rate(value) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """Frequency band for the sinusoid-sum generator.
-
-    The Nyquist constraint f_high < sample_rate / 2 is checked at generation
-    time, when the sample rate is known.
-    """
-
-    f_low: float
-    f_high: float
-
-    def __post_init__(self):
-        if not (0 < self.f_low < self.f_high):
-            raise ValidationError(
-                f"band needs 0 < f_low < f_high, got [{self.f_low}, {self.f_high}]"
-            )
+# the paper's two EEG rhythms, each an (f_low, f_high) pair in Hz
+ALPHA_BAND = (8.0, 13.0)
+BETA_BAND = (13.0, 30.0)
 
 
-ALPHA_BAND = BandSpec(8.0, 13.0)
-BETA_BAND = BandSpec(13.0, 30.0)
+def generate_band_signal(band, duration: float, sample_rate: float, seed: int) -> Signal:
+    """Random sum of three sinusoids with frequencies inside band, an (f_low, f_high) pair in Hz.
 
-
-def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
-                         seed: int) -> Signal:
-    """Random sum of three sinusoids with frequencies inside the band.
-
+    The whole band is checked here: 0 < f_low < f_high first, then f_high below Nyquist.
     Frequencies are drawn uniformly in [f_low, f_high], phases uniformly in
     [0, 2*pi), amplitudes uniformly in [0.5, 1.5] (unit mean). The sum is
     rescaled to unit RMS power. Deterministic for a fixed seed.
     """
+    f_low, f_high = band
+    if not (0 < f_low < f_high):
+        raise ValidationError(f"band needs 0 < f_low < f_high, got [{f_low}, {f_high}]")
     if not (0 < duration < np.inf and 0 < sample_rate < np.inf):
         raise ValidationError("duration and sample_rate must be positive and finite")
-    if band.f_high >= sample_rate / 2:
+    if f_high >= sample_rate / 2:
         raise ValidationError(
-            f"f_high {band.f_high} Hz is not below the Nyquist rate "
+            f"f_high {f_high} Hz is not below the Nyquist rate "
             f"{sample_rate / 2} Hz"
         )
     samples = duration * sample_rate
@@ -83,7 +69,7 @@ def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
     if n < 2:
         raise ValidationError("duration * sample_rate must yield at least 2 samples")
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(band.f_low, band.f_high, 3)
+    freqs = rng.uniform(f_low, f_high, 3)
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     amps = rng.uniform(0.5, 1.5, 3)
     t = np.arange(n) / sample_rate

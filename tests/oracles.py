@@ -36,6 +36,10 @@ log_kernel_constants  -- GaussianMixtureIntensity's (coef, log_norm, reach) as i
 CheckedSignal         -- signals.Signal and signals.add_noise as they were when a Signal checked
 add_noise                its samples and rate and add_noise read the power off Signal.power();
                          the noisy samples must match byte for byte
+BandSpec              -- a band and signals.generate_band_signal as they were when a band was a
+generate_band_signal     frozen dataclass that checked 0 < f_low < f_high as it was built, and
+                         the generator checked Nyquist; samples and refusals must match byte
+                         for byte
 """
 
 import bisect
@@ -48,7 +52,8 @@ from topobayes import posterior
 from topobayes.filtration import untilt
 from topobayes.intensity import log_wedge_mass, total_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
-from topobayes.signals import check_rate
+from topobayes.errors import MAX_SIZE
+from topobayes.signals import Signal, check_rate
 
 
 def restricted_normal_pdf(x, mean, var):
@@ -392,3 +397,51 @@ def add_noise(signal: CheckedSignal, snr_db: float, seed: int) -> CheckedSignal:
     z = rng.standard_normal(len(signal.samples))
     sigma = np.sqrt(signal.power() / 10.0 ** (snr_db / 10.0))
     return CheckedSignal(signal.samples + sigma * z, signal.sample_rate)
+
+
+@dataclass(frozen=True)
+class BandSpec:
+    """Frequency band for the sinusoid-sum generator.
+
+    The Nyquist constraint f_high < sample_rate / 2 is checked at generation
+    time, when the sample rate is known.
+    """
+
+    f_low: float
+    f_high: float
+
+    def __post_init__(self):
+        if not (0 < self.f_low < self.f_high):
+            raise ValidationError(
+                f"band needs 0 < f_low < f_high, got [{self.f_low}, {self.f_high}]"
+            )
+
+
+def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
+                         seed: int) -> Signal:
+    """Random sum of three sinusoids with frequencies inside the band, at unit RMS power."""
+    if not (0 < duration < np.inf and 0 < sample_rate < np.inf):
+        raise ValidationError("duration and sample_rate must be positive and finite")
+    if band.f_high >= sample_rate / 2:
+        raise ValidationError(
+            f"f_high {band.f_high} Hz is not below the Nyquist rate "
+            f"{sample_rate / 2} Hz"
+        )
+    samples = duration * sample_rate
+    if not samples * 8 <= MAX_SIZE:  # inf too; checked before any array is made
+        raise ValidationError("duration * sample_rate gives more samples than an array can hold")
+    n = int(round(samples))
+    if n < 2:
+        raise ValidationError("duration * sample_rate must yield at least 2 samples")
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(band.f_low, band.f_high, 3)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 3)
+    amps = rng.uniform(0.5, 1.5, 3)
+    t = np.arange(n) / sample_rate
+    x = np.zeros(n)
+    for f, ph, a in zip(freqs, phases, amps):
+        x += a * np.sin(2.0 * np.pi * f * t + ph)
+    rms = np.sqrt(np.mean(x**2))
+    if rms == 0.0:  # degenerate draw, cannot normalize
+        raise ValidationError("generated signal is identically zero")
+    return Signal(x / rms, sample_rate)

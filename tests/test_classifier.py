@@ -64,7 +64,7 @@ class TestDiagramLogDensity:
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_empty_model_scores_minus_inf(self):
-        empty = GaussianMixtureIntensity.empty()
+        empty = GaussianMixtureIntensity([], [], [])
         assert diagram_log_density(diagram((1.0, 1.0)), empty) == -np.inf
         assert diagram_log_density(EMPTY, empty) == 0.0
 
@@ -106,8 +106,8 @@ class TestLogBayesFactor:
         assert log_bayes_factor(d, a, b) > 0
 
     def test_double_minus_inf_defined_as_zero(self):
-        none_a = GaussianMixtureIntensity.empty()
-        none_b = GaussianMixtureIntensity.empty()
+        none_a = GaussianMixtureIntensity([], [], [])
+        none_b = GaussianMixtureIntensity([], [], [])
         assert log_bayes_factor(diagram((1.0, 1.0)), none_a, none_b) == 0.0
 
 

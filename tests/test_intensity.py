@@ -84,7 +84,7 @@ class TestRestrictedNormal:
 
 class TestEvalIntensity:
     def test_empty_mixture_is_zero(self):
-        g = GaussianMixtureIntensity.empty()
+        g = GaussianMixtureIntensity([], [], [])
         assert eval_intensity(g, (1.0, 1.0)) == 0.0
         assert total_mass(g) == 0.0
         assert log_eval_intensity(g, (1.0, 1.0)) == -np.inf
@@ -205,7 +205,7 @@ class TestLogKernelOracle:
         assert np.all(eval_intensity(g, pts[3:]) == 0.0)
 
     def test_empty_mixture(self):
-        g = GaussianMixtureIntensity.empty()
+        g = GaussianMixtureIntensity([], [], [])
         pts = np.ones((3, 4, 2))
         assert log_eval_intensity(g, pts).shape == (3, 4)
         assert np.all(log_eval_intensity(g, pts) == -np.inf)
@@ -380,11 +380,11 @@ class TestTotalMass:
 class TestIntensityGrid:
     def test_peak_cell_is_one(self):
         g = GaussianMixtureIntensity.single(3.0, (2.0, 2.0), 0.5)
-        grid = intensity_grid(g, (0, 0, 4, 4), 33)
+        grid = intensity_grid(g, (0, 0, 4, 4), (33, 33))
         assert grid.max() == 1.0
 
     def test_zero_mixture_gives_zeros(self):
-        grid = intensity_grid(GaussianMixtureIntensity.empty(), (0, 0, 4, 4), 16)
+        grid = intensity_grid(GaussianMixtureIntensity([], [], []), (0, 0, 4, 4), (16, 16))
         assert np.all(grid == 0)
 
     def test_argmax_cell_near_mean(self):
@@ -401,13 +401,13 @@ class TestIntensityGrid:
     def test_degenerate_bounds_rejected(self):
         g = GaussianMixtureIntensity.single(1.0, (1, 1), 1.0)
         with pytest.raises(ValidationError):
-            intensity_grid(g, (0, 0, 0, 4), 16)
+            intensity_grid(g, (0, 0, 0, 4), (16, 16))
         with pytest.raises(ValidationError):
-            intensity_grid(g, (-1, 0, 4, 4), 16)
+            intensity_grid(g, (-1, 0, 4, 4), (16, 16))
         with pytest.raises(ValidationError):
-            intensity_grid(g, (0, 0, np.inf, 3), 16)
+            intensity_grid(g, (0, 0, np.inf, 3), (16, 16))
         with pytest.raises(ValidationError):
-            intensity_grid(g, (0, 0, 4, 4), 1)
+            intensity_grid(g, (0, 0, 4, 4), (1, 1))
 
 
 class TestMixtureType:
@@ -439,7 +439,7 @@ class TestMixtureType:
         assert np.array_equal(back.variances, g.variances)
 
     def test_json_empty_roundtrip(self):
-        back = mixture_from_json(mixture_to_json(GaussianMixtureIntensity.empty()))
+        back = mixture_from_json(mixture_to_json(GaussianMixtureIntensity([], [], [])))
         assert back.n_components == 0
 
     def test_json_malformed(self):

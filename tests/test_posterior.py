@@ -99,7 +99,7 @@ class TestPosteriorStructure:
             [1.0, 3.0], [[2.0, 2.0], [5.0, 4.0]], [1.0, 0.5]
         )
         cfg = PosteriorConfig(
-            alpha=1.0, sigma_obs=0.7, clutter=GaussianMixtureIntensity.empty()
+            alpha=1.0, sigma_obs=0.7, clutter=GaussianMixtureIntensity([], [], [])
         )
         obs = [diagram((2.0, 3.0), (4.0, 4.0), (1.0, 1.0))]
         post = posterior_intensity(prior, obs, cfg)
@@ -197,7 +197,8 @@ class TestFarPoints:
     """A point tens of units from every prior and clutter component has a subnormal
     denominator, where (alpha / m) / denom overflows; its weights are still at most 1 / m."""
 
-    NO_CLUTTER = PosteriorConfig(alpha=0.7, sigma_obs=0.2, clutter=GaussianMixtureIntensity.empty())
+    NO_CLUTTER = PosteriorConfig(alpha=0.7, sigma_obs=0.2,
+                                 clutter=GaussianMixtureIntensity([], [], []))
 
     def update(self, prior, obs):
         with warnings.catch_warnings():
@@ -290,7 +291,7 @@ class TestQuadratureOracle:
 
 _CLUTTERS = {
     "default": posterior.default_clutter,
-    "none": GaussianMixtureIntensity.empty,  # far points then have a zero denominator
+    "none": lambda: GaussianMixtureIntensity([], [], []),  # far points then have a zero denominator
     "tiny": tiny_clutter,
     "heavy": lambda: GaussianMixtureIntensity([5.0, 2.0], [[1.0, 1.0], [4.0, 0.5]], [0.5, 3.0]),
 }

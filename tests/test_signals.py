@@ -6,7 +6,6 @@ import pytest
 from topobayes import (
     ALPHA_BAND,
     BETA_BAND,
-    BandSpec,
     DataFileError,
     Signal,
     ValidationError,
@@ -60,9 +59,53 @@ class TestGenerateBandSignal:
 
     def test_bad_band_rejected(self):
         with pytest.raises(ValidationError):
-            BandSpec(13.0, 8.0)
+            generate_band_signal((13.0, 8.0), 2.0, 256.0, seed=0)
         with pytest.raises(ValidationError):
-            BandSpec(0.0, 8.0)
+            generate_band_signal((0.0, 8.0), 2.0, 256.0, seed=0)
+
+
+class TestGenerateBandSignalOracle:
+    """generate_band_signal against tests/oracles.py's generator of the BandSpec dataclass, which
+    checked 0 < f_low < f_high when the band was built: the same samples, byte for byte, and the
+    same refusals, message for message."""
+
+    @pytest.mark.parametrize("band", [ALPHA_BAND, BETA_BAND], ids=["alpha", "beta"])
+    def test_samples_match(self, band):
+        for duration in (1.0, 2.0, 7.3):
+            for rate in (128.0, 200.0, 256.0, 1000.0):
+                for seed in range(20):
+                    got = generate_band_signal(band, duration, rate, seed)
+                    want = oracles.generate_band_signal(oracles.BandSpec(*band), duration, rate,
+                                                        seed)
+                    assert got.samples.tobytes() == want.samples.tobytes(), (duration, rate, seed)
+                    assert got.sample_rate == want.sample_rate
+
+    @pytest.mark.parametrize("band, duration, rate", [
+        ((13.0, 8.0), 2.0, 256.0),
+        ((0.0, 8.0), 2.0, 256.0),
+        ((-1.0, 8.0), 2.0, 256.0),
+        ((10.0, 10.0), 2.0, 256.0),
+        ((np.nan, 13.0), 2.0, 256.0),
+        ((8.0, np.nan), 2.0, 256.0),
+        ((8.0, 13.0), 2.0, 26.0),
+        ((8.0, 13.0), 2.0, 20.0),
+        ((13.0, 8.0), 0.0, 256.0),
+        ((np.nan, 13.0), -1.0, 20.0),
+        ((8.0, 13.0), 0.0, 256.0),
+        ((8.0, 13.0), 2.0, np.inf),
+        ((8.0, 13.0), 0.001, 256.0),
+        ((8.0, 13.0), 1e300, 256.0),
+    ], ids=["reversed", "f_low-zero", "f_low-negative", "f_low-equals-f_high", "nan-f_low",
+            "nan-f_high", "f_high-at-nyquist", "f_high-above-nyquist", "bad-band-and-duration",
+            "nan-band-bad-duration-and-nyquist", "zero-duration", "infinite-rate",
+            "under-2-samples", "too-many-samples"])
+    def test_refusals_match(self, band, duration, rate):
+        with pytest.raises(Exception) as want:
+            oracles.generate_band_signal(oracles.BandSpec(*band), duration, rate, 0)
+        with pytest.raises(Exception) as got:
+            generate_band_signal(band, duration, rate, 0)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+        assert got.type is ValidationError
 
 
 class TestAddNoise:
