@@ -89,29 +89,26 @@ class ClassifyResult(NamedTuple):
     log_densities: dict
 
 
-def classify(d: PersistenceDiagram, models, threshold_c: float = 1.0) -> ClassifyResult:
-    """Assign a diagram to a class by pairwise Bayes-factor voting.
-
-    For every unordered pair of classes, the class with the larger evidence
-    gets one vote: i when log BF(i, j) exceeds log(threshold_c), j when it
-    falls below, no vote on an exact tie. The label with most votes wins;
-    vote ties break toward the larger total log density, then toward the
-    lexicographically smallest label. The full evidence trail is returned.
-    The models are (label, mixture) pairs, from any iterable, dict.items()
-    included; the result is invariant under their order. One pass holds one
-    mixture at a time, so a generator can build each when asked.
-    """
+def check_threshold(threshold_c):
+    """Refuse a Bayes-factor threshold that is not positive and finite."""
     if not 0 < threshold_c < math.inf:
         raise ValidationError("threshold_c must be positive and finite")
-    ld = {}
-    for label, g in models:
-        if label in ld:
-            raise ValidationError("class labels must be distinct")
-        ld[label] = diagram_log_density(d, g)
-        del g  # let go before the next model is asked for, and so before it is built
-    if len(ld) < 2:
+
+
+def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
+    """Assign a diagram to a class by pairwise Bayes-factor voting on its log densities.
+
+    log_densities maps each class label to the diagram's log density under that class's
+    posterior, as diagram_log_density scores it. For every unordered pair of classes, the class
+    with the larger evidence gets one vote: i when log BF(i, j) exceeds log(threshold_c), j when
+    it falls below, no vote on an exact tie. The label with most votes wins; vote ties break
+    toward the larger total log density, then toward the lexicographically smallest label. The
+    full evidence trail is returned; it does not depend on the mapping's order.
+    """
+    check_threshold(threshold_c)
+    if len(log_densities) < 2:
         raise ValidationError("need at least 2 class models")
-    ld = dict(sorted(ld.items()))
+    ld = dict(sorted(log_densities.items()))
     log_c = math.log(threshold_c)
 
     votes = dict.fromkeys(ld, 0)
@@ -157,13 +154,16 @@ def _openblas_set_threads():
 
 
 def _fold_labels(fold, data: LabeledDataset, prior, cfg, threshold_c) -> list:
-    """Labels predicted for a fold's held-out entries by one model per class fitted on the rest."""
+    """Labels predicted for a fold's held-out entries, scored by one class's posterior at a time."""
     train_idx, test_idx = fold
-    models = []
+    scores = [{} for _ in test_idx]
     for lab in data.labels:
         training = [data.entries[i][0] for i in train_idx if data.entries[i][1] == lab]
-        models.append((lab, posterior_intensity(prior, training, cfg)))
-    return [classify(data.entries[i][0], models, threshold_c).label for i in test_idx]
+        g = posterior_intensity(prior, training, cfg)
+        for ld, i in zip(scores, test_idx):
+            ld[lab] = diagram_log_density(data.entries[i][0], g)
+        del g  # a rebinding would keep it alive through the next class's fit
+    return [classify(ld, threshold_c).label for ld in scores]
 
 
 def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
@@ -171,11 +171,12 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
                    seed: int = 0) -> dict:
     """Stratified k-fold cross validation of the Bayes-factor classifier.
 
-    Per fold, one model per class is fitted on the training portion and the
-    held-out diagrams are classified; the reported accuracy is the average
-    of the fold accuracies. The confusion matrix has true labels on rows and
-    predicted labels on columns, both in sorted label order, aggregated over
-    folds. Deterministic given the split seed.
+    Per fold, one posterior per class is fitted on the training portion, scores every held-out
+    diagram and goes before the next class's is fitted; then each held-out diagram is classified
+    on its log densities. The reported accuracy is the average of the fold accuracies. The
+    confusion matrix has true labels on rows and predicted labels on columns, both in sorted
+    label order, aggregated over folds. Deterministic given the split seed; a bad threshold_c is
+    refused before anything is fitted.
 
     The folds run on one thread per usable CPU, with numpy's OpenBLAS held to
     one thread meanwhile and then restored; where OpenBLAS cannot be set, on
@@ -186,6 +187,7 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
     labels = data.labels
     if len(labels) < 2:
         raise ValidationError("cross validation needs at least two classes")
+    check_threshold(threshold_c)  # before any posterior is fitted
     folds = stratified_folds(data, seed)
     set_threads = _openblas_set_threads()
     # the folds' products would each be split over BLAS's own threads, oversubscribing the CPUs
@@ -208,9 +210,6 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
         "confusion": [[pairs[t, p] for p in labels] for t in labels],
         "k_folds": data.k_folds,
         "seed": int(seed),
-        "config": {
-            "alpha": float(cfg.alpha),
-            "sigma_obs": float(cfg.sigma_obs),
-            "threshold_c": float(threshold_c),
-        },
+        "config": {"alpha": float(cfg.alpha), "sigma_obs": float(cfg.sigma_obs),
+                   "threshold_c": float(threshold_c)},
     }

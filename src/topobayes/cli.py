@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import LabeledDataset, classify as classify_diagram, cross_validate, usable_cpus
+from .classifier import (LabeledDataset, check_threshold, classify as classify_diagram,
+                         cross_validate, diagram_log_density, usable_cpus)
 from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
 from .intensity import GaussianMixtureIntensity, intensity_grid, total_mass
@@ -405,18 +406,18 @@ def classify(models, diagram, threshold=1.0, out=None):
         parsing = pool.map(partial(_read, decode=model_arrays), models)
         import scipy.special  # building a model needs it, and the workers do not: loaded meanwhile
         parsed = list(parsing)  # a fault in a model file is reported before one in the diagram
-    # each model's arrays leave the list as it is built, so they go when the model does
-    built = (_decoded(path, model_from_arrays, parsed.pop(0)) for path in models)
-    result = classify_diagram(_read(diagram, diagram_from_json), built, threshold)
-    report = {
-        "label": result.label,
-        "votes": result.votes,
-        # a zero density, the one non-finite value, is written as a string: strict JSON
-        "log_densities": {k: "-inf" if v == float("-inf") else v
-                          for k, v in result.log_densities.items()},
-        "threshold": threshold,
-    }
-    _emit(report, out)
+    d, log_densities = _read(diagram, diagram_from_json), {}
+    check_threshold(threshold)  # before any model is built
+    for path in models:  # a model's arrays leave the list as it is built, and go with it
+        label, g = _decoded(path, model_from_arrays, parsed.pop(0))
+        if label in log_densities:
+            raise ValidationError("class labels must be distinct")
+        log_densities[label] = diagram_log_density(d, g)
+        del g  # let go before the next model is built
+    result = classify_diagram(log_densities, threshold)
+    # a zero density, the one non-finite value, is written as a string: strict JSON
+    _emit({"label": result.label, "votes": result.votes, "threshold": threshold, "log_densities":
+           {k: "-inf" if v == float("-inf") else v for k, v in result.log_densities.items()}}, out)
 
 
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,

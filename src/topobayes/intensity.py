@@ -7,11 +7,11 @@ expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
 All evaluation goes through one log-space kernel sum, log_eval_intensity;
-eval_intensity is its exp. It takes one matrix product per chunk of rows,
-into one work array of chunk x K that every chunk reuses, so its working
-memory is about 2 MB for any number of points. Per-component constants are
-computed once, when the mixture is built. Everything is immutable or pure,
-hence thread-safe.
+eval_intensity is its exp. It takes one matrix product per chunk of 2**18 / K
+rows into one work array of at most 2**18 values (2 MB), reused by every chunk;
+each chunk row holds about 10 values more, which outweigh it below K = 16:
+10.6 MB traced at K = 1 over 120k points. Per-component constants are computed
+once, when the mixture is built. Everything is immutable or pure, so thread-safe.
 """
 
 from dataclasses import dataclass

@@ -78,9 +78,10 @@ def _flatten_observations(observations) -> np.ndarray:
     return Y
 
 
-def _conjugate_means(mu, var, y, so):
-    """Means of the conjugate products of components (mu, var) with observed points y."""
-    return (so * mu + var[..., None] * y) / (var[..., None] + so)
+def _conjugate_means(mu, var, y, so, out=None):
+    """Means of the conjugate products of components (mu, var) with observed points y, in out."""
+    out = np.multiply(y, var[..., None], out=out)  # (var y + so mu) / (var + so), in place
+    return np.divide(np.add(out, so * mu, out=out), var[..., None] + so, out=out)
 
 
 def posterior_intensity(prior: GaussianMixtureIntensity, observations,
@@ -103,10 +104,10 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     heaviest are kept in their original order. Only the weights of all T x K
     (point, component) pairs are computed, in one pass of a few thousand pairs
     at a time, into one array of 8 B per pair; means and variances are built
-    for the kept components alone. Picking the 100,000 heaviest holds 17 B
-    more per pair above the relative cut. Pure function; the output does not
-    depend on how the work is split or on BLAS's thread count. An update that
-    would overflow is a ValidationError.
+    for the kept components alone, in place in the output arrays. Picking the
+    100,000 heaviest holds 17 B more per pair above the relative cut. Pure
+    function; the output does not depend on how the work is split or on BLAS's
+    thread count. An update that would overflow is a ValidationError.
     """
     Y = _flatten_observations(observations)
     K, mu, var, so = prior.n_components, prior.means, prior.variances, cfg.sigma_obs
@@ -120,8 +121,12 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
     weights, keep = _kept_weights(prior, Y, cfg, v_post, len(observations))
     n = np.searchsorted(keep, K)  # kept components of group (i) come first
     t, k = np.divmod(keep[n:] - K, K)
-    means = np.concatenate([mu[keep[:n]], _conjugate_means(mu[k], var[k], Y[t], so)])
-    return GaussianMixtureIntensity(weights, means, np.concatenate([var[keep[:n]], v_post[k]]))
+    means, variances = np.empty((len(keep), 2)), np.empty(len(keep))
+    means[:n], variances[:n] = mu[keep[:n]], var[keep[:n]]  # group (i): at most K rows
+    np.take(v_post, k, out=variances[n:])
+    _conjugate_means(mu[k], var[k], np.take(Y, t, axis=0, out=means[n:]), so, out=means[n:])
+    del keep, t, k  # the kept components' indices go before the mixture builds its constants
+    return GaussianMixtureIntensity(weights, means, variances)
 
 
 def _kept_weights(prior, Y, cfg, v_post, m) -> tuple:

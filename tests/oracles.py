@@ -11,6 +11,10 @@ dense_posterior       -- posterior_intensity as it was before it selected the
                          kept components from their weights alone: every
                          array of all (point, component) pairs built, then
                          pruned; its output must match byte for byte
+concatenated_posterior -- posterior_intensity as it built its kept components before it wrote
+                         them into its output arrays in place: group (ii)'s means as one
+                         expression over gathered copies, then concatenated after group (i)'s,
+                         and likewise the variances; its output must match byte for byte
 sublevel_pd           -- the union-find sweep that filtration.sublevel_pd
                          replaced, as it was before it read birth keys off the
                          union-find roots: per-vertex birth values, birth
@@ -183,6 +187,22 @@ def dense_posterior(prior: GaussianMixtureIntensity, observations,
     MU = np.concatenate(out_mu, axis=0)
     V = np.concatenate(out_v)
     return _dense_pruned(W, MU, V)
+
+
+def concatenated_posterior(prior: GaussianMixtureIntensity, observations,
+                           cfg: PosteriorConfig) -> GaussianMixtureIntensity:
+    """posterior_intensity with its kept components built by concatenation, each of group (ii)'s
+    means as (sigma_obs * mu + var * y) / (var + sigma_obs) over gathered copies; the weights and
+    the kept indices come from posterior._kept_weights."""
+    Y = _flatten_observations(observations)
+    K, mu, var, so = prior.n_components, prior.means, prior.variances, cfg.sigma_obs
+    v_post = var * so / (var + so)
+    weights, keep = posterior._kept_weights(prior, Y, cfg, v_post, len(observations))
+    n = np.searchsorted(keep, K)  # kept components of group (i) come first
+    t, k = np.divmod(keep[n:] - K, K)
+    conjugate = (so * mu[k] + var[k][..., None] * Y[t]) / (var[k][..., None] + so)
+    means = np.concatenate([mu[keep[:n]], conjugate])
+    return GaussianMixtureIntensity(weights, means, np.concatenate([var[keep[:n]], v_post[k]]))
 
 
 def _dense_pruned(W, MU, V) -> GaussianMixtureIntensity:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -189,12 +190,17 @@ class TestFitClassModel:
         assert np.array_equal(back.means, g.means)
 
 
+def scored(d, models):
+    """{label: log density of d} under each (label, mixture) of models, as classify takes it."""
+    return {label: diagram_log_density(d, g) for label, g in models}
+
+
 class TestClassify:
     def test_two_class_margin(self, rng):
         a = model_at((1.0, 1.0), "a")
         b = model_at((6.0, 6.0), "b")
         d = sample_ppp_diagram(rng, a[1])
-        result = classify(d, [a, b])
+        result = classify(scored(d, [a, b]))
         assert result.label == "a"
         assert result.votes == {"a": 1, "b": 0}
 
@@ -202,18 +208,18 @@ class TestClassify:
         g = GaussianMixtureIntensity.single(2.0, (2.0, 2.0), 1.0)
         m1 = ("x", g)
         m2 = ("y", g)
-        result = classify(diagram((2.0, 2.0)), [m1, m2])
+        result = classify(scored(diagram((2.0, 2.0)), [m1, m2]))
         assert result.votes == {"x": 0, "y": 0}  # exact tie casts no vote
         assert result.label == "x"  # broken by label order
-        # and the list order does not matter
-        assert classify(diagram((2.0, 2.0)), [m2, m1]).label == "x"
+        # and the mapping's order does not matter
+        assert classify(scored(diagram((2.0, 2.0)), [m2, m1])).label == "x"
 
     def test_three_class_majority(self, rng):
         a = model_at((1.0, 1.0), "a")
         b = model_at((4.0, 4.0), "b")
         c = model_at((9.0, 9.0), "c")
         d = diagram((1.2, 1.1))  # closest to a, then b, then c
-        result = classify(d, [a, b, c])
+        result = classify(scored(d, [a, b, c]))
         assert result.votes == {"a": 2, "b": 1, "c": 0}
         assert result.label == "a"
 
@@ -222,9 +228,11 @@ class TestClassify:
                   model_at((2.0, 5.0), "c")]
         for _ in range(10):
             d = PersistenceDiagram(rng.uniform(0, 6, (5, 2)))
-            base = classify(d, models)
+            base = classify(scored(d, models), threshold_c=2.0)
             perm = [models[i] for i in rng.permutation(3)]
-            assert classify(d, perm).label == base.label
+            # the whole result, its dicts in sorted label order, whatever the mapping's order
+            assert classify(scored(d, perm), threshold_c=2.0) == base
+            assert list(base.log_densities) == list(base.votes) == ["a", "b", "c"]
 
     def test_weight_identity_scaling_keeps_argmax(self, rng):
         models = [model_at((1.0, 1.0), "a"), model_at((5.0, 3.0), "b")]
@@ -234,58 +242,19 @@ class TestClassify:
         ]
         for _ in range(10):
             d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
-            assert classify(d, models).label == classify(d, scaled).label
+            assert classify(scored(d, models)).label == classify(scored(d, scaled)).label
 
     def test_needs_two_models(self):
-        for given in (list, iter):  # a list, or a one-pass iterator as a generator is
-            for models in ([], [model_at((1.0, 1.0), "a")]):
-                with pytest.raises(ValidationError, match="need at least 2 class models"):
-                    classify(EMPTY, given(models))
+        for log_densities in ({}, {"a": -1.0}):
+            with pytest.raises(ValidationError, match="need at least 2 class models"):
+                classify(log_densities)
 
     def test_threshold_must_be_positive(self):
-        models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "b")]
-        for c in (0.0, np.nan, np.inf):
-            with pytest.raises(ValidationError):
-                classify(EMPTY, models, threshold_c=c)
-
-    def test_duplicate_labels_rejected(self):
-        models = [model_at((1.0, 1.0), "a"), model_at((2.0, 2.0), "a")]
-        for given in (list, iter):
-            with pytest.raises(ValidationError, match="class labels must be distinct"):
-                classify(EMPTY, given(models))
-
-    def test_a_generator_of_models_gives_the_lists_result(self, rng):
-        specs = [((1.0, 1.0), "c"), ((5.0, 3.0), "a"), ((2.0, 4.0), "b")]
-        for _ in range(5):
-            d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
-            want = classify(d, [model_at(*spec) for spec in specs], threshold_c=2.0)
-            assert classify(d, (model_at(*spec) for spec in specs), threshold_c=2.0) == want
-            assert list(want.log_densities) == list(want.votes) == ["a", "b", "c"]
-
-    def test_a_dicts_items_give_the_lists_result(self, rng):
-        mixtures = {"c": mixture_at((1.0, 1.0)), "a": mixture_at((5.0, 3.0)),
-                    "b": mixture_at((2.0, 4.0))}
-        for _ in range(5):
-            d = PersistenceDiagram(rng.uniform(0, 6, (4, 2)))
-            want = classify(d, list(mixtures.items()), threshold_c=2.0)
-            assert classify(d, mixtures.items(), threshold_c=2.0) == want
-
-    def test_holds_one_model_at_a_time(self):
-        # each mixture is let go before the next is asked for, so a generator that builds them
-        # as they are asked for holds one: every one it yielded before is dead by then
-        refs = []
-
-        def models():
-            for i, center in enumerate([(1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 4.0)]):
-                assert [r() for r in refs] == [None] * len(refs), i
-                g = mixture_at(center)
-                refs.append(weakref.ref(g))
-                yield str(i), g
-                del g
-
-        d = diagram((1.0, 1.0), (2.5, 1.5))
-        assert classify(d, models()).label == "0"
-        assert len(refs) == 4
+        for c in (0.0, -1.0, np.nan, np.inf):
+            # refused before the count of classes is looked at
+            for log_densities in ({}, {"a": -1.0, "b": -2.0}):
+                with pytest.raises(ValidationError, match="threshold_c must be positive"):
+                    classify(log_densities, threshold_c=c)
 
 
 def clustered_dataset(rng, n_per_class, k, centers, var=0.05):
@@ -348,19 +317,56 @@ class TestCrossValidate:
         classify_once = classifier.classify
         runs = []
         for cpus in (1, 3):
-            densities = {}
+            densities = []
 
-            def recording(d, models, threshold_c=1.0):
-                result = classify_once(d, models, threshold_c)
-                densities[id(d)] = repr(result.log_densities)
+            def recording(log_densities, threshold_c=1.0):
+                result = classify_once(log_densities, threshold_c)
+                densities.append(repr(result.log_densities))
                 return result
 
             monkeypatch.setattr(classifier, "usable_cpus", lambda: cpus)
             monkeypatch.setattr(classifier, "classify", recording)
-            runs.append((cross_validate(data, self.prior, self.cfg, seed=5), densities))
-        assert len(runs[0][1]) == len(data.entries)
+            runs.append((cross_validate(data, self.prior, self.cfg, seed=5), Counter(densities)))
+        # one vote per held-out diagram; the folds' threads may finish in any order
+        assert sum(runs[0][1].values()) == len(data.entries)
         assert 0.5 < runs[0][0]["accuracy"] < 1.0
         assert runs[0] == runs[1]
+
+    def test_bad_threshold_refused_before_any_fit(self, rng, monkeypatch):
+        data = clustered_dataset(rng, 6, 3, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
+        fit_once = classifier.posterior_intensity
+        fits = []
+
+        def counting(prior, training, cfg):
+            fits.append(len(training))
+            return fit_once(prior, training, cfg)
+
+        monkeypatch.setattr(classifier, "posterior_intensity", counting)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match=r"^threshold_c must be positive and finite$"):
+                cross_validate(data, self.prior, self.cfg, threshold_c=c)
+        assert fits == []
+        cross_validate(data, self.prior, self.cfg, threshold_c=2.0)
+        assert len(fits) == 3 * 2  # a fit per fold and class, once the threshold is good
+
+    def test_holds_one_posterior_at_a_time(self, rng, monkeypatch):
+        # a fold's posterior of one class is let go before the next class's is fitted; the folds
+        # run one after another on one thread, so every posterior fitted before is dead by then
+        data = clustered_dataset(rng, 8, 4, {"a": (0.5, 1.0), "b": (0.5, 8.0), "c": (3.0, 3.0)})
+        fit_once = classifier.posterior_intensity
+        refs = []
+
+        def recording(prior, training, cfg):
+            assert [r() for r in refs] == [None] * len(refs), len(refs)
+            g = fit_once(prior, training, cfg)
+            refs.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(classifier, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(classifier, "posterior_intensity", recording)
+        report = cross_validate(data, self.prior, self.cfg, seed=1)
+        assert len(refs) == 4 * 3
+        assert report["accuracy"] > 0.5
 
     def test_blas_held_to_one_thread_and_restored(self, rng, monkeypatch):
         set_threads = classifier._openblas_set_threads()

@@ -29,6 +29,7 @@ from topobayes import (
     classify,
     default_clutter,
     default_prior,
+    diagram_log_density,
     posterior_intensity,
     sublevel_pd,
     tilt,
@@ -411,7 +412,8 @@ class TestFitClassifyRoundtrip:
                 for e in entries if e["label"] == label
             ]
             models.append((label, posterior_intensity(default_prior(), training, cfg)))
-        want = classify(diagram_from_json(read_json(target)), models, 1.0)
+        d = diagram_from_json(read_json(target))
+        want = classify({label: diagram_log_density(d, g) for label, g in models}, 1.0)
         assert report["label"] == want.label
         assert report["votes"] == want.votes
         assert report["log_densities"] == pytest.approx(want.log_densities)
@@ -686,8 +688,9 @@ class TestClassifyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want = classify(cli._read(diagram, diagram_from_json),
-                        [cli._read(path, model_from_json) for path in models])
+        d = cli._read(diagram, diagram_from_json)
+        want = classify({label: diagram_log_density(d, g)
+                         for label, g in (cli._read(path, model_from_json) for path in models)})
         report = read_json(tmp_path / "report.json")
         assert (report["label"], report["votes"], report["log_densities"]) == want
         # the rows of both models, 3.2 MB each, and one model's kernel constants, 4 MB, with a
@@ -893,6 +896,21 @@ def _model_lambda_too_large_for_a_float(command):
                             "--out", d / "hm")}[command]
         return argv, 2, model
     return _named(f"model_lambda_too_large_for_a_float_{command}", make)
+
+
+def _classify_one_model_file_twice(d, files):
+    # one label twice: the second build is refused before it is scored
+    return ("classify", "--models", files / "alpha.json", files / "alpha.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 1, None
+
+
+def _classify_bad_threshold_and_a_bad_model(d, files):
+    # the model's lambda disagrees with its posterior, which only building it shows: the
+    # threshold is refused first, before any model is built
+    model = _write(d / "m.json", {"label": "x", "lambda": 3.0, "posterior": {
+        "components": [{"w": 1.0, "mu": [1.0, 1.0], "var": 1.0}]}})
+    return ("classify", "--models", model, files / "beta.json", "--threshold", "0",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 1, None
 
 
 def _pd_inputs_sharing_an_output_name(name, *paths):
@@ -1249,6 +1267,7 @@ class TestExitCodes:
                      '{"rate": 1' + "0" * 5000 + ', "samples": [0, 1]}'),
         _model_lambda_too_large_for_a_float("classify"),
         _model_lambda_too_large_for_a_float("heatmap"),
+        _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
         # every JSON file is parsed with component_row: a component's keys elsewhere are malformed

@@ -19,7 +19,7 @@ from topobayes import (
     total_mass,
 )
 from topobayes import posterior
-from oracles import dense_posterior, posterior_quadrature, quadrature_nodes
+from oracles import concatenated_posterior, dense_posterior, posterior_quadrature, quadrature_nodes
 
 
 def tiny_clutter():
@@ -345,6 +345,25 @@ class TestSelectThenBuild:
         assert got.n_components == 3 + 5 * 3
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.means.tobytes() == want.means.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("K, points", [(None, 120_000), (None, 2_000), (16, 2_000),
+                                           (64, 2_000)])
+    def test_kept_components_match_the_concatenating_oracle(self, K, points, alpha):
+        # the default prior (K = 1) at 120k points, where the 100,000 cap binds, and at 2k
+        # points; seeded 16- and 64-component priors, the 64 also past the cap
+        rng = np.random.default_rng(points + (K or 1))
+        prior = default_prior() if K is None else GaussianMixtureIntensity(
+            rng.uniform(0.1, 2.0, K), rng.uniform(0.0, 8.0, (K, 2)), rng.uniform(0.1, 4.0, K))
+        obs = [PersistenceDiagram(rng.uniform(0.0, 6.0, (80, 2))) for _ in range(points // 80)]
+        cfg = PosteriorConfig(alpha=alpha, sigma_obs=0.2)
+        got = posterior_intensity(prior, obs, cfg)
+        for want in (concatenated_posterior(prior, obs, cfg), dense_posterior(prior, obs, cfg)):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.means.tobytes() == want.means.tobytes()
+            assert got.variances.tobytes() == want.variances.tobytes()
+        if alpha and points * (K or 1) > posterior._MAX_COMPONENTS:
+            assert got.n_components == posterior._MAX_COMPONENTS
 
     def test_fit_holds_a_weight_per_pair(self):
         # the dense update held about 130 B per (point, component) pair: 160 MB here
