@@ -29,6 +29,8 @@ from .signals import ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 # values per block of text a writer formats, so it holds a block, not a file's floats and text
 _BLOCK_VALUES = 2 ** 14
+# _pool's start method: fork on Linux, not 3.14's forkserver, whose pools import the package anew
+_START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 def _read(path, decode):
@@ -68,10 +70,12 @@ def _pool(items):
 
     Limit the workers as for any process, with taskset. A worker that dies, as when the kernel
     kills it for want of memory, is a MemoryError: main reports it as one error line."""
-    from concurrent.futures import ProcessPoolExecutor  # not paid for by commands without workers
+    import multiprocessing  # not paid for by commands without workers, nor are these
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     try:
-        with ProcessPoolExecutor(max(1, min(len(items), usable_cpus()))) as pool:
+        with ProcessPoolExecutor(max(1, min(len(items), usable_cpus())),
+                                 mp_context=multiprocessing.get_context(_START_METHOD)) as pool:
             yield pool
     except BrokenProcessPool:
         raise MemoryError("a worker process died, perhaps killed for want of memory") from None

@@ -7,10 +7,10 @@ expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
 All evaluation goes through one log-space kernel sum, log_eval_intensity;
-eval_intensity is its exp. It takes one matrix product per chunk of 2**18 / K
-rows into one work array of at most 2**18 values (2 MB), reused by every chunk;
-each chunk row holds about 10 values more, which outweigh it below K = 16:
-10.6 MB traced at K = 1 over 120k points. Per-component constants are computed
+eval_intensity is its exp. It takes one matrix product per chunk of 2**17 / K
+rows, but at least two, into one work array reused by every chunk: 1 MB up to
+K = 2**16, and two rows of K above. Each chunk row holds about 10 values more,
+which outweigh the array below K = 16. Per-component constants are computed
 once, when the mixture is built. Everything is immutable or pure, so thread-safe.
 """
 
@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import MAX_SIZE, ValidationError, pairs_array
 
-# rows per chunk of log_eval_intensity: its (rows, K) work array stays near
-# 2**18 doubles (2 MB, within a core's L2 cache) whatever K is
-_CHUNK_ELEMENTS = 2 ** 18
+# rows per chunk of log_eval_intensity: a (rows, K) work array of 2**17 doubles (1 MB, in a
+# core's L2 beside the (4, K) coefficients), but two rows at least: one takes BLAS's vector kernel
+_CHUNK_ELEMENTS = 2 ** 17
 
 
 def log_wedge_mass(mean_b, mean_p, var):
@@ -117,7 +117,7 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     out = np.full(len(pts), -np.inf)
     if g.n_components:
         coef, log_norm, reach = g._log_kernel_constants
-        step = max(1, _CHUNK_ELEMENTS // g.n_components)
+        step = max(2, _CHUNK_ELEMENTS // g.n_components)
         # every chunk's product goes into this one array; a new array per chunk would be made
         # while the last one is still alive, doubling the peak
         work = np.empty((min(step, len(pts)), g.n_components))

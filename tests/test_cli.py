@@ -269,8 +269,10 @@ class TestPd:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {
             p.name: p.read_bytes() for p in want.iterdir()}
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="a patch reaches the workers only when they are forked")
+    # the method _pool's workers start with, whatever the interpreter's default is
+    @pytest.mark.skipif(
+        multiprocessing.get_context(cli._START_METHOD).get_start_method() != "fork",
+        reason="a patch reaches the workers only when they are forked")
     @pytest.mark.parametrize("die, message", [
         (lambda sig: os._exit(3), "a worker process died"),  # as when the kernel kills it
         (_out_of_memory, "out of memory"),
@@ -282,6 +284,19 @@ class TestPd:
         assert run("pd", *sorted(tmp_path.glob("*.csv")), "--out", tmp_path / "pd") == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="pools fork on Linux alone")
+    def test_workers_fork_when_the_default_is_forkserver(self):
+        # Python 3.14's default on Linux: each of its workers is a child of the fork server,
+        # where a forked one is the command's own child; /proc/self/stat's 4th field is the parent
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import multiprocessing, os; from pathlib import Path; from topobayes import cli; "
+                "multiprocessing.set_start_method('forkserver'); "
+                "stat, = cli._map(Path.read_text, [Path('/proc/self/stat')]); "
+                "print(int(stat.rsplit(')', 1)[1].split()[1]) == os.getpid())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.stdout == "True\n", proc.stderr
 
     def test_inputs_sharing_an_output_name_write_nothing(self, tmp_path, capsys):
         for d in ("a", "b"):
@@ -709,6 +724,14 @@ class TestClassifyMemory:
         assert proc.stdout == "m [(100000,), (100000, 2), (100000,)] False\n", proc.stderr
 
 
+def _manifest_ending_in(cli_files, bad):
+    """A manifest beside the diagram file bad: four good diagrams of each band, then bad."""
+    entries = [{"diagram": str(cli_files / "diagrams" / f"{band}_{i:03d}.pd.json"),
+                "label": band} for band in ("alpha", "beta") for i in range(4)]
+    return _write(bad.parent / "m.json", {"entries": [
+        *entries, {"diagram": bad.name, "label": "alpha"}]})
+
+
 class TestHugeDiagramPoints:
     """A diagram point whose b^2 + p^2 overflows, with a coordinate above about 1.34e154, scored
     NaN: classify wrote NaN and exited 0. Such a point is an error in the file that holds it."""
@@ -716,10 +739,7 @@ class TestHugeDiagramPoints:
     @pytest.mark.parametrize("command", ["classify", "fit", "cv"])
     def test_reading_one_exits_two_naming_the_file(self, tmp_path, cli_files, capfd, command):
         big = _write(tmp_path / "big.pd.json", {"b_min": 0.0, "points": [[1e308, 1e308]]})
-        entries = [{"diagram": str(cli_files / "diagrams" / f"{band}_{i:03d}.pd.json"),
-                    "label": band} for band in ("alpha", "beta") for i in range(4)]
-        manifest = _write(tmp_path / "m.json", {"entries": [
-            *entries, {"diagram": big.name, "label": "alpha"}]})
+        manifest = _manifest_ending_in(cli_files, big)
         argv = {"classify": ("classify", "--models", cli_files / "alpha.json",
                              cli_files / "beta.json", "--diagram", big),
                 "fit": ("fit", "--manifest", manifest, "--label", "alpha",
@@ -739,6 +759,21 @@ class TestHugeDiagramPoints:
         assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite\n")
         assert read_json(tmp_path / "pd" / "manifest.json") == {
             "entries": [{"diagram": "ok.pd.json"}]}
+
+
+class TestInfiniteBMin:
+    """A diagram file's "b_min" of 1e999 is read by json as inf, which the diagram refuses."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_reading_one_exits_two_naming_the_file(self, tmp_path, cli_files, capfd, command):
+        bad = tmp_path / "inf.pd.json"
+        bad.write_text('{"b_min": 1e999, "points": [[1.0, 2.0]]}')
+        manifest = _manifest_ending_in(cli_files, bad)
+        argv = {"fit": ("--label", "alpha", "--out", tmp_path / "model.json"),
+                "cv": ("--k-folds", 2)}[command]
+        assert run(command, "--manifest", manifest, *argv) == 2
+        assert capfd.readouterr() == ("", f"error: {bad}: b_min must be finite\n")
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestFarPointScores:

@@ -317,7 +317,7 @@ class TestFarRows:
 
 def test_scoring_memory_is_bounded():
     # 150 points against 100k components: the full (points, K) array alone
-    # would be 120 MB; the chunked core keeps its work array near 2 MB
+    # would be 120 MB; the chunked core keeps a work array of two rows, 1.6 MB
     rng = np.random.default_rng(7)
     k = 100_000
     g = GaussianMixtureIntensity(rng.uniform(1e-6, 1e-4, k), rng.uniform(0, 6, (k, 2)),
@@ -331,12 +331,12 @@ def test_scoring_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(logs)) and np.all(vals > 0)
-    assert peak < 64 * 2**20
+    assert peak < 1.25 * 2 * k * 8
 
 
 def test_scoring_holds_one_chunk_array():
-    # every chunk's product goes into one work array, so no chunk's array is still alive
-    # while the next one is made
+    # every chunk's product goes into one work array of 2**17 / K rows, 1 MB, so no chunk's
+    # array is still alive while the next one is made
     rng = np.random.default_rng(8)
     k = 14_247
     g = GaussianMixtureIntensity(rng.uniform(1e-4, 1e-2, k), rng.uniform(0, 6, (k, 2)),
@@ -351,6 +351,48 @@ def test_scoring_holds_one_chunk_array():
         tracemalloc.stop()
     assert np.all(np.isfinite(logs))
     assert peak < 1.25 * chunk_bytes
+
+
+class TestChunkRows:
+    """A chunk holds 2**17 / K rows, but never fewer than two: a one-row product takes BLAS's
+    vector kernel, which was slower at the 100k cap and can round the last bit otherwise."""
+
+    @staticmethod
+    def _chunk_rows(monkeypatch):
+        """The row count of every matrix product the scorer takes from here on."""
+        rows, matmul = [], np.matmul
+        def spy(a, b, out):
+            rows.append(len(a))
+            return matmul(a, b, out=out)
+        monkeypatch.setattr(np, "matmul", spy)
+        return rows
+
+    def test_the_cap_keeps_its_two_row_chunks_and_bytes(self, monkeypatch):
+        # the 100k-component posteriors fit makes: 2**18 / K gave two rows too, and so the
+        # same products; an odd point count leaves a last chunk of one row, as it always did
+        rng = np.random.default_rng(9)
+        k = 100_000
+        g = GaussianMixtureIntensity(rng.uniform(1e-6, 1e-4, k), rng.uniform(0, 6, (k, 2)),
+                                     rng.uniform(0.05, 0.3, k))
+        pts = rng.uniform(0, 6, (151, 2))
+        rows = self._chunk_rows(monkeypatch)
+        got = log_eval_intensity(g, pts)
+        assert rows == [2] * 75 + [1]
+        monkeypatch.setattr("topobayes.intensity._CHUNK_ELEMENTS", 2 ** 18)
+        assert log_eval_intensity(g, pts).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("k", [2 ** 16 + 1, 2 ** 17 + 1])  # 2**17 // k is 1, then 0
+    def test_a_rule_of_one_row_or_none_gives_two(self, monkeypatch, k):
+        g = GaussianMixtureIntensity(np.full(k, 1e-5), np.full((k, 2), 2.0), np.ones(k))
+        rows = self._chunk_rows(monkeypatch)
+        log_eval_intensity(g, np.full((6, 2), 1.0))
+        assert rows == [2, 2, 2]
+
+    def test_a_small_mixture_takes_2_to_the_17_over_k_rows(self, monkeypatch):
+        g = GaussianMixtureIntensity([1.0, 2.0, 0.5], [[1, 1], [2, 2], [3, 3]], [1.0] * 3)
+        rows = self._chunk_rows(monkeypatch)
+        log_eval_intensity(g, np.ones((2 ** 16, 2)))
+        assert rows == [2 ** 17 // 3, 2 ** 16 - 2 ** 17 // 3]
 
 
 class TestTotalMass:
@@ -420,6 +462,9 @@ class TestMixtureType:
             GaussianMixtureIntensity([1.0, 2.0], [[1, 1]], [1.0, 1.0])
         with pytest.raises(ValidationError):  # finite weights, total mass overflows
             GaussianMixtureIntensity([1e308, 1e308], [[1, 1], [2, 2]], [1.0, 1.0])
+        for variances in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValidationError, match="weights and variances must have equal"):
+                GaussianMixtureIntensity([1.0, 2.0], [[1, 1], [2, 2]], variances)
 
     @pytest.mark.parametrize("mean, var", [
         ((1e10, 1.0), 1e-300),    # the linear coefficient mean / var overflows
