@@ -86,7 +86,6 @@ def log_bayes_factor(d: PersistenceDiagram, g_i: GaussianMixtureIntensity,
 class ClassifyResult(NamedTuple):
     label: str
     votes: dict
-    log_densities: dict
 
 
 def check_threshold(threshold_c):
@@ -103,7 +102,7 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
     with the larger evidence gets one vote: i when log BF(i, j) exceeds log(threshold_c), j when
     it falls below, no vote on an exact tie. The label with most votes wins; vote ties break
     toward the larger total log density, then toward the lexicographically smallest label. The
-    full evidence trail is returned; it does not depend on the mapping's order.
+    label and its votes, keyed in sorted label order, do not depend on the mapping's order.
     """
     check_threshold(threshold_c)
     if len(log_densities) < 2:
@@ -119,7 +118,7 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
         elif lbf < log_c:
             votes[b] += 1
     winner = min(ld, key=lambda lab: (-votes[lab], -ld[lab], lab))
-    return ClassifyResult(winner, votes, ld)
+    return ClassifyResult(winner, votes)
 
 
 def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:

@@ -1,9 +1,9 @@
 """Batch command-line surface for the signal classification pipeline.
 
-Subcommands: generate, pd, fit, classify, cv, heatmap, pipeline. Structured
-artifacts are JSON; signals and heatmap grids are CSV. Every format is read and
-written here, not in the library. Exit codes are stable for scripting:
-0 success, 1 validation error, 2 I/O or data-file error.
+Each subcommand is a function in _COMMANDS whose docstring's first line is its help, and one
+check refuses an --out that would replace one of its inputs, before anything is written. JSON
+artifacts and CSV signals and grids are read and written here, not in the library. Exit codes
+are stable for scripting: 0 success, 1 validation error, 2 I/O or data-file error.
 """
 
 import argparse
@@ -56,7 +56,7 @@ def _decoded(path, decode, obj):
 
 def _check_out(command, out, written, *inputs):
     """Refuse an --out whose written files include one of the command's input files, before
-    those are read; a path of None, an option left out, is no file."""
+    any file is written; a path of None, an option left out, is no file."""
     # realpath follows links and "..", and unlike Path.resolve raises nothing on a link loop
     targets = {os.path.realpath(p) for p in written if p is not None}
     for path in inputs:
@@ -136,8 +136,7 @@ def _emit_model(label, g, out):
 
 
 def _emit_diagram(diagram, out):
-    """The diagram as {"b_min", "points": [[b, p], ...]} through _emit, without a list per
-    point."""
+    """The diagram as {"b_min", "points": [[b, p], ...]} through _emit, with no list per point."""
     _emit({"b_min": diagram.b_min, "points": []}, out, [None, None], diagram.points)
 
 
@@ -298,7 +297,9 @@ def _write_signal(i, band, duration, rate, snr, seed, outdir):
 
 
 def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
-    """Write n band-limited signals as CSV, in worker processes, plus a merged dataset manifest."""
+    """Write n band-limited signals as CSV, plus a merged dataset manifest.
+
+    The signals are written in worker processes."""
     if not 1 <= n <= MAX_SIZE or seed < 0:  # a larger range(n) has no len
         raise ValidationError(f"--n must lie in [1, {MAX_SIZE}] and --seed be at least 0")
     outdir = Path(out)
@@ -306,10 +307,8 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
     previous = (_manifest(manifest_path, "signal", labeled=True) if manifest_path.exists()
                 else {"entries": []})
     if previous.get("rate") not in (None, rate):
-        raise ValidationError(
-            f"manifest {manifest_path} has rate {previous.get('rate')}, "
-            f"refusing to mix with {rate}"
-        )
+        raise ValidationError(f"manifest {manifest_path} has rate {previous.get('rate')}, "
+                              f"refusing to mix with {rate}")
     names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
                          seed=seed, outdir=outdir), range(n))
     entries = [{"signal": name, "label": band} for name in names]
@@ -359,10 +358,9 @@ def pd(out, manifest=None, inputs=()):
     A diagram depends on the samples alone, so a CSV signal needs no sample rate. A signal that
     fails is left out of the manifest, and one error names every such file."""
     outdir = Path(out)
-    _check_out("pd", out, [outdir / "manifest.json"], manifest)
     tasks = _signal_tasks(manifest, inputs)
     signals = [path for path, _ in tasks]
-    # nor, once the signals are known, a diagram or manifest it writes over one of them
+    # once the signals are known, before any is read: nothing written may replace an input
     written = [outdir / "manifest.json", *(outdir / (s.stem + ".pd.json") for s in signals)]
     _check_out("pd", out, written, manifest, *signals)
     errors = _map(partial(_signal_diagram, outdir=outdir), signals)
@@ -382,13 +380,12 @@ def pd(out, manifest=None, inputs=()):
 
 def _load_diagram_entries(command, out, manifest_path, *inputs, label=None):
     """The manifest and its (diagram, label) entries: only those labeled label, if given, else
-    all, each of which must have a label. An --out that is the manifest or one of inputs is
-    refused before the manifest is read, and one that is a listed diagram before any diagram is."""
-    _check_out(command, out, [out], manifest_path, *inputs)
+    all, each of which must have a label. An --out that is the manifest, a listed diagram or one
+    of inputs is refused once the manifest is read, before any diagram or input is."""
     manifest = _manifest(manifest_path, "diagram", labeled=label is None)
     listed = [(Path(manifest_path).parent / e["diagram"], e.get("label"))
               for e in manifest["entries"]]
-    _check_out(command, out, [out], *(path for path, _ in listed))
+    _check_out(command, out, [out], manifest_path, *inputs, *(path for path, _ in listed))
     # read in this process: a worker pool measured no faster for a few hundred diagrams
     return manifest, [(_read(path, diagram_from_json), lab) for path, lab in listed
                       if label in (None, lab)]
@@ -404,7 +401,9 @@ def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None
 
 
 def classify(models, diagram, threshold=1.0, out=None):
-    """Classify one diagram against fitted models, parsed in worker processes, built one by one."""
+    """Classify one diagram against fitted models.
+
+    The models are parsed in worker processes, then built one by one."""
     _check_out("classify", out, [out], *models, diagram)
     with _pool(models) as pool:
         parsing = pool.map(partial(_read, decode=model_arrays), models)
@@ -421,12 +420,12 @@ def classify(models, diagram, threshold=1.0, out=None):
     result = classify_diagram(log_densities, threshold)
     # a zero density, the one non-finite value, is written as a string: strict JSON
     _emit({"label": result.label, "votes": result.votes, "threshold": threshold, "log_densities":
-           {k: "-inf" if v == float("-inf") else v for k, v in result.log_densities.items()}}, out)
+           {k: "-inf" if v == float("-inf") else v for k, v in log_densities.items()}}, out)
 
 
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
-       threshold=1.0, seed=0, out=None):
-    """Cross-validate on a labeled manifest; the report, printed unless out is set."""
+       threshold=1.0, seed=0, out=None) -> dict:
+    """Cross-validate on a labeled manifest, writing the report to out, else to stdout."""
     if seed < 0:
         raise ValidationError("--seed must be at least 0")
     obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter)
@@ -439,7 +438,7 @@ def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=Non
 
 
 def heatmap(model, bounds, res, out):
-    """Export a scaled intensity grid for a fitted model."""
+    """Export a fitted model's scaled intensity grid as CSV, with a JSON sidecar."""
     # the .json and .csv names are made from the last path component, and ".." makes "...json"
     if Path(out).name in ("", ".."):
         raise ValidationError(f"--out must end in a file name prefix, not {str(out)!r}")
@@ -511,22 +510,15 @@ _OPTIONS = {
     "heatmap --out": {"help": "output path prefix"},
 }
 
-_COMMANDS = {
-    generate: "write synthetic band-limited signals",
-    pd: "convert signals to persistence diagrams",
-    fit: "fit one class model from labeled diagrams",
-    classify: "classify one diagram against fitted models",
-    cv: "k-fold cross validation on a labeled manifest",
-    heatmap: "export a scaled intensity grid as CSV",
-    pipeline: "generate -> pd -> cv in one command",
-}
+_COMMANDS = (generate, pd, fit, classify, cv, heatmap, pipeline)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="topobayes", description=__doc__.splitlines()[0])
+    # a summary is its docstring's first line; python -OO strips docstrings to None
+    parser = _Parser(prog="topobayes", description=(__doc__ or "").partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for func, summary in _COMMANDS.items():
-        p = sub.add_parser(func.__name__, help=summary)
+    for func in _COMMANDS:
+        p = sub.add_parser(func.__name__, help=(func.__doc__ or "").partition("\n")[0])
         p.set_defaults(func=func)
         params = dict(inspect.signature(func).parameters)
         if params.pop("options", None):  # pipeline's for cv: all but its own and the manifest

@@ -17,14 +17,12 @@ from .errors import MAX_SIZE, ValidationError
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Uniformly sampled real time series: a plain record, as the generators return it.
+    """Uniformly sampled real time series, as the generators return it; the caller has the rate.
 
     samples -- 1-D float array; sublevel_pd checks them (at least 2, finite)
-    sample_rate -- sampling frequency in Hz; check_rate checks one read from a file
     """
 
     samples: np.ndarray
-    sample_rate: float
 
 
 def check_rate(value) -> float:
@@ -79,7 +77,7 @@ def generate_band_signal(band, duration: float, sample_rate: float, seed: int) -
     rms = np.sqrt(np.mean(x**2))
     if rms == 0.0:  # degenerate draw, cannot normalize
         raise ValidationError("generated signal is identically zero")
-    return Signal(x / rms, sample_rate)
+    return Signal(x / rms)
 
 
 def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
@@ -97,4 +95,4 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(len(x))
     sigma = np.sqrt(np.mean(x**2) / 10.0 ** (snr_db / 10.0))
-    return Signal(x + sigma * z, signal.sample_rate)
+    return Signal(x + sigma * z)

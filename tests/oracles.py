@@ -464,4 +464,4 @@ def generate_band_signal(band: BandSpec, duration: float, sample_rate: float,
     rms = np.sqrt(np.mean(x**2))
     if rms == 0.0:  # degenerate draw, cannot normalize
         raise ValidationError("generated signal is identically zero")
-    return Signal(x / rms, sample_rate)
+    return Signal(x / rms)

@@ -230,9 +230,9 @@ class TestClassify:
             d = PersistenceDiagram(rng.uniform(0, 6, (5, 2)))
             base = classify(scored(d, models), threshold_c=2.0)
             perm = [models[i] for i in rng.permutation(3)]
-            # the whole result, its dicts in sorted label order, whatever the mapping's order
+            # the whole result, its votes in sorted label order, whatever the mapping's order
             assert classify(scored(d, perm), threshold_c=2.0) == base
-            assert list(base.log_densities) == list(base.votes) == ["a", "b", "c"]
+            assert list(base.votes) == ["a", "b", "c"]
 
     def test_weight_identity_scaling_keeps_argmax(self, rng):
         models = [model_at((1.0, 1.0), "a"), model_at((5.0, 3.0), "b")]
@@ -320,9 +320,8 @@ class TestCrossValidate:
             densities = []
 
             def recording(log_densities, threshold_c=1.0):
-                result = classify_once(log_densities, threshold_c)
-                densities.append(repr(result.log_densities))
-                return result
+                densities.append(repr(dict(sorted(log_densities.items()))))
+                return classify_once(log_densities, threshold_c)
 
             monkeypatch.setattr(classifier, "usable_cpus", lambda: cpus)
             monkeypatch.setattr(classifier, "classify", recording)

@@ -260,7 +260,7 @@ class TestPd:
         for e in entries:
             path = sig_dir / e["signal"]
             if path.name != "bad.csv":
-                sig = (Signal(read_json(path)["samples"], 50.0) if path.suffix == ".json"
+                sig = (Signal(read_json(path)["samples"]) if path.suffix == ".json"
                        else load_signal(path))
                 cli._emit_diagram(tilt(sublevel_pd(sig)), want / f"{path.stem}.pd.json")
                 listed.append({"diagram": f"{path.stem}.pd.json", "label": e["label"]})
@@ -428,10 +428,11 @@ class TestFitClassifyRoundtrip:
             ]
             models.append((label, posterior_intensity(default_prior(), training, cfg)))
         d = diagram_from_json(read_json(target))
-        want = classify({label: diagram_log_density(d, g) for label, g in models}, 1.0)
+        scores = {label: diagram_log_density(d, g) for label, g in models}
+        want = classify(scores, 1.0)
         assert report["label"] == want.label
         assert report["votes"] == want.votes
-        assert report["log_densities"] == pytest.approx(want.log_densities)
+        assert report["log_densities"] == pytest.approx(scores)
 
     def test_classify_identical_models_deterministic_tie(self, dataset, capsys):
         manifest = dataset / "diagrams" / "manifest.json"
@@ -704,10 +705,11 @@ class TestClassifyMemory:
         finally:
             tracemalloc.stop()
         d = cli._read(diagram, diagram_from_json)
-        want = classify({label: diagram_log_density(d, g)
-                         for label, g in (cli._read(path, model_from_json) for path in models)})
+        scores = {label: diagram_log_density(d, g)
+                  for label, g in (cli._read(path, model_from_json) for path in models)}
         report = read_json(tmp_path / "report.json")
-        assert (report["label"], report["votes"], report["log_densities"]) == want
+        assert (report["label"], report["votes"], report["log_densities"]) == (*classify(scores),
+                                                                                scores)
         # the rows of both models, 3.2 MB each, and one model's kernel constants, 4 MB, with a
         # chunk of scores; the parent held both built models and a pickled copy of each: 21.9 MB
         assert peak < 17e6, peak
@@ -981,6 +983,18 @@ def _out_is_an_input(name, command, flag, *paths, out=None):
         return (*_base_argv(command, root, d), flag, *(root / p for p in paths),
                 "--out", root / (out or paths[0])), 1, None
     return _named(name, make)
+
+
+def _out_is_its_malformed_manifest(command):
+    """fit, cv or pd with an --out that writes over its own manifest, which is malformed: the one
+    check of --out comes once the manifest is parsed, so the file's fault is reported (exit 2)."""
+    def make(d, files):
+        manifest = _write(d / "manifest.json", {"entries": "none"})
+        argv = {"fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out", manifest),
+                "cv": ("cv", "--manifest", manifest, "--out", manifest),
+                "pd": ("pd", "--manifest", manifest, "--out", d)}[command]
+        return argv, 2, manifest
+    return _named(f"{command}_out_is_its_malformed_manifest", make)
 
 
 def _pd_out_is_its_signal(d, files):
@@ -1356,6 +1370,9 @@ class TestExitCodes:
                          "diagrams/manifest.json", out="diagrams/alpha_001.pd.json"),
         # nor a pd --out whose manifest.json or diagram is a signal file it was given or listed
         _pd_out_is_its_signal, _pd_out_is_a_listed_signal, _pd_diagram_over_its_signal,
+        # but a manifest is parsed first, so a malformed one is reported even when --out names it
+        _out_is_its_malformed_manifest("fit"), _out_is_its_malformed_manifest("cv"),
+        _out_is_its_malformed_manifest("pd"),
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),
@@ -1440,11 +1457,11 @@ class TestEntrypoint:
     """`python -m topobayes.cli`, which exits with main's return code as the installed script
     does."""
 
-    def _run(self, *argv):
+    def _run(self, *argv, flags=(), **env):
         src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-        return subprocess.run([sys.executable, "-m", "topobayes.cli", *map(str, argv)],
+        return subprocess.run([sys.executable, *flags, "-m", "topobayes.cli", *map(str, argv)],
                               capture_output=True, text=True, env=env, timeout=120)
 
     def test_exit_codes(self, tmp_path):
@@ -1457,6 +1474,28 @@ class TestEntrypoint:
         proc = self._run("classify", "--models", model, model, "--diagram", tmp_path / "d.json")
         assert proc.returncode == 2
         assert proc.stderr == f"error: {model}: no such file\n"
+
+    def test_help_lists_each_command_docstring_summary(self):
+        # wide enough that argparse wraps no summary, which it may do at a hyphen
+        proc = self._run("--help", COLUMNS="1000")
+        assert proc.returncode == 0
+        for func in cli._COMMANDS:
+            summary = func.__doc__.partition("\n")[0]
+            assert func.__name__ in proc.stdout and summary in proc.stdout, func.__name__
+
+    def test_runs_with_docstrings_stripped(self, tmp_path):
+        # python -OO strips every docstring to None, the help texts' source
+        for argv in (["--help"], ["generate", "--help"]):
+            proc = self._run(*argv, flags=["-OO"])
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        for flags in ((), ("-OO",)):
+            out = tmp_path / "-".join(("run", *flags))
+            proc = self._run("pipeline", "--n", 6, "--k-folds", 3, "--out", out, flags=flags)
+            assert (proc.returncode, proc.stderr) == (0, ""), flags
+        files = [{p.relative_to(top): p.read_bytes() for p in top.rglob("*") if p.is_file()}
+                 for top in (tmp_path / "run", tmp_path / "run--OO")]
+        # 12 signals and 12 diagrams, each set with its manifest, and the report
+        assert len(files[0]) == 27 and files[0] == files[1]
 
     def test_import_does_not_load_scipy_special(self):
         src = Path(__file__).resolve().parent.parent / "src"
