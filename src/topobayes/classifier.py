@@ -32,21 +32,10 @@ from .posterior import PosteriorConfig, posterior_intensity
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Labeled diagrams plus the fold count used for cross validation."""
+    """Labeled diagrams and the fold count for cross validation; stratified_folds checks both."""
 
     entries: tuple
     k_folds: int
-
-    def __post_init__(self):
-        entries = tuple((d, str(lab)) for d, lab in self.entries)
-        if not isinstance(self.k_folds, int) or self.k_folds < 2:
-            raise ValidationError("k_folds must be an integer of at least 2")
-        for lab, n in Counter(lab for _, lab in entries).items():
-            if n < self.k_folds:
-                raise ValidationError(
-                    f"class {lab!r} has {n} entries, fewer than k_folds={self.k_folds}"
-                )
-        object.__setattr__(self, "entries", entries)
 
     @property
     def labels(self) -> list:
@@ -122,13 +111,20 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
 
 
 def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
-    """Seeded per-class partition into data.k_folds folds.
+    """Seeded per-class partition into data.k_folds folds, an int of at least 2.
 
-    Each class's entries are shuffled once and split into k nearly equal
-    chunks; fold f tests on every class's chunk f and trains on the rest.
-    Returns a list of (train_indices, test_indices) pairs of sorted global
-    indices. Every entry appears in exactly one test fold.
+    Each class's entries are shuffled once and split into k nearly equal chunks; fold f tests on
+    every class's chunk f and trains on the rest. Returns a list of (train_indices, test_indices)
+    pairs of sorted global indices. Every entry appears in exactly one test fold, so a class of
+    fewer than k entries, which would leave a test fold without any of them, is refused.
     """
+    if not isinstance(data.k_folds, int) or data.k_folds < 2:
+        raise ValidationError("k_folds must be an integer of at least 2")
+    for lab, n in Counter(lab for _, lab in data.entries).items():
+        if n < data.k_folds:
+            raise ValidationError(
+                f"class {lab!r} has {n} entries, fewer than k_folds={data.k_folds}"
+            )
     rng = np.random.default_rng(seed)
     members = [[i for i, (_, lab) in enumerate(data.entries) if lab == label]
                for label in data.labels]
@@ -174,8 +170,8 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
     diagram and goes before the next class's is fitted; then each held-out diagram is classified
     on its log densities. The reported accuracy is the average of the fold accuracies. The
     confusion matrix has true labels on rows and predicted labels on columns, both in sorted
-    label order, aggregated over folds. Deterministic given the split seed; a bad threshold_c is
-    refused before anything is fitted.
+    label order, aggregated over folds. Deterministic given the split seed. A bad threshold_c, and
+    then what stratified_folds refuses, is refused before anything is fitted.
 
     The folds run on one thread per usable CPU, with numpy's OpenBLAS held to
     one thread meanwhile and then restored; where OpenBLAS cannot be set, on

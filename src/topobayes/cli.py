@@ -24,7 +24,7 @@ from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
 from .intensity import GaussianMixtureIntensity, intensity_grid, total_mass
 from .posterior import PosteriorConfig, default_clutter, default_prior, posterior_intensity
-from .signals import ALPHA_BAND, BETA_BAND, add_noise, check_rate, generate_band_signal
+from .signals import ALPHA_BAND, BETA_BAND, add_noise, generate_band_signal
 
 _BANDS = {"alpha": ALPHA_BAND, "beta": BETA_BAND}
 # values per block of text a writer formats, so it holds a block, not a file's floats and text
@@ -159,6 +159,14 @@ def json_floats(value, what, *shape):
     except OverflowError:
         raise ValidationError(f"malformed {what}: a number too large for a float") from None
     return a.reshape(-1, *shape[1:]) if shape else float(a[0])
+
+
+def check_rate(value) -> float:
+    """A sample rate in Hz read from a file, as a float: a json_floats number, positive, finite."""
+    rate = json_floats(value, "sample rate")
+    if not 0 < rate < np.inf:
+        raise ValidationError("sample rate must be a positive finite number")
+    return rate
 
 
 _COMPONENT_KEYS = frozenset(("mu", "var", "w"))

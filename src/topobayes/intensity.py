@@ -60,10 +60,8 @@ class GaussianMixtureIntensity:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         v = np.atleast_1d(np.asarray(self.variances, dtype=float))
         mu = pairs_array(self.means, "means")
-        if len(mu) != len(w):
-            raise ValidationError("means must have one (b, p) pair per weight")
-        if len(v) != len(w):
-            raise ValidationError("weights and variances must have equal length")
+        if not len(w) == len(mu) == len(v):
+            raise ValidationError("weights, (b, p) means and variances must have equal length")
         # a finite total mass implies finite weights, and keeps a model's lambda finite;
         # a sum that overflows is rejected here rather than warned about
         with np.errstate(over="ignore"):

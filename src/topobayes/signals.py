@@ -1,11 +1,11 @@
 """Band-limited synthetic test signals.
 
-The generator produces EEG-like oscillatory signals as random sums of
-sinusoids inside a frequency band, normalized to unit RMS power. White
-Gaussian noise can be added at a requested SNR in dB (0 dB means equal
-signal and noise power). The CLI reads recorded signals from CSV or JSON files.
-All randomness is seeded, so every function here is a pure function of its
-arguments and safe to call concurrently.
+The generator produces EEG-like oscillatory signals as random sums of sinusoids inside a
+frequency band, normalized to unit RMS power. White Gaussian noise can be added at a requested
+SNR in dB (0 dB means equal signal and noise power). Each function checks only its own
+arguments; the CLI reads recorded signals from CSV or JSON files and checks a file's sample
+rate. All randomness is seeded, so every function here is a pure function of its arguments and
+safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -23,18 +23,6 @@ class Signal:
     """
 
     samples: np.ndarray
-
-
-def check_rate(value) -> float:
-    """value as a sample rate in Hz: a finite, positive real number, and not a bool."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    try:
-        rate = float(value) if real else np.nan
-    except OverflowError:  # an integer too large for a float
-        rate = np.inf
-    if not 0 < rate < np.inf:
-        raise ValidationError("sample rate must be a positive finite number")
-    return rate
 
 
 # the paper's two EEG rhythms, each an (f_low, f_high) pair in Hz

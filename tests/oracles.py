@@ -57,7 +57,8 @@ from topobayes.filtration import untilt
 from topobayes.intensity import log_wedge_mass, total_mass, wedge_rectangle
 from topobayes.posterior import _flatten_observations
 from topobayes.errors import MAX_SIZE
-from topobayes.signals import Signal, check_rate
+from topobayes.cli import check_rate
+from topobayes.signals import Signal
 
 
 def restricted_normal_pdf(x, mean, var):

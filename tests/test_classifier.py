@@ -438,9 +438,30 @@ class TestCrossValidate:
         entries = [(sample_ppp_diagram(rng, g), "a") for _ in range(3)]
         entries += [(sample_ppp_diagram(rng, g), "b") for _ in range(10)]
         with pytest.raises(ValidationError):
-            LabeledDataset(tuple(entries), 5)
+            stratified_folds(LabeledDataset(tuple(entries), 5))
         with pytest.raises(ValidationError):  # one fold leaves nothing to train on
-            LabeledDataset(tuple(entries), 1)
+            stratified_folds(LabeledDataset(tuple(entries), 1))
+
+    @pytest.mark.parametrize("k_folds, message", [
+        (1, r"^k_folds must be an integer of at least 2$"),
+        (True, r"^k_folds must be an integer of at least 2$"),
+        (2.0, r"^k_folds must be an integer of at least 2$"),
+        (5, r"^class 'lo' has 4 entries, fewer than k_folds=5$"),
+    ])
+    def test_fold_split_refuses_before_any_fit(self, rng, monkeypatch, k_folds, message):
+        # a LabeledDataset is a plain record; the fold split checks it, and cross_validate
+        # makes the split before it fits anything
+        entries = clustered_dataset(rng, 4, 2, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)}).entries
+        data = LabeledDataset(entries, k_folds)
+
+        def unfitted(prior, training, cfg):
+            raise AssertionError("a posterior was fitted")
+
+        monkeypatch.setattr(classifier, "posterior_intensity", unfitted)
+        with pytest.raises(ValidationError, match=message):
+            stratified_folds(data)
+        with pytest.raises(ValidationError, match=message):
+            cross_validate(data, self.prior, self.cfg)
 
     def test_single_class_rejected(self, rng):
         g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)

@@ -1080,6 +1080,34 @@ def _signal_json(name, text):
     return _named(name, make)
 
 
+# the JSON text of each sample rate that a file may not hold, by name
+_BAD_RATES = {"a_bool": "true", "a_string": '"128"', "null": "null", "a_list": "[1]",
+              "nan": "NaN", "zero": "0", "negative": "-1", "infinite": "1e999"}
+
+
+def _bad_rate(name, text):
+    """The reads of a file's sample rate, each of a file whose "rate" is the JSON text: pd of a
+    JSON signal, and pd and a merging generate of a signal manifest."""
+    def signal_manifest(command):
+        def make(d, files):
+            entry = {"signal": str(files / "signals" / "alpha_000.csv"), "label": "alpha"}
+            manifest = d / "manifest.json"
+            manifest.write_text(f'{{"rate": {text}, "entries": [{json.dumps(entry)}]}}')
+            argv = {"pd": ("pd", "--manifest", manifest, "--out", d / "pd"),
+                    "generate": ("generate", "--band", "alpha", "--n", 1, "--out", d)}[command]
+            return argv, 2, manifest
+        return _named(f"signal_manifest_rate_{name}_{command}", make)
+    return [_signal_json(f"signal_json_rate_{name}", f'{{"rate": {text}, "samples": [0, 1]}}'),
+            signal_manifest("pd"), signal_manifest("generate")]
+
+
+def _cv_one_fold(d, files):
+    # every fold would train on nothing; an --out among the module-wide inputs, which a refused
+    # run adds no file to, shows that no report is written
+    return ("cv", "--manifest", files / "diagrams" / "manifest.json", "--k-folds", 1,
+            "--out", files / "k1.json"), 1, None
+
+
 def _bad_flag(command, flag):
     """A run that would succeed but for one appended flag that must be rejected; {d} in flag
     is the case's directory, and {files} that of the module-wide inputs."""
@@ -1314,9 +1342,11 @@ class TestExitCodes:
         _signal_json("signal_json_malformed", "{not json"),
         _signal_json("signal_json_integer_past_the_digit_limit",
                      '{"rate": 1' + "0" * 5000 + ', "samples": [0, 1]}'),
+        *[case for name, text in _BAD_RATES.items() for case in _bad_rate(name, text)],
         _model_lambda_too_large_for_a_float("classify"),
         _model_lambda_too_large_for_a_float("heatmap"),
         _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
+        _cv_one_fold,
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
         # every JSON file is parsed with component_row: a component's keys elsewhere are malformed

@@ -463,7 +463,8 @@ class TestMixtureType:
         with pytest.raises(ValidationError):  # finite weights, total mass overflows
             GaussianMixtureIntensity([1e308, 1e308], [[1, 1], [2, 2]], [1.0, 1.0])
         for variances in ([1.0], [1.0, 2.0, 3.0]):
-            with pytest.raises(ValidationError, match="weights and variances must have equal"):
+            with pytest.raises(ValidationError,
+                               match=r"weights, \(b, p\) means and variances must have equal"):
                 GaussianMixtureIntensity([1.0, 2.0], [[1, 1], [2, 2]], variances)
 
     @pytest.mark.parametrize("mean, var", [

@@ -13,8 +13,7 @@ from topobayes import (
     generate_band_signal,
     sublevel_pd,
 )
-from topobayes.cli import load_signal, main, signal_from_json
-from topobayes.signals import check_rate
+from topobayes.cli import check_rate, load_signal, main, signal_from_json
 import oracles
 
 
