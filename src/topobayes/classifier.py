@@ -39,6 +39,8 @@ class LabeledDataset:
 
     @property
     def labels(self) -> list:
+        if not all(isinstance(lab, str) for _, lab in self.entries):  # else sorted raises TypeError
+            raise ValidationError("class labels must be strings")
         return sorted({lab for _, lab in self.entries})
 
 
@@ -96,6 +98,8 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
     check_threshold(threshold_c)
     if len(log_densities) < 2:
         raise ValidationError("need at least 2 class models")
+    if not all(isinstance(lab, str) for lab in log_densities):
+        raise ValidationError("class labels must be strings")
     ld = dict(sorted(log_densities.items()))
     log_c = math.log(threshold_c)
 

@@ -454,13 +454,11 @@ def heatmap(model, bounds, res, out):
     sidecar, table = Path(out).with_suffix(".json"), Path(out).with_suffix(".csv")
     _check_out("heatmap", out, [sidecar, table], model)
     _, posterior = _read(model, model_from_json)
-    bounds = _split(bounds, ",", 4, float, "--bounds bmin,pmin,bmax,pmax")
-    resolution = _split(res, "x", 2, int, "--res NxM, e.g. 128x128")
-    grid = intensity_grid(posterior, bounds, resolution)
+    grid = intensity_grid(posterior, bounds, res)
     _emit(
         {
             "bounds": list(bounds),
-            "resolution": list(resolution),
+            "resolution": list(res),
             "rows": "birth",
             "cols": "persistence",
             "model": str(model),
@@ -480,17 +478,6 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
     report_path = out / "cv_report.json"
     report = cv(out / "diagrams" / "manifest.json", seed=seed, out=report_path, **options)
     print(f"cv accuracy: {report['accuracy']:.4f} ({report_path})")
-
-
-def _split(text, sep, count, kind, usage):
-    """count values of type kind, separated by sep in text."""
-    try:
-        values = tuple(kind(v) for v in text.lower().split(sep))
-    except ValueError:
-        values = ()
-    if len(values) != count:
-        raise ValidationError(f"expected {usage}, got {text!r}")
-    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -513,8 +500,8 @@ _OPTIONS = {
     "--models": {"nargs": "+"},
     "inputs": {"nargs": "*", "help": "signal files (alternative to --manifest)"},
     "generate --snr": {"help": "SNR in dB; omit for clean signals"},
-    "heatmap --bounds": {"help": "bmin,pmin,bmax,pmax"},
-    "heatmap --res": {"help": "NxM grid resolution"},
+    "--bounds": {"nargs": 4, "type": float, "metavar": ("BMIN", "PMIN", "BMAX", "PMAX")},
+    "--res": {"nargs": 2, "type": int, "metavar": ("NB", "NP")},
     "heatmap --out": {"help": "output path prefix"},
 }
 

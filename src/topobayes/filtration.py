@@ -40,13 +40,10 @@ class PersistenceDiagram:
 
     def __post_init__(self):
         points = pairs_array(self.points, "diagram points")
-        if not np.all(np.isfinite(points)):
-            raise ValidationError("diagram points must be finite")
-        # finite points can still overflow it, and a point scored with an infinite b^2 + p^2
-        # would score NaN
+        # b^2 + p^2 is NaN or inf where a coordinate is, or where it overflows; either scores NaN
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite((points * points).sum(axis=1))):
-                raise ValidationError("diagram point too large: its b^2 + p^2 is not finite")
+                raise ValidationError("diagram points must be finite, with b^2 + p^2 finite")
         if points.size and points.min() < 0:
             raise ValidationError("diagram points must lie in the wedge b, p >= 0")
         if not np.isfinite(self.b_min):

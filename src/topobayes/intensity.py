@@ -125,7 +125,8 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
             # overflow, has its terms overwritten: log_norm - |x - mu|^2 / (2 var), -inf at worst
             with np.errstate(over="ignore", invalid="ignore"):
                 rows = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))])
-                far = np.abs(rows).max(axis=1) * reach > 2.0 ** 1021
+                # |b|, |p| <= max(b^2 + p^2, 1), so this bounds every term of the row's product
+                far = np.maximum(rows[:, 2], 1.0) * reach > 2.0 ** 1021
                 t = np.matmul(rows, coef, out=work[:len(p)])
                 if far.any():
                     t[far] = log_norm - ((p[far, None] - g.means) ** 2).sum(axis=2) / (

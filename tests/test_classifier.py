@@ -248,6 +248,9 @@ class TestClassify:
         for log_densities in ({}, {"a": -1.0}):
             with pytest.raises(ValidationError, match="need at least 2 class models"):
                 classify(log_densities)
+        # labels that do not sort together are refused before they are sorted
+        with pytest.raises(ValidationError, match=r"^class labels must be strings$"):
+            classify({1: -1.0, "a": -2.0})
 
     def test_threshold_must_be_positive(self):
         for c in (0.0, -1.0, np.nan, np.inf):
@@ -442,16 +445,18 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):  # one fold leaves nothing to train on
             stratified_folds(LabeledDataset(tuple(entries), 1))
 
-    @pytest.mark.parametrize("k_folds, message", [
-        (1, r"^k_folds must be an integer of at least 2$"),
-        (True, r"^k_folds must be an integer of at least 2$"),
-        (2.0, r"^k_folds must be an integer of at least 2$"),
-        (5, r"^class 'lo' has 4 entries, fewer than k_folds=5$"),
+    @pytest.mark.parametrize("k_folds, message, hi", [
+        (1, r"^k_folds must be an integer of at least 2$", "hi"),
+        (True, r"^k_folds must be an integer of at least 2$", "hi"),
+        (2.0, r"^k_folds must be an integer of at least 2$", "hi"),
+        (5, r"^class 'lo' has 4 entries, fewer than k_folds=5$", "hi"),
+        # labels that do not sort together are refused before they are sorted
+        (2, r"^class labels must be strings$", 1),
     ])
-    def test_fold_split_refuses_before_any_fit(self, rng, monkeypatch, k_folds, message):
+    def test_fold_split_refuses_before_any_fit(self, rng, monkeypatch, k_folds, message, hi):
         # a LabeledDataset is a plain record; the fold split checks it, and cross_validate
         # makes the split before it fits anything
-        entries = clustered_dataset(rng, 4, 2, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)}).entries
+        entries = clustered_dataset(rng, 4, 2, {"lo": (0.5, 1.0), hi: (0.5, 8.0)}).entries
         data = LabeledDataset(entries, k_folds)
 
         def unfitted(prior, training, cfg):

@@ -74,8 +74,8 @@ def _base_argv(command, files, out):
         "classify": ["classify", "--models", files / "alpha.json", files / "beta.json",
                      "--diagram", files / "diagrams" / "alpha_000.pd.json"],
         "cv": ["cv", "--manifest", manifest, "--k-folds", 2],
-        "heatmap": ["heatmap", "--model", files / "alpha.json", "--bounds", "0,0,3,4",
-                    "--res", "8x8", "--out", out / "hm"],
+        "heatmap": ["heatmap", "--model", files / "alpha.json", "--bounds", 0, 0, 3, 4,
+                    "--res", 8, 8, "--out", out / "hm"],
         "pipeline": ["pipeline", "--n", 4, "--k-folds", 2, "--out", out / "run"],
     }[command]
 
@@ -586,8 +586,8 @@ class TestHeatmap:
         model_path.write_text(json.dumps(
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
         out = tmp_path / "hm"
-        assert run("heatmap", "--model", model_path, "--bounds", "0,0,3,4",
-                   "--res", "20x30", "--out", out) == 0
+        assert run("heatmap", "--model", model_path, "--bounds", 0, 0, 3, 4,
+                   "--res", 20, 30, "--out", out) == 0
         rows = Path(out.with_suffix(".csv")).read_text().strip().splitlines()
         grid = np.array([[float(v) for v in r.split(",")] for r in rows])
         assert grid.shape == (20, 30)
@@ -605,8 +605,8 @@ class TestHeatmap:
         g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
         model_path.write_text(json.dumps(
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
-        assert run("heatmap", "--model", model_path, "--bounds", "0,0,0,4",
-                   "--res", "8x8", "--out", tmp_path / "hm") == 1
+        assert run("heatmap", "--model", model_path, "--bounds", 0, 0, 0, 4,
+                   "--res", 8, 8, "--out", tmp_path / "hm") == 1
 
 
 # spellings of a mixture component; each must decode, or be rejected, as its parsed object does
@@ -649,8 +649,8 @@ class TestMixtureFiles:
             "classify": (model, ("classify", "--models", model, cli_files / "beta.json",
                                  "--diagram", cli_files / "diagrams" / "beta_000.pd.json",
                                  "--out", out)),
-            "heatmap": (model, ("heatmap", "--model", model, "--bounds", "0,0,3,3",
-                                "--res", "4x4", "--out", out)),
+            "heatmap": (model, ("heatmap", "--model", model, "--bounds", 0, 0, 3, 3,
+                                "--res", 4, 4, "--out", out)),
         }
         for consumer, (path, argv) in consumers.items():
             results = {}
@@ -738,9 +738,13 @@ class TestHugeDiagramPoints:
     """A diagram point whose b^2 + p^2 overflows, with a coordinate above about 1.34e154, scored
     NaN: classify wrote NaN and exited 0. Such a point is an error in the file that holds it."""
 
+    # json reads NaN, Infinity and 1e999 as non-finite floats; each is refused by the same test
+    @pytest.mark.parametrize("point", ["1e308, 1e308", "NaN, 1", "Infinity, 1", "0, -1e999"])
     @pytest.mark.parametrize("command", ["classify", "fit", "cv"])
-    def test_reading_one_exits_two_naming_the_file(self, tmp_path, cli_files, capfd, command):
-        big = _write(tmp_path / "big.pd.json", {"b_min": 0.0, "points": [[1e308, 1e308]]})
+    def test_reading_one_exits_two_naming_the_file(self, tmp_path, cli_files, capfd, command,
+                                                    point):
+        big = tmp_path / "big.pd.json"
+        big.write_text(f'{{"b_min": 0.0, "points": [[{point}]]}}')
         manifest = _manifest_ending_in(cli_files, big)
         argv = {"classify": ("classify", "--models", cli_files / "alpha.json",
                              cli_files / "beta.json", "--diagram", big),
@@ -749,8 +753,8 @@ class TestHugeDiagramPoints:
                 "cv": ("cv", "--manifest", manifest, "--k-folds", 2)}[command]
         assert run(*argv) == 2
         out, err = capfd.readouterr()
-        assert (out, err) == ("", f"error: {big}: diagram point too large: "
-                                  "its b^2 + p^2 is not finite\n")
+        assert (out, err) == ("", f"error: {big}: diagram points must be finite, "
+                                  "with b^2 + p^2 finite\n")
 
     def test_pd_names_the_signal_and_lists_the_rest(self, tmp_path, capfd):
         # the tilted point is (0, 2e308): an overflow, which printed two RuntimeWarnings
@@ -758,7 +762,8 @@ class TestHugeDiagramPoints:
         big.write_text("1e308\n-1e308\n1e308\n")
         ok.write_text("0.5\n-1\n0.25\n1\n-0.5\n")
         assert run("pd", big, ok, "--out", tmp_path / "pd") == 2
-        assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite\n")
+        assert capfd.readouterr() == ("", f"error: {big}: diagram points must be finite, "
+                                          "with b^2 + p^2 finite\n")
         assert read_json(tmp_path / "pd" / "manifest.json") == {
             "entries": [{"diagram": "ok.pd.json"}]}
 
@@ -811,8 +816,8 @@ class TestFarPointScores:
             "beta": pytest.approx(-4.225e306, rel=1e-12)}
 
     def test_heatmap_reaching_it(self, cli_files, tmp_path, capfd):
-        assert run("heatmap", "--model", cli_files / "alpha.json", "--bounds", "0,0,3,1.3e154",
-                   "--res", "8x8", "--out", tmp_path / "hm") == 0
+        assert run("heatmap", "--model", cli_files / "alpha.json", "--bounds", 0, 0, 3, 1.3e154,
+                   "--res", 8, 8, "--out", tmp_path / "hm") == 0
         assert capfd.readouterr() == ("", "")
         grid = np.loadtxt(tmp_path / "hm.csv", delimiter=",")
         assert grid.max() == 1.0 and np.all(grid[:, 1:] == 0.0)
@@ -929,7 +934,7 @@ def _model_lambda_too_large_for_a_float(command):
                          '{"components": [{"w": 1.0, "mu": [1.0, 1.0], "var": 1.0}]}}')
         argv = {"classify": ("classify", "--models", model, files / "beta.json",
                              "--diagram", files / "diagrams" / "beta_000.pd.json"),
-                "heatmap": ("heatmap", "--model", model, "--bounds", "0,0,3,4", "--res", "8x8",
+                "heatmap": ("heatmap", "--model", model, "--bounds", 0, 0, 3, 4, "--res", 8, 8,
                             "--out", d / "hm")}[command]
         return argv, 2, model
     return _named(f"model_lambda_too_large_for_a_float_{command}", make)
@@ -1108,12 +1113,20 @@ def _cv_one_fold(d, files):
             "--out", files / "k1.json"), 1, None
 
 
-def _bad_flag(command, flag):
-    """A run that would succeed but for one appended flag that must be rejected; {d} in flag
-    is the case's directory, and {files} that of the module-wide inputs."""
+def _heatmap_numbers_in_one_token(d, files):
+    # --bounds takes four values and --res two, so the one-token forms 0,0,3,4 and 8x8 are
+    # refused; an --out among the module-wide inputs shows that nothing is written
+    return ("heatmap", "--model", files / "alpha.json", "--bounds", "0,0,3,4", "--res", "8x8",
+            "--out", files / "hm"), 1, None
+
+
+def _bad_flag(command, *flag):
+    """A run that would succeed but for one appended flag, given as its argv tokens, that must be
+    rejected; {d} in a token is the case's directory, and {files} that of the module-wide inputs."""
     def make(d, files):
-        return (*_base_argv(command, files, d), flag.format(d=d, files=files)), 1, None
-    make.__name__ = f"_{command}{flag}"
+        tokens = (t.format(d=d, files=files) for t in flag)
+        return (*_base_argv(command, files, d), *tokens), 1, None
+    make.__name__ = f"_{command}{' '.join(flag)}"
     return make
 
 
@@ -1133,8 +1146,8 @@ _NUMERIC_FLAGS = {
     "fit": _POSTERIOR,
     "classify": {"--threshold": _REAL},
     "cv": {**_POSTERIOR, **_CV},
-    "heatmap": {"--bounds": st.lists(_REAL, min_size=4, max_size=4).map(",".join),
-                "--res": st.lists(_INT, min_size=2, max_size=2).map("x".join)},
+    "heatmap": {"--bounds": st.lists(_REAL, min_size=4, max_size=4),
+                "--res": st.lists(_INT, min_size=2, max_size=2)},
     "pipeline": {**_SAMPLING, **_POSTERIOR, **_CV},
 }
 
@@ -1173,8 +1186,8 @@ def _write_mutation_inputs(d):
         "mixture": {"fit --prior": (*fit, "--prior", files["mixture"]),
                     "fit --clutter": (*fit, "--clutter", files["mixture"])},
         "model": {"classify": classify,
-                  "heatmap": ("heatmap", "--model", files["model"], "--bounds", "0,0,3,3",
-                              "--res", "4x4", "--out", d / "hm")},
+                  "heatmap": ("heatmap", "--model", files["model"], "--bounds", 0, 0, 3, 3,
+                              "--res", 4, 4, "--out", d / "hm")},
     }
     return {kind: (files[kind], consumers[kind]) for kind in files}
 
@@ -1267,7 +1280,7 @@ class TestParser:
         ("classify --models a b --diagram d", "models diagram"),
         ("cv --manifest m", "manifest"),
         ("cv --manifest m --seed 3", "manifest seed"),  # an option that has a default
-        ("heatmap --model m --bounds 0,0,1,1 --res 2x2 --out o", "model bounds res out"),
+        ("heatmap --model m --bounds 0 0 1 1 --res 2 2 --out o", "model bounds res out"),
         ("pipeline --out o", "out"),
     ])
     def test_namespace_holds_only_the_given_options(self, argv, given):
@@ -1346,7 +1359,7 @@ class TestExitCodes:
         _model_lambda_too_large_for_a_float("classify"),
         _model_lambda_too_large_for_a_float("heatmap"),
         _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
-        _cv_one_fold,
+        _cv_one_fold, _heatmap_numbers_in_one_token,
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),
         # every JSON file is parsed with component_row: a component's keys elsewhere are malformed
@@ -1372,7 +1385,7 @@ class TestExitCodes:
         _bad_flag("generate", "--snr=-inf"), _bad_flag("generate", "--seed=-1"),
         _bad_flag("fit", "--sigma-obs=inf"),
         _bad_flag("classify", "--threshold=nan"), _bad_flag("classify", "--threshold=inf"),
-        _bad_flag("heatmap", "--bounds=0,0,inf,3"), _bad_flag("cv", "--seed=-1"),
+        _bad_flag("heatmap", "--bounds", "0", "0", "inf", "3"), _bad_flag("cv", "--seed=-1"),
         # an --out with no last path component to put .json and .csv on
         _bad_flag("heatmap", "--out=/"), _bad_flag("heatmap", "--out="),
         # nor with a last component "..", which would make the names "...json" and "...csv"
@@ -1406,9 +1419,10 @@ class TestExitCodes:
         # sizes numpy or Python cannot index, rejected before any array is made
         _bad_flag("generate", "--rate=1e308"), _bad_flag("generate", "--duration=1e20"),
         _bad_flag("generate", "--n=100000000000000000000"),
-        _bad_flag("heatmap", "--res=10000000000000000000x2"),
+        _bad_flag("heatmap", "--res", "10000000000000000000", "2"),
         # finite values whose squares or products overflow
-        _bad_flag("heatmap", "--bounds=0,0,3,1e308"), _bad_flag("fit", "--sigma-obs=1e308"),
+        _bad_flag("heatmap", "--bounds", "0", "0", "3", "1e308"),
+        _bad_flag("fit", "--sigma-obs=1e308"),
     ], ids=lambda f: f.__name__.lstrip("_"))
     def test_malformed_input_gives_one_error_line(self, tmp_path, capsys, cli_files, make_case):
         argv, code, bad_file = make_case(tmp_path, cli_files)
@@ -1439,8 +1453,8 @@ class TestExitCodes:
         flags = []
         for flag, values in _NUMERIC_FLAGS[command].items():
             value = data.draw(st.none() | values, label=flag)
-            if value is not None:
-                flags.append(f"{flag}={value}")
+            if value is not None:  # a list is the values of one option of several
+                flags += [flag, *value] if isinstance(value, list) else [f"{flag}={value}"]
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
             code = run(*_base_argv(command, cli_files, Path(tmp)), *flags)

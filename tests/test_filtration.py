@@ -298,14 +298,19 @@ class TestDiagramJSON:
                 diagram_from_json(bad)
 
 
+_NOT_FINITE = r"^diagram points must be finite, with b\^2 \+ p\^2 finite$"
+
+
 class TestDiagramTypes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf must be refused quietly
-    @pytest.mark.parametrize("pairs", [
-        [[1.0, 0.5]], [[0, np.inf]], [[np.nan, 1]], [[np.inf, np.inf]], [[-np.inf, 0]],
+    @pytest.mark.parametrize("pairs, message", [
+        ([[1.0, 0.5]], "wedge"), ([[0, np.inf]], _NOT_FINITE), ([[np.nan, 1]], _NOT_FINITE),
+        ([[np.inf, np.inf]], _NOT_FINITE), ([[-np.inf, 0]], _NOT_FINITE),
+        ([[0, 1e308]], _NOT_FINITE),
     ], ids=["death_before_birth", "infinite_death", "nan_birth", "both_infinite",
-            "birth_minus_infinity"])
-    def test_tilt_rejects_a_pair_outside_every_diagram(self, pairs):
-        with pytest.raises(ValidationError):
+            "birth_minus_infinity", "squared_norm_overflows"])
+    def test_tilt_rejects_a_pair_outside_every_diagram(self, pairs, message):
+        with pytest.raises(ValidationError, match=message):
             tilt(pairs)
 
     @pytest.mark.parametrize("make", [
@@ -332,8 +337,10 @@ class TestDiagramTypes:
     def test_tilted_rejects_a_point_whose_squared_norm_overflows(self):
         # scoring such a point computed b^2 + p^2 = inf, and its log density was NaN
         PersistenceDiagram([[1.34e154, 0.0], [9e153, 9e153]])
-        for point in ([1e308, 1e308], [1e154, 1e154], [0.0, 1.35e154]):
-            with pytest.raises(ValidationError, match="too large"):
+        # a NaN or infinite coordinate makes it NaN or inf too, and is refused by the same test
+        for point in ([1e308, 1e308], [1e154, 1e154], [0.0, 1.35e154], [np.nan, 1.0],
+                      [np.inf, 0.0], [0.0, -np.inf]):
+            with pytest.raises(ValidationError, match=_NOT_FINITE):
                 PersistenceDiagram([[1.0, 1.0], point])
 
     def test_tilt_of_a_pair_past_the_float_range_is_rejected_quietly(self):

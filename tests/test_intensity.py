@@ -334,6 +334,23 @@ def test_scoring_memory_is_bounded():
     assert peak < 1.25 * 2 * k * 8
 
 
+def test_one_component_scoring_memory_is_bounded():
+    # at K = 1 a chunk is 2**17 rows, so the arrays made per row outweigh the one-column work
+    # array; b^2 + p^2 alone bounds a row's terms, so no (rows, 4) table of absolute values is
+    # made beside the row table
+    rng = np.random.default_rng(9)
+    g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.5)
+    pts = rng.uniform(0, 6, (120_000, 2))
+    tracemalloc.start()
+    try:
+        logs = log_eval_intensity(g, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(logs))
+    assert peak < 9.2 * 2 ** 20
+
+
 def test_scoring_holds_one_chunk_array():
     # every chunk's product goes into one work array of 2**17 / K rows, 1 MB, so no chunk's
     # array is still alive while the next one is made
