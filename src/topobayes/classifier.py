@@ -52,11 +52,8 @@ def diagram_log_density(d: PersistenceDiagram, g: GaussianMixtureIntensity) -> f
     so diagrams with hundreds of points stay in range.
     """
     from scipy.special import gammaln  # imported here, as in intensity.log_wedge_mass
-    pts = d.points
-    if len(pts) == 0:
-        return -total_mass(g)
-    logs = log_eval_intensity(g, pts)
-    return float(-total_mass(g) - gammaln(len(pts) + 1) + logs.sum())
+    logs = log_eval_intensity(g, d.points)
+    return float(-total_mass(g) - gammaln(len(logs) + 1) + logs.sum())
 
 
 def _log_ratio(li: float, lj: float) -> float:

@@ -47,7 +47,7 @@ def _read(path, decode):
 
 
 def _decoded(path, decode, obj):
-    """decode(obj) of obj read from the file at path; a fault in it is a DataFileError naming it."""
+    """decode(obj) of obj read or made from the file path; a fault is a DataFileError naming it."""
     try:
         return decode(obj)
     except ValidationError as e:
@@ -269,7 +269,8 @@ def load_signal(path) -> np.ndarray:
 
 def _manifest(path, key, labeled=False):
     """The manifest at path, {"rate": Hz (optional), "k_folds": int >= 2 (optional), "entries":
-    [{key: path, "label": str}, ...]}, each label optional unless labeled."""
+    [{key: path, "label": str}, ...]}, each label optional unless labeled, and the files it
+    lists: each entry's (path from the manifest's directory, label or None)."""
     def decode(obj):
         entries = obj.get("entries") if isinstance(obj, dict) else None
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
@@ -283,7 +284,7 @@ def _manifest(path, key, labeled=False):
             check_rate(obj["rate"])
         if type(obj.get("k_folds", 2)) is not int or obj.get("k_folds", 2) < 2:  # not a bool
             raise ValidationError("'k_folds' must be an integer of at least 2")
-        return obj
+        return obj, [(Path(path).parent / e[key], e.get("label")) for e in entries]
     return _read(path, decode)
 
 
@@ -295,13 +296,13 @@ def _prior_and_config(prior, clutter, alpha, sigma_obs):
 
 
 def _write_signal(i, band, duration, rate, snr, seed, outdir):
-    """Write the i-th signal of band into outdir as CSV; its file name."""
+    """Write the i-th signal of band into outdir as CSV; its manifest entry."""
     sig = generate_band_signal(_BANDS[band], duration, rate, seed + 2 * i)
     if snr is not None:
         sig = add_noise(sig, snr, seed + 2 * i + 1)
     name = f"{band}_{i:03d}.csv"
     _write_csv(outdir / name, sig.samples[:, None])
-    return name
+    return {"signal": name, "label": band}
 
 
 def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
@@ -312,14 +313,13 @@ def generate(band, n, out, duration=2.0, rate=256.0, snr=None, seed=0):
         raise ValidationError(f"--n must lie in [1, {MAX_SIZE}] and --seed be at least 0")
     outdir = Path(out)
     manifest_path = outdir / "manifest.json"
-    previous = (_manifest(manifest_path, "signal", labeled=True) if manifest_path.exists()
+    previous = (_manifest(manifest_path, "signal", labeled=True)[0] if manifest_path.exists()
                 else {"entries": []})
     if previous.get("rate") not in (None, rate):
         raise ValidationError(f"manifest {manifest_path} has rate {previous.get('rate')}, "
                               f"refusing to mix with {rate}")
-    names = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
-                         seed=seed, outdir=outdir), range(n))
-    entries = [{"signal": name, "label": band} for name in names]
+    entries = _map(partial(_write_signal, band=band, duration=duration, rate=rate, snr=snr,
+                           seed=seed, outdir=outdir), range(n))
     entries += [e for e in previous["entries"] if e["label"] != band]
     entries.sort(key=lambda e: (e["label"], e["signal"]))
     _emit({"rate": rate, "entries": entries}, manifest_path)
@@ -332,8 +332,7 @@ def _signal_tasks(manifest, inputs):
     if manifest and inputs:
         raise ValidationError("pd takes --manifest or signal files, not both")
     if manifest:
-        obj = _manifest(manifest, "signal")
-        tasks = [(Path(manifest).parent / e["signal"], e.get("label")) for e in obj["entries"]]
+        tasks = _manifest(manifest, "signal")[1]
     elif inputs:
         tasks = [(Path(p), None) for p in inputs]
     else:
@@ -347,17 +346,18 @@ def _signal_tasks(manifest, inputs):
     return tasks
 
 
-def _signal_diagram(path, outdir):
-    """Write the diagram of the signal at path into outdir; the error naming the file, or None."""
+def _signal_diagram(task, outdir):
+    """Write the diagram of the signal of the (path, label) task into outdir; its manifest entry,
+    labeled if the task is, or else the error naming the file."""
+    path, label = task
     try:
         samples = _read(path, signal_from_json) if path.suffix == ".json" else load_signal(path)
-        diagram = tilt(sublevel_pd(samples))
+        # no diagram, or none a reader would take: samples 1.8e308 apart
+        diagram = _decoded(path, lambda s: tilt(sublevel_pd(s)), samples)
     except (DataFileError, OSError) as err:  # each names the file
         return str(err)
-    except ValidationError as err:  # no diagram, or none a reader would take: samples 1.8e308 apart
-        return f"{path}: {err}"
     _emit_diagram(diagram, outdir / (path.stem + ".pd.json"))
-    return None
+    return {"diagram": path.stem + ".pd.json", **({} if label is None else {"label": label})}
 
 
 def pd(out, manifest=None, inputs=()):
@@ -371,17 +371,9 @@ def pd(out, manifest=None, inputs=()):
     # once the signals are known, before any is read: nothing written may replace an input
     written = [outdir / "manifest.json", *(outdir / (s.stem + ".pd.json") for s in signals)]
     _check_out("pd", out, written, manifest, *signals)
-    errors = _map(partial(_signal_diagram, outdir=outdir), signals)
-
-    entries = []
-    for (path, label), error in zip(tasks, errors):
-        if error is None:
-            entry = {"diagram": path.stem + ".pd.json"}
-            if label is not None:
-                entry["label"] = label
-            entries.append(entry)
-    _emit({"entries": entries}, outdir / "manifest.json")
-    failures = [error for error in errors if error is not None]
+    results = _map(partial(_signal_diagram, outdir=outdir), tasks)
+    _emit({"entries": [r for r in results if isinstance(r, dict)]}, outdir / "manifest.json")
+    failures = [r for r in results if isinstance(r, str)]
     if failures:
         raise DataFileError("; ".join(failures))
 
@@ -390,9 +382,7 @@ def _load_diagram_entries(command, out, manifest_path, *inputs, label=None):
     """The manifest and its (diagram, label) entries: only those labeled label, if given, else
     all, each of which must have a label. An --out that is the manifest, a listed diagram or one
     of inputs is refused once the manifest is read, before any diagram or input is."""
-    manifest = _manifest(manifest_path, "diagram", labeled=label is None)
-    listed = [(Path(manifest_path).parent / e["diagram"], e.get("label"))
-              for e in manifest["entries"]]
+    manifest, listed = _manifest(manifest_path, "diagram", labeled=label is None)
     _check_out(command, out, [out], manifest_path, *inputs, *(path for path, _ in listed))
     # read in this process: a worker pool measured no faster for a few hundred diagrams
     return manifest, [(_read(path, diagram_from_json), lab) for path, lab in listed
@@ -472,6 +462,11 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
     """Generate both bands, extract diagrams, and cross-validate them with cv's options."""
     out = Path(out)
     sig_dir = out / "signals"
+    # generate keeps a manifest's other labels and pd writes their diagrams too, so what they
+    # write is known only once written: no input may be a file in either, or a link's target
+    present = [p for d in (sig_dir, out / "diagrams") if d.is_dir() for p in d.iterdir()]
+    _check_out("pipeline", out, [out / "cv_report.json", *present],
+               options.get("prior"), options.get("clutter"))
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
     pd(out / "diagrams", manifest=sig_dir / "manifest.json")

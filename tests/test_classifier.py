@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,8 @@ class TestDiagramLogDensity:
         empty = GaussianMixtureIntensity([], [], [])
         assert diagram_log_density(diagram((1.0, 1.0)), empty) == -np.inf
         assert diagram_log_density(EMPTY, empty) == 0.0
+        # log 1 is +0.0, which the classify report writes as 0.0, not -0.0
+        assert math.copysign(1.0, diagram_log_density(EMPTY, empty)) == 1.0
 
     def test_monte_carlo_prefers_true_model(self, rng):
         # sampler as oracle: diagrams drawn from a known process score higher

@@ -990,6 +990,20 @@ def _out_is_an_input(name, command, flag, *paths, out=None):
     return _named(name, make)
 
 
+def _pipeline_mixture_in_its_out(name, flag, where, link=None):
+    """pipeline with flag's mixture file at where, and a link to it at link if given. generate and
+    pd may write any file in run/signals/ and run/diagrams/, its --out's two directories, so a
+    file there, or the target of a link there, is refused before anything is written."""
+    def make(d, files):
+        for path in filter(None, (where, link)):
+            (d / path).parent.mkdir(parents=True, exist_ok=True)
+        mixture = _write(d / where, {"components": [{"w": 1, "mu": [3, 3], "var": 1}]})
+        if link:
+            (d / link).symlink_to(mixture)
+        return (*_base_argv("pipeline", files, d), flag, mixture), 1, None
+    return _named(name, make)
+
+
 def _out_is_its_malformed_manifest(command):
     """fit, cv or pd with an --out that writes over its own manifest, which is malformed: the one
     check of --out comes once the manifest is parsed, so the file's fault is reported (exit 2)."""
@@ -1411,6 +1425,15 @@ class TestExitCodes:
         _out_is_an_input("cv_out_is_its_clutter", "cv", "--clutter", "clutter.json"),
         _out_is_an_input("cv_out_is_a_listed_diagram", "cv", "--manifest",
                          "diagrams/manifest.json", out="diagrams/alpha_001.pd.json"),
+        # nor a pipeline --out whose signals/ or diagrams/ holds its --prior or --clutter, or a
+        # link to it: pd would write a diagram over the first and third, and the second is
+        # refused with its directory
+        _pipeline_mixture_in_its_out("pipeline_prior_is_a_diagram_it_writes", "--prior",
+                                     "run/diagrams/alpha_000.pd.json"),
+        _pipeline_mixture_in_its_out("pipeline_clutter_in_its_signals", "--clutter",
+                                     "run/signals/clutter.json"),
+        _pipeline_mixture_in_its_out("pipeline_prior_linked_from_a_diagram_it_writes", "--prior",
+                                     "prior.json", link="run/diagrams/alpha_000.pd.json"),
         # nor a pd --out whose manifest.json or diagram is a signal file it was given or listed
         _pd_out_is_its_signal, _pd_out_is_a_listed_signal, _pd_diagram_over_its_signal,
         # but a manifest is parsed first, so a malformed one is reported even when --out names it
@@ -1428,7 +1451,10 @@ class TestExitCodes:
         argv, code, bad_file = make_case(tmp_path, cli_files)
         inputs = {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()}
         own = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        made = sorted(tmp_path.rglob("*"))
         assert run(*argv) == code
+        if code == 1:  # a refusal writes nothing, not even a directory
+            assert sorted(tmp_path.rglob("*")) == made
         # a refused run changes none of the module-wide inputs, such as the model it was given,
         # and adds no file among them
         assert {p: p.read_bytes() for p in cli_files.rglob("*") if p.is_file()} == inputs
