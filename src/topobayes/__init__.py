@@ -29,7 +29,6 @@ from .intensity import (
     eval_intensity,
     intensity_grid,
     log_eval_intensity,
-    log_wedge_mass,
     total_mass,
 )
 from .posterior import (

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, seeded_rng
 from .filtration import PersistenceDiagram
 from .intensity import (
     GaussianMixtureIntensity,
@@ -97,6 +97,8 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
         raise ValidationError("need at least 2 class models")
     if not all(isinstance(lab, str) for lab in log_densities):
         raise ValidationError("class labels must be strings")
+    if not all(ld < math.inf for ld in log_densities.values()):  # a NaN fails too
+        raise ValidationError("log densities must be below +inf, and not NaN")
     ld = dict(sorted(log_densities.items()))
     log_c = math.log(threshold_c)
 
@@ -126,7 +128,7 @@ def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
             raise ValidationError(
                 f"class {lab!r} has {n} entries, fewer than k_folds={data.k_folds}"
             )
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     members = [[i for i, (_, lab) in enumerate(data.entries) if lab == label]
                for label in data.labels]
     chunks = [np.array_split(rng.permutation(idx), data.k_folds) for idx in members]

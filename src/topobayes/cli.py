@@ -204,10 +204,6 @@ def mixture_arrays(obj) -> tuple:
     return a[:, 0], a[:, 1:3], a[:, 3]
 
 
-def model_from_json(obj) -> tuple:
-    return model_from_arrays(model_arrays(obj))
-
-
 def model_arrays(obj) -> dict:
     """obj, a model's JSON, with its posterior as mixture_arrays's arrays."""
     if not isinstance(obj, dict) or not isinstance(obj.get("label"), str) or "posterior" not in obj:
@@ -410,7 +406,7 @@ def classify(models, diagram, threshold=1.0, out=None):
     d, log_densities = _read(diagram, diagram_from_json), {}
     check_threshold(threshold)  # before any model is built
     for path in models:  # a model's arrays leave the list as it is built, and go with it
-        label, g = _decoded(path, model_from_arrays, parsed.pop(0))
+        label, g = _decoded(Path(path), model_from_arrays, parsed.pop(0))
         if label in log_densities:
             raise ValidationError("class labels must be distinct")
         log_densities[label] = diagram_log_density(d, g)
@@ -424,8 +420,6 @@ def classify(models, diagram, threshold=1.0, out=None):
 def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
        threshold=1.0, seed=0, out=None) -> dict:
     """Cross-validate on a labeled manifest, writing the report to out, else to stdout."""
-    if seed < 0:
-        raise ValidationError("--seed must be at least 0")
     obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter)
     k = k_folds if k_folds is not None else obj.get("k_folds", 10)
     data = LabeledDataset(tuple(entries), k)
@@ -443,7 +437,7 @@ def heatmap(model, bounds, res, out):
     # with_suffix replaces a suffix on the prefix: --out m.heat next to --model m.json is m.json
     sidecar, table = Path(out).with_suffix(".json"), Path(out).with_suffix(".csv")
     _check_out("heatmap", out, [sidecar, table], model)
-    _, posterior = _read(model, model_from_json)
+    _, posterior = _decoded(Path(model), model_from_arrays, _read(model, model_arrays))
     grid = intensity_grid(posterior, bounds, res)
     _emit(
         {

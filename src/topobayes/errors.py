@@ -1,4 +1,4 @@
-"""Exception types, the largest size numpy and Python index, and the check of pair arrays."""
+"""Exception types, the largest size numpy and Python index, and the checks of pairs and seeds."""
 
 import numpy as np
 
@@ -21,3 +21,10 @@ def pairs_array(x, what) -> np.ndarray:
     if a.size and a.shape != a.shape[:1] + (2,):
         raise ValidationError(f"{what} must have shape (n, 2)")
     return a.reshape(-1, 2)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for seed, refused before any draw unless an integer of at least 0."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer of at least 0, got {seed!r}")
+    return np.random.default_rng(seed)

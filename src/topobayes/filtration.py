@@ -63,10 +63,12 @@ def sublevel_pd(signal) -> np.ndarray:
     interpolation, the global minimum being paired with the global maximum.
     Pairs are sorted by (birth, death). Runs in O(n) plus the final sort, via
     a stack over the alternating local extrema; of equal values the later
-    vertex is the younger. This is the one check of samples: at least 2, all finite.
+    vertex is the younger. This is the one check of samples: 1-D, at least 2, all finite.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
-    if values.ndim != 1 or values.size < 2:
+    if values.ndim != 1:
+        raise ValidationError(f"signal must be 1-D, not {values.ndim}-D")
+    if values.size < 2:
         raise ValidationError("signal needs at least 2 samples")
     if not np.all(np.isfinite(values)):
         raise ValidationError("signal contains a non-finite sample")
@@ -113,9 +115,7 @@ def tilt(pairs) -> PersistenceDiagram:
     non-finite pair and a death before its birth.
     """
     pairs = pairs_array(pairs, "diagram pairs")
-    if len(pairs) == 0:
-        return PersistenceDiagram(np.zeros((0, 2)), 0.0)
-    b_min = float(pairs[:, 0].min())
+    b_min = float(pairs[:, 0].min()) if len(pairs) else 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # PersistenceDiagram rejects inf and NaN
         pts = np.column_stack([pairs[:, 0] - b_min, pairs[:, 1] - pairs[:, 0]])
     return PersistenceDiagram(pts, b_min)

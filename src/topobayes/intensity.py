@@ -63,8 +63,8 @@ class GaussianMixtureIntensity:
         if not len(w) == len(mu) == len(v):
             raise ValidationError("weights, (b, p) means and variances must have equal length")
         # a finite total mass implies finite weights, and keeps a model's lambda finite;
-        # a sum that overflows is rejected here rather than warned about
-        with np.errstate(over="ignore"):
+        # a sum that overflows, or is inf - inf, is rejected here rather than warned about
+        with np.errstate(over="ignore", invalid="ignore"):
             mass = w.sum()
         if not (np.isfinite(mass) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
             raise ValidationError("mixture parameters and total mass must be finite")
@@ -102,11 +102,11 @@ class GaussianMixtureIntensity:
 def log_eval_intensity(g: GaussianMixtureIntensity, x):
     """log of the mixture intensity at x, stable far below underflow.
 
-    x may be one point or an array of shape (..., 2); returns a float or an
-    array of shape x.shape[:-1]. -inf outside the wedge and for the empty
-    mixture. Each chunk of rows takes one matrix product against the
-    mixture's coefficients, then a max-shifted log-sum-exp per row. A row
-    whose product could overflow takes each kernel in its own form instead.
+    x may be one point or an array of shape (..., 2); returns a float or an array of shape
+    x.shape[:-1]: -inf outside the wedge and for the empty mixture, else NaN at a NaN coordinate.
+    Each chunk of rows takes one matrix product against the mixture's coefficients, then a
+    max-shifted log-sum-exp per row. A row whose product could overflow takes each kernel in its
+    own form instead.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (2,):  # a reshape to pairs would silently regroup or drop coordinates
@@ -146,7 +146,7 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
 def eval_intensity(g: GaussianMixtureIntensity, x):
     """Mixture intensity at x: sum_j c_j times the wedge-restricted N(mu_j, var_j*I) density.
 
-    Same shapes as log_eval_intensity; exactly zero outside the wedge.
+    Same shapes, and NaN, as log_eval_intensity; exactly zero outside the wedge.
     """
     return np.exp(log_eval_intensity(g, x))
 
@@ -188,6 +188,4 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     grid = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
     vals = eval_intensity(g, grid)
     peak = vals.max()
-    if peak <= 0:
-        return np.zeros_like(vals)
-    return vals / peak
+    return vals / peak if peak > 0 else vals  # vals >= 0, so a zero peak is a field of zeros

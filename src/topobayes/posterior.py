@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, pairs_array
 from .intensity import GaussianMixtureIntensity, eval_intensity, log_wedge_mass
 
 # a posterior gains prior components per observed point; components below this share of the
@@ -72,7 +72,7 @@ def _flatten_observations(observations) -> np.ndarray:
     """Stack all observed points, preserving (diagram, point) order."""
     if len(observations) == 0:
         raise ValidationError("need at least one observed diagram")
-    Y = np.concatenate([np.asarray(d.points, dtype=float).reshape(-1, 2) for d in observations])
+    Y = np.concatenate([pairs_array(d.points, "observed points") for d in observations])
     if Y.size and Y.min() < 0:
         raise ValidationError("observed points must lie in the wedge")
     return Y

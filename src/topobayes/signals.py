@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_SIZE, ValidationError
+from .errors import MAX_SIZE, ValidationError, seeded_rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +44,15 @@ def generate_band_signal(band, duration: float, sample_rate: float, seed: int) -
     if not (0 < duration < np.inf and 0 < sample_rate < np.inf):
         raise ValidationError("duration and sample_rate must be positive and finite")
     if f_high >= sample_rate / 2:
-        raise ValidationError(
-            f"f_high {f_high} Hz is not below the Nyquist rate "
-            f"{sample_rate / 2} Hz"
-        )
+        raise ValidationError(f"f_high {f_high} Hz is not below the Nyquist rate "
+                              f"{sample_rate / 2} Hz")
     samples = duration * sample_rate
     if not samples * 8 <= MAX_SIZE:  # inf too; checked before any array is made
         raise ValidationError("duration * sample_rate gives more samples than an array can hold")
     n = int(round(samples))
     if n < 2:
         raise ValidationError("duration * sample_rate must yield at least 2 samples")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     freqs = rng.uniform(f_low, f_high, 3)
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     amps = rng.uniform(0.5, 1.5, 3)
@@ -80,7 +78,9 @@ def add_noise(signal: Signal, snr_db: float, seed: int) -> Signal:
     if not -3000.0 <= snr_db <= 3000.0:
         raise ValidationError("snr_db must lie in [-3000, 3000] dB")
     x = np.asarray(signal.samples, dtype=float)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(len(x))
-    sigma = np.sqrt(np.mean(x**2) / 10.0 ** (snr_db / 10.0))
-    return Signal(x + sigma * z)
+    z = seeded_rng(seed).standard_normal(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: refused below; no samples: 0/0
+        noisy = x + np.sqrt((x**2).sum() / len(x) / 10.0 ** (snr_db / 10.0)) * z
+    if not np.all(np.isfinite(noisy)):
+        raise ValidationError("signal and noise samples must be finite")
+    return Signal(noisy)

@@ -26,7 +26,7 @@ from topobayes import (
     total_mass,
 )
 from topobayes import classifier
-from topobayes.cli import model_from_json
+from topobayes.cli import model_arrays, model_from_arrays
 from conftest import sample_ppp_diagram, separable_grid_mass
 import oracles
 from oracles import mixture_to_json, model_to_json
@@ -186,7 +186,7 @@ class TestFitClassModel:
     def test_model_json_roundtrip(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
         g = posterior_intensity(self.prior, [diagram((2.0, 2.0))], cfg)
-        label, back = model_from_json(model_to_json("x", g))
+        label, back = model_from_arrays(model_arrays(model_to_json("x", g)))
         assert label == "x"
         assert total_mass(back) == total_mass(g)
         assert np.array_equal(back.weights, g.weights)
@@ -526,8 +526,8 @@ class TestClassModelType:
     def test_lambda_must_match_mass(self):
         g = GaussianMixtureIntensity.single(2.0, (1.0, 1.0), 1.0)
         obj = {"label": "x", "posterior": mixture_to_json(g)}
-        assert total_mass(model_from_json(obj)[1]) == 2.0
-        assert total_mass(model_from_json({**obj, "lambda": 2.0})[1]) == 2.0
+        assert total_mass(model_from_arrays(model_arrays(obj))[1]) == 2.0
+        assert total_mass(model_from_arrays(model_arrays({**obj, "lambda": 2.0}))[1]) == 2.0
         for bad in (3.0, 2.0 + 1e-9, "x", "2.0", None, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValidationError):
-                model_from_json({**obj, "lambda": bad})
+                model_from_arrays(model_arrays({**obj, "lambda": bad}))

@@ -37,7 +37,8 @@ from topobayes import (
     ValidationError,
 )
 from topobayes import cli
-from topobayes.cli import diagram_from_json, load_signal, main, mixture_from_json, model_from_json
+from topobayes.cli import (diagram_from_json, load_signal, main, mixture_from_json, model_arrays,
+                           model_from_arrays)
 from oracles import diagram_to_json, mixture_to_json, model_to_json
 
 
@@ -672,7 +673,7 @@ class TestMixtureFiles:
         cli._emit_model("m", GaussianMixtureIntensity(a[:, 0], a[:, 1:3], a[:, 3]), path)
         tracemalloc.start()
         try:
-            _, g = cli._read(path, model_from_json)
+            _, g = model_from_arrays(cli._read(path, model_arrays))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -680,6 +681,33 @@ class TestMixtureFiles:
         # the text, twice while it is decoded, then one tuple of 4 floats per component, 168 B;
         # a dict and a list per component took 3.3 times the file's size
         assert peak < 2.5 * path.stat().st_size, peak / path.stat().st_size
+
+
+class TestModelFileNames:
+    """classify and heatmap name a faulty model file alike, as a Path prints it: classify named
+    --models ./bad.json "./bad.json" for a 'lambda' that disagrees with its posterior, and
+    "bad.json" for a parse fault, as heatmap named it for both."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{", "malformed JSON ("),
+        ('{"posterior": {"components": []}}',
+         "model JSON needs a 'label' string and a 'posterior'"),
+        ('{"label": "bad", "lambda": 1.0, "posterior": {"components": []}}',
+         "model JSON 'lambda' must equal the posterior's total mass"),
+    ])
+    def test_classify_and_heatmap_name_it_alike(self, tmp_path, cli_files, capsys, monkeypatch,
+                                                text, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(text)
+        errors = []
+        for argv in (("classify", "--models", "./bad.json", cli_files / "beta.json",
+                      "--diagram", cli_files / "diagrams" / "alpha_000.pd.json"),
+                     ("heatmap", "--model", "./bad.json", "--bounds", 0, 0, 3, 4, "--res", 8, 8,
+                      "--out", "hm")):
+            assert run(*argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith(f"error: bad.json: {reason}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 class TestClassifyMemory:
@@ -705,8 +733,8 @@ class TestClassifyMemory:
         finally:
             tracemalloc.stop()
         d = cli._read(diagram, diagram_from_json)
-        scores = {label: diagram_log_density(d, g)
-                  for label, g in (cli._read(path, model_from_json) for path in models)}
+        scores = {label: diagram_log_density(d, g) for label, g in
+                  (model_from_arrays(cli._read(path, model_arrays)) for path in models)}
         report = read_json(tmp_path / "report.json")
         assert (report["label"], report["votes"], report["log_densities"]) == (*classify(scores),
                                                                                 scores)
@@ -851,7 +879,7 @@ class TestUpdateOverflow:
         assert run("fit", "--manifest", manifest, "--label", "x", "--prior", prior,
                    "--out", tmp_path / "model.json") == 0
         assert capfd.readouterr() == ("", "")
-        _, g = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+        _, g = model_from_arrays(model_arrays(json.loads((tmp_path / "model.json").read_text())))
         assert np.all(np.isfinite(g.weights))
 
 

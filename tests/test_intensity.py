@@ -12,10 +12,10 @@ from topobayes import (
     eval_intensity,
     intensity_grid,
     log_eval_intensity,
-    log_wedge_mass,
     total_mass,
 )
 from topobayes import intensity
+from topobayes.intensity import log_wedge_mass
 from topobayes.cli import mixture_from_json
 from conftest import naive_grid_mass, random_mixture, separable_grid_mass
 from oracles import log_kernel_constants, mixture_to_json, restricted_normal_pdf

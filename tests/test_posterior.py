@@ -166,6 +166,14 @@ class TestPosteriorStructure:
         with pytest.raises(ValidationError):
             posterior_intensity(prior, [fake], cfg)
 
+    def test_rejects_points_that_are_not_pairs(self):
+        # a (2, 3) array of points was regrouped into 3 observed points
+        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
+        fake = SimpleNamespace(points=np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ValidationError, match=r"^observed points must have shape \(n, 2\)$"):
+            posterior_intensity(prior, [fake], cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             PosteriorConfig(alpha=1.5, sigma_obs=1.0)

@@ -163,6 +163,12 @@ class TestSignalType:
             with pytest.raises(ValidationError, match="at least 2 samples"):
                 sublevel_pd(signal)
 
+    def test_rejects_a_wrong_dimension_naming_it(self):
+        # a 2-D array was refused as too short to have 2 samples
+        for signal, ndim in ((np.ones((3, 3)), 2), (np.float64(1.0), 0)):
+            with pytest.raises(ValidationError, match=rf"^signal must be 1-D, not {ndim}-D$"):
+                sublevel_pd(signal)
+
     def test_rejects_nonfinite(self):
         for signal in (np.array([1.0, np.nan]), Signal(np.array([1.0, np.nan]))):
             with pytest.raises(ValidationError, match="non-finite"):
