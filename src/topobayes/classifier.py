@@ -53,7 +53,8 @@ def diagram_log_density(d: PersistenceDiagram, g: GaussianMixtureIntensity) -> f
     """
     from scipy.special import gammaln  # imported here, as in intensity.log_wedge_mass
     logs = log_eval_intensity(g, d.points)
-    return float(-total_mass(g) - gammaln(len(logs) + 1) + logs.sum())
+    with np.errstate(over="ignore"):  # a sum past the float range is -inf, the density's limit
+        return float(-total_mass(g) - gammaln(len(logs) + 1) + logs.sum())
 
 
 def _log_ratio(li: float, lj: float) -> float:

@@ -4,13 +4,13 @@ A sampled signal is read as a piecewise-linear function. Sweeping the level
 upward, every local minimum starts a connected component of the sublevel set
 and every merge at a local maximum kills the younger of the two components
 that meet there (elder rule); the surviving component is paired with the
-global maximum. Runs of equal consecutive samples are collapsed to a single
-vertex first, and only the local extrema are kept: a vertex between a lower and
-a higher neighbour starts no component and ends none. Padded with +inf at both
-ends, the extrema alternate between minima and maxima, and one stack over them
-pairs each minimum with the maximum where it dies (rainflow counting). Ties
-between distinct vertices break toward the smaller sample index, which is
-swept first and is the elder, so the output is deterministic.
+global maximum. Runs of equal samples are collapsed to one vertex and only the
+local extrema are kept. Padded with +inf at both ends, they alternate between
+minima and maxima, and one stack over them pairs each minimum with the maximum
+where it dies (rainflow counting). The stack holds its top two values in local
+variables and the rest on a NaN, whose comparisons are false, so it needs no
+length test; pairs go flat into one list. Ties between distinct vertices break
+toward the smaller sample index, which is swept first and is the elder.
 
 sublevel_pd returns (birth, death) pairs as an (n, 2) array; the one diagram
 type, PersistenceDiagram, holds their tilted form (birth - min birth, death -
@@ -84,25 +84,24 @@ def sublevel_pd(signal) -> np.ndarray:
     keep[1:-1] = up[1:] != up[:-1]
     x = v[keep].tolist()  # the stack reads one value at a time, and Python floats read faster
 
-    # rainflow counting (ASTM E1049): an inner minimum-maximum pair nested between its outer
-    # neighbours a and d pairs off, as the minimum's component merges there first and is the
+    # rainflow counting (ASTM E1049): a minimum-maximum pair b, c nested between rest[-1] and
+    # the next extremum pairs off, as the minimum's component merges there first and is the
     # younger; of equal values the earlier vertex is swept first and is the elder
-    pairs = []
-    s = []
-    for d in x:
-        while len(s) >= 3:
-            a, b, c = s[-3:]
-            if len(s) % 2 and b > d and c < a:  # the minimum b dies at c
-                pairs.append((b, c))
-            elif not len(s) % 2 and c >= a and b <= d:  # the minimum c dies at b
-                pairs.append((c, b))
-            else:
-                break
-            del s[-2:]
-        s.append(d)
-    pairs.append((float(w.min()), float(w.max())))  # essential component
+    flat, rest, b, c = [], [np.nan], np.nan, x[0]
+    for m, M in zip(x[1::2], x[2::2]):  # each minimum and the maximum (or pad) after it
+        while b > m and c < rest[-1]:  # the minimum b dies at c
+            flat += b, c
+            c, b = rest.pop(), rest.pop()
+        rest.append(b)
+        b, c = c, m
+        while c >= rest[-1] and b <= M:  # the minimum c dies at b
+            flat += c, b
+            c, b = rest.pop(), rest.pop()
+        rest.append(b)
+        b, c = c, M
+    flat += float(w.min()), float(w.max())  # essential component
 
-    arr = np.array(pairs)
+    arr = np.array(flat).reshape(-1, 2)  # one flat list builds faster than a list of pairs
     return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 

@@ -146,9 +146,10 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
 def eval_intensity(g: GaussianMixtureIntensity, x):
     """Mixture intensity at x: sum_j c_j times the wedge-restricted N(mu_j, var_j*I) density.
 
-    Same shapes, and NaN, as log_eval_intensity; exactly zero outside the wedge.
+    Shapes and NaN as log_eval_intensity; exactly 0 outside the wedge, +inf past the float range.
     """
-    return np.exp(log_eval_intensity(g, x))
+    with np.errstate(over="ignore"):  # +inf is the intensity's float limit, not a fault
+        return np.exp(log_eval_intensity(g, x))
 
 
 def total_mass(g: GaussianMixtureIntensity) -> float:
@@ -177,7 +178,7 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     sizes, each at least 2. Samples the intensity on inclusive linspace axes
     b_axis, p_axis and divides by its maximum, giving values in [0, 1]; an
     identically zero field is returned as zeros. Entry [i, j] is the scaled
-    intensity at (b_axis[i], p_axis[j]).
+    intensity at (b_axis[i], p_axis[j]). A peak past the float range is refused.
     """
     b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
     nb, npts = resolution
@@ -188,4 +189,6 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     grid = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
     vals = eval_intensity(g, grid)
     peak = vals.max()
+    if not np.isfinite(peak):  # inf / inf would scale the grid to NaN
+        raise ValidationError("the intensity on the grid passes the float range")
     return vals / peak if peak > 0 else vals  # vals >= 0, so a zero peak is a field of zeros

@@ -72,6 +72,11 @@ class TestDiagramLogDensity:
         # log 1 is +0.0, which the classify report writes as 0.0, not -0.0
         assert math.copysign(1.0, diagram_log_density(EMPTY, empty)) == 1.0
 
+    def test_a_sum_past_the_float_range_is_minus_inf_quietly(self):
+        # each log intensity is about -8.5e307; their sum overflowed with a RuntimeWarning
+        d = diagram(*[(1.3e154, 0.0)] * 3)
+        assert diagram_log_density(d, mixture_at((0.0, 0.0), lam=1.0, var=1.0)) == -np.inf
+
     def test_monte_carlo_prefers_true_model(self, rng):
         # sampler as oracle: diagrams drawn from a known process score higher
         # on average under that process than under a mean-shifted copy

@@ -968,6 +968,15 @@ def _model_lambda_too_large_for_a_float(command):
     return _named(f"model_lambda_too_large_for_a_float_{command}", make)
 
 
+def _heatmap_intensity_past_the_float_range(d, files):
+    # a log peak of about 713, past log(max float): the grid was scaled by inf / inf to NaN,
+    # written, and the run exited 0
+    model = _write(d / "m.json", {"label": "x", "lambda": 1e308, "posterior": {
+        "components": [{"w": 1e308, "mu": [0.0, 0.0], "var": 0.01}]}})
+    return ("heatmap", "--model", model, "--bounds", 0, 0, 1, 1, "--res", 2, 2,
+            "--out", d / "hm"), 1, None
+
+
 def _classify_one_model_file_twice(d, files):
     # one label twice: the second build is refused before it is scored
     return ("classify", "--models", files / "alpha.json", files / "alpha.json",
@@ -1399,7 +1408,7 @@ class TestExitCodes:
                      '{"rate": 1' + "0" * 5000 + ', "samples": [0, 1]}'),
         *[case for name, text in _BAD_RATES.items() for case in _bad_rate(name, text)],
         _model_lambda_too_large_for_a_float("classify"),
-        _model_lambda_too_large_for_a_float("heatmap"),
+        _model_lambda_too_large_for_a_float("heatmap"), _heatmap_intensity_past_the_float_range,
         _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
         _cv_one_fold, _heatmap_numbers_in_one_token,
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,

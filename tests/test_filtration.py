@@ -4,10 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topobayes import (
+    ALPHA_BAND,
     GaussianMixtureIntensity,
     PersistenceDiagram,
     ValidationError,
+    add_noise,
     bottleneck_distance,
+    generate_band_signal,
     sublevel_pd,
     tilt,
     untilt,
@@ -115,6 +118,19 @@ class TestSweepOracle:
     @example(np.array([-0.0, 1.0, -0.0, 1.0, 0.0]))
     @settings(max_examples=400, deadline=None)
     def test_pairs_match_the_oracle_byte_for_byte(self, x):
+        got, want = sublevel_pd(x), oracles.sublevel_pd(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # the drawn signals hold at most 300 samples, so their stacks stay shallow
+    @pytest.mark.parametrize("x", [
+        # swings that grow: each minimum pairs off as soon as the next, lower one comes
+        np.array([(-1.0) ** i * i for i in range(4000)]),
+        # swings that shrink: the stack holds every extremum until the final pad pops them all
+        np.array([(-1.0) ** i * i for i in range(4000)])[::-1],
+        # a recording as long as the diagrams benchmark's, 200 s at 256 Hz
+        add_noise(generate_band_signal(ALPHA_BAND, 200.0, 256.0, 0), 5.0, 1).samples,
+    ], ids=["growing", "shrinking", "recording"])
+    def test_deep_stacks_match_the_oracle_byte_for_byte(self, x):
         got, want = sublevel_pd(x), oracles.sublevel_pd(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

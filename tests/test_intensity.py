@@ -134,6 +134,12 @@ class TestEvalIntensity:
         assert eval_intensity(g, far) == 0.0  # linear evaluation underflows
         assert np.isfinite(log_eval_intensity(g, far))
 
+    def test_past_the_float_range_is_plus_inf_quietly(self):
+        # a finite log peak of about 713.3, past log(max float): exp overflowed with a warning
+        g = GaussianMixtureIntensity.single(1e308, (0.0, 0.0), 0.01)
+        assert 709.8 < log_eval_intensity(g, (0.0, 0.0)) < np.inf
+        assert eval_intensity(g, (0.0, 0.0)) == np.inf
+
 
 def oracle_log_intensity(g, pts):
     """log intensity by a loop over components with direct differences.
@@ -467,6 +473,12 @@ class TestIntensityGrid:
             intensity_grid(g, (0, 0, np.inf, 3), (16, 16))
         with pytest.raises(ValidationError):
             intensity_grid(g, (0, 0, 4, 4), (1, 1))
+
+    def test_a_peak_past_the_float_range_is_refused(self):
+        # inf / inf scaled such a grid to NaN, with warnings
+        g = GaussianMixtureIntensity.single(1e308, (0.0, 0.0), 0.01)
+        with pytest.raises(ValidationError, match="passes the float range"):
+            intensity_grid(g, (0, 0, 1, 1), (2, 2))
 
 
 class TestMixtureType:

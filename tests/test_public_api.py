@@ -170,8 +170,11 @@ def call_log_eval_intensity(g, x):
 @calls(_MIXTURE, _PAIRS)
 def call_eval_intensity(g, x):
     g, x = mixture(*g), np.array(x, dtype=float).reshape(-1, 2)
+    values = eval_intensity(g, x)
+    # +inf is the float limit of a log intensity past log(max float), about 709.78
+    assert np.all(log_eval_intensity(g, x)[values == INF] > 709.0)
     with np.errstate(divide="ignore"):  # log 0 is the -inf that eval_intensity's 0 stands for
-        _check_wedge_map(np.log(eval_intensity(g, x)), x, g.n_components == 0)
+        _check_wedge_map(np.log(np.minimum(values, np.finfo(float).max)), x, g.n_components == 0)
 
 
 @calls(_MIXTURE, st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), st.tuples(_NUMBER, _NUMBER))
@@ -237,6 +240,10 @@ def test_every_exported_function_is_called():
 @example(("add_noise", ([0, INF, 2], 0, 2)))  # its noise was inf - inf
 @example(("add_noise", ([NAN, 2], 0, 0)))  # NaN samples came back
 @example(("add_noise", ([], 0, 0)))  # np.mean's "Mean of empty slice"
+# a sum of three log intensities of about -8.5e307, and a log intensity of about 713, past 709.78
+@example(("diagram_log_density", (([(1.3e154, 0)] * 3, 0), ([1.0], [(0, 0)], [1.0]))))
+@example(("eval_intensity", (([1e308], [(0, 0)], [0.01]), [(0, 0)])))
+@example(("intensity_grid", (([1e308], [(0, 0)], [0.01]), (0, 0, 1, 1), (2, 2))))
 @example(("sublevel_pd", ([[1.0, 1.0, 1.0]] * 3,)))
 @example(("tilt", ([],)))
 @settings(max_examples=400, deadline=None)
