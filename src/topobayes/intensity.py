@@ -9,9 +9,12 @@ the plain sum of its weights.
 All evaluation goes through one log-space kernel sum, log_eval_intensity;
 eval_intensity is its exp. It takes one matrix product per chunk of 2**17 / K
 rows, but at least two, into one work array reused by every chunk: 1 MB up to
-K = 2**16, and two rows of K above. Each chunk row holds about 10 values more,
-which outweigh the array below K = 16. Per-component constants are computed
-once, when the mixture is built. Everything is immutable or pure, so thread-safe.
+K = 2**16, and two rows of K above. Each point's (b, p, b^2 + p^2, 1) row and
+far test are made once per block of whole chunks, 2**15 points of 5 values or
+one chunk, which outweighs the array below K = 16: made per chunk, their small
+numpy calls would hold the GIL that cross_validate's fold threads queue for.
+Per-component constants are computed once, when the mixture is built.
+Everything is immutable or pure, so thread-safe.
 """
 
 from dataclasses import dataclass
@@ -106,7 +109,8 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     x.shape[:-1]: -inf outside the wedge and for the empty mixture, else NaN at a NaN coordinate.
     Each chunk of rows takes one matrix product against the mixture's coefficients, then a
     max-shifted log-sum-exp per row. A row whose product could overflow takes each kernel in its
-    own form instead.
+    own form instead. Rows and that test are built per block of whole chunks (at most 2**15
+    points x 5 values, or one chunk), so their small calls hold the GIL once a block, not a chunk.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (2,):  # a reshape to pairs would silently regroup or drop coordinates
@@ -116,29 +120,31 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     if g.n_components:
         coef, log_norm, reach = g._log_kernel_constants
         step = max(2, _CHUNK_ELEMENTS // g.n_components)
+        block = max(step, 2 ** 15 // step * step)  # whole chunks, so the same products
         # every chunk's product goes into this one array; a new array per chunk would be made
         # while the last one is still alive, doubling the peak
         work = np.empty((min(step, len(pts)), g.n_components))
-        for lo in range(0, len(pts), step):
-            p = pts[lo:lo + step]
-            # a far row, where a term of the product could pass 2**1021 and a sum of four such
-            # overflow, has its terms overwritten: log_norm - |x - mu|^2 / (2 var), -inf at worst
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, len(pts), block):
+                p, o = pts[start:start + block], out[start:start + block]
                 rows = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))])
-                # |b|, |p| <= max(b^2 + p^2, 1), so this bounds every term of the row's product
+                # |b|, |p| <= max(b^2 + p^2, 1), so this bounds every term of a row's product: a
+                # far row, where a term could pass 2**1021 and a sum of four such overflow, has
+                # its terms overwritten by log_norm - |x - mu|^2 / (2 var), -inf at worst
                 far = np.maximum(rows[:, 2], 1.0) * reach > 2.0 ** 1021
-                t = np.matmul(rows, coef, out=work[:len(p)])
-                if far.any():
-                    t[far] = log_norm - ((p[far, None] - g.means) ** 2).sum(axis=2) / (
-                        2.0 * g.variances)
-            # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
-            np.minimum(t, log_norm, out=t)
-            # a peak held finite: a row whose terms are all -inf sums to 0, scoring -inf, not NaN
-            peak = np.maximum(t.max(axis=1), np.finfo(float).min)
-            t -= peak[:, None]
-            np.exp(t, out=t)
-            with np.errstate(divide="ignore"):
-                out[lo:lo + step] = peak + np.log(t.sum(axis=1))
+                for lo in range(0, len(p), step):
+                    r, f = rows[lo:lo + step], far[lo:lo + step]
+                    t = np.matmul(r, coef, out=work[:len(r)])
+                    if f.any():
+                        t[f] = log_norm - ((r[f, None, :2] - g.means) ** 2).sum(axis=2) / (
+                            2.0 * g.variances)
+                    # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
+                    np.minimum(t, log_norm, out=t)
+                    # a finite peak: a row of -inf terms sums to 0, scoring -inf, not NaN
+                    peak = t.max(axis=1, initial=np.finfo(float).min)
+                    t -= peak[:, None]
+                    np.exp(t, out=t)
+                    np.add(peak, np.log(t.sum(axis=1)), out=o[lo:lo + step])
         out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
     return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 

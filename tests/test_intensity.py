@@ -376,6 +376,23 @@ def test_scoring_holds_one_chunk_array():
     assert peak < 1.25 * chunk_bytes
 
 
+def test_many_point_scoring_memory_is_bounded():
+    # 10**6 points at K = 16: the 8 MB result, and point rows for one block of 2**15 points at a
+    # time; rows for every point at once would be 32 MB more
+    rng = np.random.default_rng(10)
+    g = GaussianMixtureIntensity(rng.uniform(0.1, 2.0, 16), rng.uniform(0, 6, (16, 2)),
+                                 rng.uniform(0.05, 0.3, 16))
+    pts = rng.uniform(0, 6, (10 ** 6, 2))
+    tracemalloc.start()
+    try:
+        logs = log_eval_intensity(g, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(logs))
+    assert peak < 8 * len(pts) + 6 * 2 ** 20
+
+
 class TestChunkRows:
     """A chunk holds 2**17 / K rows, but never fewer than two: a one-row product takes BLAS's
     vector kernel, which was slower at the 100k cap and can round the last bit otherwise."""
@@ -416,6 +433,38 @@ class TestChunkRows:
         rows = self._chunk_rows(monkeypatch)
         log_eval_intensity(g, np.ones((2 ** 16, 2)))
         assert rows == [2 ** 17 // 3, 2 ** 16 - 2 ** 17 // 3]
+
+    @pytest.mark.parametrize("k, chunk_rows, block", [
+        (16, [8192] * 4 + [7232], 32768),  # 2**15 points a block: four chunks of 8192 rows
+        (1000, [131] * 305 + [45], 32750),  # 250 chunks of 131 rows, the most under 2**15 points
+    ])
+    def test_blocks_keep_whole_chunks(self, monkeypatch, k, chunk_rows, block):
+        # point rows are built per block of whole chunks, so the products, and the scores, are
+        # those of the chunks alone, and a block scored on its own gives the same bytes
+        rng = np.random.default_rng(k)
+        g = GaussianMixtureIntensity(rng.uniform(0.1, 2.0, k), rng.uniform(0, 6, (k, 2)),
+                                     rng.uniform(0.05, 0.3, k))
+        x = rng.uniform(0, 6, (40_000, 2))
+        rows = self._chunk_rows(monkeypatch)
+        got = log_eval_intensity(g, x)
+        assert rows == chunk_rows
+        apart = np.concatenate([log_eval_intensity(g, x[:block]), log_eval_intensity(g, x[block:])])
+        assert apart.tobytes() == got.tobytes()
+
+    def test_point_rows_are_built_once_per_block(self, monkeypatch):
+        # 150 points are 17 chunks of 9 rows at K = 14,247 but one block: built per chunk, the
+        # rows' small numpy calls held the GIL 17 times, and cross_validate's fold threads queued
+        rng = np.random.default_rng(8)
+        k = 14_247
+        g = GaussianMixtureIntensity(rng.uniform(1e-4, 1e-2, k), rng.uniform(0, 6, (k, 2)),
+                                     rng.uniform(0.05, 0.3, k))
+        built, column_stack = [], np.column_stack
+        def spy(arrays):
+            built.append(len(arrays[0]))
+            return column_stack(arrays)
+        monkeypatch.setattr(np, "column_stack", spy)
+        assert np.all(np.isfinite(log_eval_intensity(g, rng.uniform(0, 6, (150, 2)))))
+        assert built == [150]
 
 
 class TestTotalMass:
