@@ -115,14 +115,14 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
 
 
 def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
-    """Seeded per-class partition into data.k_folds folds, an int of at least 2.
+    """Seeded per-class partition into data.k_folds folds, an integer of at least 2.
 
     Each class's entries are shuffled once and split into k nearly equal chunks; fold f tests on
     every class's chunk f and trains on the rest. Returns a list of (train_indices, test_indices)
     pairs of sorted global indices. Every entry appears in exactly one test fold, so a class of
     fewer than k entries, which would leave a test fold without any of them, is refused.
     """
-    if not isinstance(data.k_folds, int) or data.k_folds < 2:
+    if not isinstance(data.k_folds, (int, np.integer)) or data.k_folds < 2:
         raise ValidationError("k_folds must be an integer of at least 2")
     for lab, n in Counter(lab for _, lab in data.entries).items():
         if n < data.k_folds:
@@ -141,15 +141,6 @@ def usable_cpus() -> int:
     """The number of CPUs this process may run on, as taskset limits it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cpus or 1
-
-
-def _openblas_set_threads():
-    """numpy's OpenBLAS setter of its thread count, which returns the count it replaces; None
-    where numpy's BLAS has none (MKL, Accelerate, OpenBLAS before 0.3.27)."""
-    import ctypes
-    from numpy.linalg import _umath_linalg
-    # dlsym on a library's handle also searches its dependencies, numpy's BLAS among them
-    return getattr(ctypes.CDLL(_umath_linalg.__file__), "openblas_set_num_threads_local", None)
 
 
 def _fold_labels(fold, data: LabeledDataset, prior, cfg, threshold_c) -> list:
@@ -177,9 +168,8 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
     label order, aggregated over folds. Deterministic given the split seed. A bad threshold_c, and
     then what stratified_folds refuses, is refused before anything is fitted.
 
-    The folds run on one thread per usable CPU, with numpy's OpenBLAS held to
-    one thread meanwhile and then restored; where OpenBLAS cannot be set, on
-    one thread. The report does not depend on either count.
+    The folds run on one thread per usable CPU, never more than there are folds, and no
+    process-wide setting is changed. The report does not depend on the thread count.
     """
     from concurrent.futures import ThreadPoolExecutor  # not loaded by import topobayes.cli
 
@@ -188,17 +178,9 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
         raise ValidationError("cross validation needs at least two classes")
     check_threshold(threshold_c)  # before any posterior is fitted
     folds = stratified_folds(data, seed)
-    set_threads = _openblas_set_threads()
-    # the folds' products would each be split over BLAS's own threads, oversubscribing the CPUs
-    workers = min(len(folds), usable_cpus()) if set_threads else 1
-    held = set_threads(1) if set_threads else None
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            predicted = list(pool.map(
-                lambda fold: _fold_labels(fold, data, prior, cfg, threshold_c), folds))
-    finally:
-        if set_threads:
-            set_threads(held)
+    with ThreadPoolExecutor(min(len(folds), usable_cpus())) as pool:
+        predicted = list(pool.map(
+            lambda fold: _fold_labels(fold, data, prior, cfg, threshold_c), folds))
     truth = [[data.entries[i][1] for i in test_idx] for _, test_idx in folds]
     per_fold = [sum(a == b for a, b in zip(t, p)) / len(t) for t, p in zip(truth, predicted)]
     pairs = Counter(zip(itertools.chain(*truth), itertools.chain(*predicted)))
@@ -207,7 +189,7 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
         "per_fold": per_fold,
         "labels": labels,
         "confusion": [[pairs[t, p] for p in labels] for t in labels],
-        "k_folds": data.k_folds,
+        "k_folds": int(data.k_folds),
         "seed": int(seed),
         "config": {"alpha": float(cfg.alpha), "sigma_obs": float(cfg.sigma_obs),
                    "threshold_c": float(threshold_c)},

@@ -1,3 +1,5 @@
+import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -157,36 +159,6 @@ class TestFitClassModel:
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
         with pytest.raises(ValidationError):
             posterior_intensity(self.prior, [], cfg)
-
-    def test_model_and_scores_same_at_one_and_two_blas_threads(self):
-        set_threads = classifier._openblas_set_threads()
-        if set_threads is None:
-            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
-        # about 14k components: each scoring product is then split over BLAS's threads
-        rng = np.random.default_rng(7)
-        training = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(90)]
-        tests = [PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(4)]
-        # 100 prior components: each point's denominator is then a sum that a BLAS product
-        # would split over its threads
-        big = GaussianMixtureIntensity(rng.uniform(0.5, 2.0, 100), rng.uniform(0.2, 6.0, (100, 2)),
-                                       rng.uniform(0.5, 4.0, 100))
-        long = [PersistenceDiagram(rng.uniform(0.2, 6.0, (5_003, 2)))]
-        cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.2)
-        for train, prior, size in ((training, self.prior, 90 * 156 + 1),
-                                   (long, big, 100_000)):
-            runs = []
-            before = set_threads(1)
-            try:
-                for threads in (1, 2):
-                    set_threads(threads)
-                    g = posterior_intensity(prior, train, cfg)
-                    logs = np.array([diagram_log_density(d, g) for d in tests])
-                    runs.append((g.weights.tobytes(), g.means.tobytes(), g.variances.tobytes(),
-                                 logs.tobytes()))
-            finally:
-                set_threads(before)
-            assert g.n_components == size
-            assert runs[0] == runs[1]
 
     def test_model_json_roundtrip(self):
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5)
@@ -378,20 +350,12 @@ class TestCrossValidate:
         assert len(refs) == 4 * 3
         assert report["accuracy"] > 0.5
 
-    def test_blas_held_to_one_thread_and_restored(self, rng, monkeypatch):
-        set_threads = classifier._openblas_set_threads()
-        if set_threads is None:
-            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    def test_fold_error_reaches_caller_as_is(self, rng, monkeypatch):
         data = clustered_dataset(rng, 8, 4, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
         fit_once = classifier.posterior_intensity
-        held_counts = []
         fault = ValidationError("one fold fails")
         held_out, held_out_label = data.entries[0]
         held_out_class = [d for d, lab in data.entries if lab == held_out_label]
-
-        def recording_fit(prior, training, cfg):
-            held_counts.append(set_threads(1))  # sets the count it should already be
-            return fit_once(prior, training, cfg)
 
         def failing_fit(prior, training, cfg):
             # fails only in the fold that holds entry 0 out
@@ -401,19 +365,34 @@ class TestCrossValidate:
             return fit_once(prior, training, cfg)
 
         monkeypatch.setattr(classifier, "usable_cpus", lambda: 3)
-        before = set_threads(2)
-        try:
-            monkeypatch.setattr(classifier, "posterior_intensity", recording_fit)
+        monkeypatch.setattr(classifier, "posterior_intensity", failing_fit)
+        with pytest.raises(ValidationError) as caught:
             cross_validate(data, self.prior, self.cfg)
-            assert held_counts == [1] * 8
-            assert set_threads(2) == 2
-            monkeypatch.setattr(classifier, "posterior_intensity", failing_fit)
-            with pytest.raises(ValidationError) as caught:
-                cross_validate(data, self.prior, self.cfg)
-            assert caught.value is fault
-            assert set_threads(2) == 2
-        finally:
-            set_threads(before)
+        assert caught.value is fault
+
+    @pytest.mark.parametrize("k_folds, workers", [(4, 3), (2, 2)])
+    def test_one_thread_per_cpu_never_more_than_folds(self, rng, monkeypatch, k_folds, workers):
+        data = clustered_dataset(rng, 4, k_folds, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
+        sizes = []
+
+        class SizedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SizedPool)
+        cross_validate(data, self.prior, self.cfg)
+        assert sizes == [workers]
+
+    def test_numpy_integer_fold_count_same_as_int(self, rng):
+        data = clustered_dataset(rng, 6, 3, {"lo": (0.5, 1.0), "hi": (0.5, 8.0)})
+        as_numpy = LabeledDataset(data.entries, np.int64(3))
+        for (train, test), (train_np, test_np) in zip(stratified_folds(data, 2),
+                                                      stratified_folds(as_numpy, 2), strict=True):
+            assert np.array_equal(train, train_np) and np.array_equal(test, test_np)
+        assert (json.dumps(cross_validate(data, self.prior, self.cfg, seed=2))
+                == json.dumps(cross_validate(as_numpy, self.prior, self.cfg, seed=2)))
 
     def test_fold_model_densities_same_at_one_and_two_blas_threads(self):
         code = textwrap.dedent("""
@@ -427,12 +406,26 @@ class TestCrossValidate:
             train, test = tb.stratified_folds(data, 0)[0]
             prior = tb.GaussianMixtureIntensity([1.0, 0.5, 0.5], [[3, 3], [1, 2], [4, 1]],
                                                 [20.0, 2.0, 3.0])
-            training = [data.entries[i][0] for i in train if data.entries[i][1] == "a"]
+            fold = [data.entries[i][0] for i in train if data.entries[i][1] == "a"]
+            held_out = [data.entries[i][0] for i in test]
+            rng = np.random.default_rng(7)
+            # about 14k components: each scoring product is then split over BLAS's threads
+            training = [tb.PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(90)]
+            tests = [tb.PersistenceDiagram(rng.uniform(0.2, 6.0, (156, 2))) for _ in range(4)]
+            # 100 prior components: each point's denominator is then a sum that a BLAS product
+            # would split over its threads
+            big = tb.GaussianMixtureIntensity(rng.uniform(0.5, 2.0, 100),
+                                              rng.uniform(0.2, 6.0, (100, 2)),
+                                              rng.uniform(0.5, 4.0, 100))
+            long = [tb.PersistenceDiagram(rng.uniform(0.2, 6.0, (5_003, 2)))]
+            one = tb.GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
             cfg = tb.PosteriorConfig(alpha=0.7, sigma_obs=0.2)
-            g = tb.posterior_intensity(prior, training, cfg)
-            logs = np.array([tb.diagram_log_density(data.entries[i][0], g) for i in test])
-            print(g.n_components, hashlib.sha256(logs.tobytes() + g.weights.tobytes()
-                                                 + g.means.tobytes()).hexdigest())
+            for train, prior, scored in ((fold, prior, held_out), (training, one, tests),
+                                         (long, big, tests)):
+                g = tb.posterior_intensity(prior, train, cfg)
+                logs = np.array([tb.diagram_log_density(d, g) for d in scored])
+                arrays = b"".join(a.tobytes() for a in (g.weights, g.means, g.variances, logs))
+                print(g.n_components, hashlib.sha256(arrays).hexdigest())
         """)
         src = Path(__file__).resolve().parent.parent / "src"
         outs = []
@@ -442,7 +435,9 @@ class TestCrossValidate:
                                   env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
-        assert outs[0] == outs[1] and int(outs[0].split()[0]) > 1000
+        sizes = [int(line.split()[0]) for line in outs[0].splitlines()]
+        assert outs[0] == outs[1]
+        assert sizes[0] > 1000 and sizes[1:] == [90 * 156 + 1, 100_000]
 
     def test_undersized_class_rejected(self, rng):
         g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)
@@ -456,6 +451,7 @@ class TestCrossValidate:
     @pytest.mark.parametrize("k_folds, message, hi", [
         (1, r"^k_folds must be an integer of at least 2$", "hi"),
         (True, r"^k_folds must be an integer of at least 2$", "hi"),
+        (np.True_, r"^k_folds must be an integer of at least 2$", "hi"),
         (2.0, r"^k_folds must be an integer of at least 2$", "hi"),
         (5, r"^class 'lo' has 4 entries, fewer than k_folds=5$", "hi"),
         # labels that do not sort together are refused before they are sorted
