@@ -87,11 +87,11 @@ def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
     """Assign a diagram to a class by pairwise Bayes-factor voting on its log densities.
 
     log_densities maps each class label to the diagram's log density under that class's
-    posterior, as diagram_log_density scores it. For every unordered pair of classes, the class
-    with the larger evidence gets one vote: i when log BF(i, j) exceeds log(threshold_c), j when
-    it falls below, no vote on an exact tie. The label with most votes wins; vote ties break
-    toward the larger total log density, then toward the lexicographically smallest label. The
-    label and its votes, keyed in sorted label order, do not depend on the mapping's order.
+    posterior, as diagram_log_density scores it. For each pair of labels a < b, a gets one vote
+    when log BF(a, b) exceeds log(threshold_c), b when it falls below, neither when equal: at
+    threshold_c = 1 the larger evidence wins, else a needs a Bayes factor above threshold_c and
+    b takes the rest. Most votes win; ties go to the larger total log density, then the smaller
+    label. The label and its votes, keyed in sorted label order, ignore the mapping's order.
     """
     check_threshold(threshold_c)
     if len(log_densities) < 2:

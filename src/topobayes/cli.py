@@ -264,9 +264,9 @@ def load_signal(path) -> np.ndarray:
 
 
 def _manifest(path, key, labeled=False):
-    """The manifest at path, {"rate": Hz (optional), "k_folds": int >= 2 (optional), "entries":
-    [{key: path, "label": str}, ...]}, each label optional unless labeled, and the files it
-    lists: each entry's (path from the manifest's directory, label or None)."""
+    """The manifest at path, {"rate": Hz (optional), "entries": [{key: path, "label": str},
+    ...]}, each label optional unless labeled, and the files it lists: each entry's (path from
+    the manifest's directory, label or None). A "k_folds" key, once cv's fold count, is refused."""
     def decode(obj):
         entries = obj.get("entries") if isinstance(obj, dict) else None
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
@@ -278,8 +278,8 @@ def _manifest(path, key, labeled=False):
                 raise ValidationError("entry without a 'label' string")
         if "rate" in obj:
             check_rate(obj["rate"])
-        if type(obj.get("k_folds", 2)) is not int or obj.get("k_folds", 2) < 2:  # not a bool
-            raise ValidationError("'k_folds' must be an integer of at least 2")
+        if "k_folds" in obj:  # not ignored: a CV would silently change its fold count
+            raise ValidationError("'k_folds' is no longer read; give cv's fold count as --k-folds")
         return obj, [(Path(path).parent / e[key], e.get("label")) for e in entries]
     return _read(path, decode)
 
@@ -375,19 +375,19 @@ def pd(out, manifest=None, inputs=()):
 
 
 def _load_diagram_entries(command, out, manifest_path, *inputs, label=None):
-    """The manifest and its (diagram, label) entries: only those labeled label, if given, else
-    all, each of which must have a label. An --out that is the manifest, a listed diagram or one
+    """The manifest's (diagram, label) entries: only those labeled label, if given, else all,
+    each of which must have a label. An --out that is the manifest, a listed diagram or one
     of inputs is refused once the manifest is read, before any diagram or input is."""
-    manifest, listed = _manifest(manifest_path, "diagram", labeled=label is None)
+    listed = _manifest(manifest_path, "diagram", labeled=label is None)[1]
     _check_out(command, out, [out], manifest_path, *inputs, *(path for path, _ in listed))
     # read in this process: a worker pool measured no faster for a few hundred diagrams
-    return manifest, [(_read(path, diagram_from_json), lab) for path, lab in listed
-                      if label in (None, lab)]
+    return [(_read(path, diagram_from_json), lab) for path, lab in listed
+            if label in (None, lab)]
 
 
 def fit(manifest, label, out, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None):
     """Fit one class model from the labeled diagrams in a manifest."""
-    _, entries = _load_diagram_entries("fit", out, manifest, prior, clutter, label=label)
+    entries = _load_diagram_entries("fit", out, manifest, prior, clutter, label=label)
     if not entries:
         raise ValidationError(f"no diagrams labeled {label!r} in manifest")
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
@@ -417,12 +417,11 @@ def classify(models, diagram, threshold=1.0, out=None):
            {k: "-inf" if v == float("-inf") else v for k, v in log_densities.items()}}, out)
 
 
-def cv(manifest, k_folds=None, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
+def cv(manifest, k_folds=10, alpha=0.7, sigma_obs=0.2, prior=None, clutter=None,
        threshold=1.0, seed=0, out=None) -> dict:
     """Cross-validate on a labeled manifest, writing the report to out, else to stdout."""
-    obj, entries = _load_diagram_entries("cv", out, manifest, prior, clutter)
-    k = k_folds if k_folds is not None else obj.get("k_folds", 10)
-    data = LabeledDataset(tuple(entries), k)
+    entries = _load_diagram_entries("cv", out, manifest, prior, clutter)
+    data = LabeledDataset(tuple(entries), k_folds)
     prior, cfg = _prior_and_config(prior, clutter, alpha, sigma_obs)
     report = cross_validate(data, prior, cfg, threshold, seed)
     _emit(report, out)
@@ -461,6 +460,10 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
     present = [p for d in (sig_dir, out / "diagrams") if d.is_dir() for p in d.iterdir()]
     _check_out("pipeline", out, [out / "cv_report.json", *present],
                options.get("prior"), options.get("clutter"))
+    # cv's settings, each left out at its default in cv's signature, are checked before any write
+    settings = {name: p.default for name, p in inspect.signature(cv).parameters.items()} | options
+    _prior_and_config(*map(settings.get, ("prior", "clutter", "alpha", "sigma_obs")))
+    check_threshold(settings["threshold"])
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
     pd(out / "diagrams", manifest=sig_dir / "manifest.json")
@@ -482,10 +485,9 @@ class _Parser(argparse.ArgumentParser):
 # the help differs between commands; a flag has one type in every command
 _OPTIONS = {
     "--band": {"choices": sorted(_BANDS)},
-    **dict.fromkeys(("--n", "--seed"), {"type": int}),
+    **dict.fromkeys(("--n", "--seed", "--k-folds"), {"type": int}),
     **dict.fromkeys(("--duration", "--rate", "--snr", "--alpha", "--sigma-obs", "--threshold"),
                     {"type": float}),
-    "--k-folds": {"type": int, "help": "default: the manifest's k_folds, else 10"},
     "--models": {"nargs": "+"},
     "inputs": {"nargs": "*", "help": "signal files (alternative to --manifest)"},
     "generate --snr": {"help": "SNR in dB; omit for clean signals"},

@@ -32,8 +32,8 @@ from .intensity import GaussianMixtureIntensity, eval_intensity, log_wedge_mass
 # total mass are dropped, then at most this many of the heaviest are kept, bounding model size
 _PRUNE_REL_WEIGHT = 1e-10
 _MAX_COMPONENTS = 100_000
-# (observed point, prior component) pairs per chunk of the weights, so the chunk's arrays take
-# a few MB whatever the prior's size
+# (observed point, prior component) pairs per chunk of the weights, whose arrays take a few MB;
+# a chunk holds at least one point's K pairs, so past K = 2**16 components it grows with K
 _CHUNK_PAIRS = 2 ** 16
 
 
@@ -102,12 +102,12 @@ def posterior_intensity(prior: GaussianMixtureIntensity, observations,
 
     Components below 1e-10 of the total weight are dropped, then the 100,000
     heaviest are kept in their original order. Only the weights of all T x K
-    (point, component) pairs are computed, in one pass of a few thousand pairs
-    at a time, into one array of 8 B per pair; means and variances are built
-    for the kept components alone, in place in the output arrays. Picking the
-    100,000 heaviest holds 17 B more per pair above the relative cut. Pure
-    function; the output does not depend on how the work is split or on BLAS's
-    thread count. An update that would overflow is a ValidationError.
+    (point, component) pairs are computed, in one pass of at most 2**16 pairs at a
+    time (one point's K pairs where K > 2**16), into one array of 8 B per pair;
+    means and variances are built for the kept components alone, in place in the
+    output arrays. Picking the 100,000 heaviest holds 17 B more per pair above the
+    relative cut. Pure function; the output does not depend on how the work is
+    split or on BLAS's thread count. An update that would overflow is a ValidationError.
     """
     Y = _flatten_observations(observations)
     K, mu, var, so = prior.n_components, prior.means, prior.variances, cfg.sigma_obs

@@ -214,6 +214,28 @@ class TestClassify:
             assert classify(scored(d, perm), threshold_c=2.0) == base
             assert list(base.votes) == ["a", "b", "c"]
 
+    def test_vote_away_from_threshold_one_follows_label_order(self):
+        # for threshold_c != 1 the earlier-sorted label of a pair needs a Bayes factor above c,
+        # and the later one takes the rest: the same densities under other names vote otherwise
+        assert classify({"a": 0.5, "b": 0.0}, 3.0) == ("b", {"a": 0, "b": 1})
+        assert classify({"z": 0.5, "b": 0.0}, 3.0) == ("z", {"b": 0, "z": 1})
+
+    def test_renamed_labels_keep_decisions_at_threshold_one(self, rng):
+        # at threshold_c = 1 a pair's vote goes to the larger evidence, whatever the names; the
+        # densities are distinct, since an exact tie breaks toward the smaller label
+        names = ["a", "b", "c", "m", "y", "z"]
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            values = rng.normal(0.0, 2.0, n)
+            if rng.random() < 0.3:
+                values[0] = -np.inf  # a zero density
+            labels = rng.permutation(names)[:n].tolist()
+            rename = dict(zip(labels, rng.permutation(names)[:n].tolist()))
+            base = classify(dict(zip(labels, values)))
+            renamed = classify({rename[lab]: v for lab, v in zip(labels, values)})
+            assert renamed.label == rename[base.label]
+            assert renamed.votes == {rename[lab]: v for lab, v in base.votes.items()}
+
     def test_weight_identity_scaling_keeps_argmax(self, rng):
         models = [model_at((1.0, 1.0), "a"), model_at((5.0, 3.0), "b")]
         scaled = [

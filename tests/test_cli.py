@@ -579,6 +579,46 @@ class TestCv:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_default_is_ten_folds(self, tmp_path):
+        # 10 diagrams a class; the report holds the bytes cv wrote when a manifest could also
+        # set the fold count, and an explicit --k-folds 10 writes the same
+        for band, seed in (("alpha", 0), ("beta", 1000)):
+            assert run("generate", "--band", band, "--n", 10, "--duration", 1.0, "--rate", 128,
+                       "--snr", 0, "--seed", seed, "--out", tmp_path / "signals") == 0
+        assert run("pd", "--manifest", tmp_path / "signals" / "manifest.json",
+                   "--out", tmp_path / "diagrams") == 0
+        manifest = tmp_path / "diagrams" / "manifest.json"
+        assert run("cv", "--manifest", manifest, "--out", tmp_path / "default.json") == 0
+        assert run("cv", "--manifest", manifest, "--k-folds", 10,
+                   "--out", tmp_path / "ten.json") == 0
+        expected = {"accuracy": 0.7, "config": {"alpha": 0.7, "sigma_obs": 0.2, "threshold_c": 1.0},
+                    "confusion": [[7, 3], [3, 7]], "k_folds": 10, "labels": ["alpha", "beta"],
+                    "per_fold": [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 0.5], "seed": 0}
+        report = (tmp_path / "default.json").read_bytes()
+        assert report == json.dumps(expected, indent=2, sort_keys=True).encode() + b"\n"
+        assert report == (tmp_path / "ten.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["pd", "generate", "fit", "cv"])
+    def test_manifest_k_folds_refused(self, cli_files, tmp_path, capsys, command):
+        # a manifest's k_folds, once cv's fold count, is refused in either kind of manifest, so
+        # an old one cannot silently change a CV from its fold count to --k-folds' default
+        kind = "signal" if command in ("pd", "generate") else "diagram"
+        listed = read_json(cli_files / f"{kind}s" / "manifest.json")
+        for e in listed["entries"]:
+            e[kind] = str(cli_files / f"{kind}s" / e[kind])
+        manifest = _write(tmp_path / "manifest.json", {**listed, "k_folds": 2})
+        text = manifest.read_bytes()
+        argv = {"pd": ("pd", "--manifest", manifest, "--out", tmp_path / "pd"),
+                "generate": ("generate", "--band", "alpha", "--n", 1, "--rate", 128,
+                             "--out", tmp_path),
+                "fit": ("fit", "--manifest", manifest, "--label", "alpha",
+                        "--out", tmp_path / "m.json"),
+                "cv": ("cv", "--manifest", manifest, "--out", tmp_path / "cv.json")}[command]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (f"error: {manifest}: 'k_folds' is no longer read; "
+                                           "give cv's fold count as --k-folds\n")
+        assert list(tmp_path.iterdir()) == [manifest] and manifest.read_bytes() == text
+
 
 class TestHeatmap:
     def test_grid_shape_and_peak(self, dataset, tmp_path):
@@ -1083,7 +1123,7 @@ _COMPONENT = {"mu": [1.0, 1.0], "var": 0.5, "w": 1.0}
 def _manifest_entry_a_component(command):
     """A manifest whose one entry has exactly a component's keys."""
     def make(d, files):
-        manifest = _write(d / "m.json", {"rate": 128, "k_folds": 2, "entries": [_COMPONENT]})
+        manifest = _write(d / "m.json", {"rate": 128, "entries": [_COMPONENT]})
         argv = {"pd": ("pd", "--manifest", manifest, "--out", d / "pd"),
                 "fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out", d / "m"),
                 "cv": ("cv", "--manifest", manifest)}[command]
@@ -1113,16 +1153,17 @@ def _signal_manifest(name, **fields):
 
 
 def _diagram_manifest(name, command, extra_entry=None, **fields):
-    """fit --label alpha or cv over a diagram manifest of the good diagrams plus extra_entry."""
+    """fit --label alpha or cv --k-folds 2 over a diagram manifest of the good diagrams plus
+    extra_entry."""
     def make(d, files):
         entries = read_json(files / "diagrams" / "manifest.json")["entries"]
         for e in entries:
             e["diagram"] = str(files / "diagrams" / e["diagram"])
         if extra_entry is not None:
             entries.append({"diagram": entries[0]["diagram"], **extra_entry})
-        manifest = _write(d / "m.json", {"k_folds": 2, "entries": entries, **fields})
+        manifest = _write(d / "m.json", {"entries": entries, **fields})
         argv = {"fit": ("fit", "--manifest", manifest, "--label", "alpha", "--out", d / "m"),
-                "cv": ("cv", "--manifest", manifest)}[command]
+                "cv": ("cv", "--manifest", manifest, "--k-folds", 2)}[command]
         return argv, 2, manifest
     return _named(f"{name}_{command}", make)
 
@@ -1215,7 +1256,7 @@ def _write_mutation_inputs(d):
             "rate": 128, "entries": [{"signal": "s.csv", "label": "alpha"}]}),
         "signal_csv": d / "s.csv",
         "signal_json": _write(d / "s.json", {"rate": 128, "samples": [0.5, -1.0, 0.25, 1.0]}),
-        "diagram_manifest": _write(d / "diagrams.json", {"k_folds": 2, "entries": [
+        "diagram_manifest": _write(d / "diagrams.json", {"entries": [
             {"diagram": f"d{i}.pd.json", "label": label} for i, label in enumerate("aabb", 1)]}),
         "diagram": d / "d1.pd.json",
         "mixture": _write(d / "mixture.json", mixture),
@@ -1232,7 +1273,8 @@ def _write_mutation_inputs(d):
                          "--rate", 128, "--out", d)},
         "signal_csv": {"pd": ("pd", files["signal_csv"], "--out", d / "pd")},
         "signal_json": {"pd": ("pd", files["signal_json"], "--out", d / "pd")},
-        "diagram_manifest": {"fit": fit, "cv": ("cv", "--manifest", files["diagram_manifest"])},
+        "diagram_manifest": {"fit": fit, "cv": ("cv", "--manifest", files["diagram_manifest"],
+                                                "--k-folds", 2)},
         "diagram": {"classify": classify, "fit": fit},
         "mixture": {"fit --prior": (*fit, "--prior", files["mixture"]),
                     "fit --clutter": (*fit, "--clutter", files["mixture"])},
@@ -1275,7 +1317,7 @@ def _json_mutations(value, path):
 
 
 def _mutate_json(text, data):
-    """text with one value mutated, as drawn from data; (new text, mutation, path to the value)."""
+    """text with one value mutated, as drawn from data; (new text, mutation)."""
     obj = json.loads(text)
     path = data.draw(st.sampled_from(list(_value_paths(obj))), label="path")
     parent = obj
@@ -1300,7 +1342,7 @@ def _mutate_json(text, data):
         parent[path[-1]] = new
     else:
         obj = new
-    return json.dumps(obj).replace(json.dumps(_MARK), raw), kind, path
+    return json.dumps(obj).replace(json.dumps(_MARK), raw), kind
 
 
 def _mutate_csv(text, data):
@@ -1317,7 +1359,7 @@ def _mutate_csv(text, data):
         "deep": [_DEEP],
         "shape": [f"{lines[i]},{lines[i]}"],
     }[kind]
-    return "".join(line + "\n" for line in lines), kind, (i,)
+    return "".join(line + "\n" for line in lines), kind
 
 
 class TestParser:
@@ -1394,9 +1436,13 @@ class TestExitCodes:
         _diagram_manifest("k_folds_a_bool", "cv", k_folds=True),
         _diagram_manifest("k_folds_one", "cv", k_folds=1),
         _diagram_manifest("k_folds_zero", "cv", k_folds=0),
+        # a valid fold count too: cv's one source of it is --k-folds, so a manifest may not set it
+        _diagram_manifest("k_folds_two", "cv", k_folds=2),
+        _diagram_manifest("k_folds_two", "fit", k_folds=2),
         _diagram_manifest("entry_without_label", "cv", {}),
         # every manifest's optional fields are checked, whichever command reads it
         _signal_manifest("signal_manifest_k_folds_not_an_integer", rate=128, k_folds="x"),
+        _signal_manifest("signal_manifest_k_folds_two", rate=128, k_folds=2),
         _diagram_manifest("diagram_manifest_rate_negative", "fit", rate=-1),
         _signal_json("signal_json_samples_a_string", '{"rate": 100, "samples": "12"}'),
         _signal_json("signal_json_sample_too_large_for_a_float",
@@ -1544,15 +1590,14 @@ class TestExitCodes:
             path, consumers = _write_mutation_inputs(Path(tmp))[kind]
             consumer = data.draw(st.sampled_from(sorted(consumers)), label="command")
             mutate = _mutate_csv if path.suffix == ".csv" else _mutate_json
-            text, mutation, where = mutate(path.read_text(), data)
+            text, mutation = mutate(path.read_text(), data)
             path.write_text(text)
             with redirect_stdout(out), redirect_stderr(err):
                 code = run(*consumers[consumer])
         event(f"{kind} {mutation} via {consumer}: exit {code}")
         assert code in (0, 1, 2)
-        # every mutation makes a file no reader may accept, but for a dropped key, line or
-        # element, and a huge k_folds: an integer, as it should be, that fit does not use
-        assert code or mutation == "drop" or (mutation, where) == ("huge", ("k_folds",)), text[:300]
+        # every mutation makes a file no reader may accept, but for a dropped key, line or element
+        assert code or mutation == "drop", text[:300]
         if code:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
@@ -1628,6 +1673,21 @@ class TestPipeline:
         report = read_json(out / "cv_report.json")
         assert report["k_folds"] == 3
         assert report["labels"] == ["alpha", "beta"]
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--prior", "nope.json", 2), ("--clutter", "clutter.json", 2), ("--alpha", "2", 1),
+        ("--sigma-obs", "0", 1), ("--threshold", "0", 1)])
+    def test_cv_settings_refused_before_anything_is_written(self, cli_files, tmp_path, capsys,
+                                                            flag, value, code):
+        # clutter.json holds a weight of -1; each refusal is the one cv makes of the same setting
+        _write(tmp_path / "clutter.json", {"components": [{"w": -1, "mu": [3, 3], "var": 1}]})
+        value = tmp_path / value if value.endswith(".json") else value
+        assert run(*_base_argv("pipeline", cli_files, tmp_path), flag, value) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (tmp_path / "run").exists()
+        assert run(*_base_argv("cv", cli_files, tmp_path), flag, value) == code
+        assert capsys.readouterr().err == err
 
 
 # floats at the edges of their JSON and %.17g text: signed zero, the least subnormal, the
