@@ -83,6 +83,15 @@ def check_threshold(threshold_c):
         raise ValidationError("threshold_c must be positive and finite")
 
 
+def check_folds(k_folds, class_sizes):
+    """Refuse a fold count that is not an integer of at least 2, or more than a class's entries."""
+    if not isinstance(k_folds, (int, np.integer)) or k_folds < 2:
+        raise ValidationError("k_folds must be an integer of at least 2")
+    for lab, n in class_sizes.items():
+        if n < k_folds:
+            raise ValidationError(f"class {lab!r} has {n} entries, fewer than k_folds={k_folds}")
+
+
 def classify(log_densities, threshold_c: float = 1.0) -> ClassifyResult:
     """Assign a diagram to a class by pairwise Bayes-factor voting on its log densities.
 
@@ -122,13 +131,7 @@ def stratified_folds(data: LabeledDataset, seed: int = 0) -> list:
     pairs of sorted global indices. Every entry appears in exactly one test fold, so a class of
     fewer than k entries, which would leave a test fold without any of them, is refused.
     """
-    if not isinstance(data.k_folds, (int, np.integer)) or data.k_folds < 2:
-        raise ValidationError("k_folds must be an integer of at least 2")
-    for lab, n in Counter(lab for _, lab in data.entries).items():
-        if n < data.k_folds:
-            raise ValidationError(
-                f"class {lab!r} has {n} entries, fewer than k_folds={data.k_folds}"
-            )
+    check_folds(data.k_folds, Counter(lab for _, lab in data.entries))
     rng = seeded_rng(seed)
     members = [[i for i, (_, lab) in enumerate(data.entries) if lab == label]
                for label in data.labels]

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (LabeledDataset, check_threshold, classify as classify_diagram,
-                         cross_validate, diagram_log_density, usable_cpus)
+from .classifier import (LabeledDataset, check_folds, check_threshold,
+                         classify as classify_diagram, cross_validate, diagram_log_density,
+                         usable_cpus)
 from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
 from .intensity import GaussianMixtureIntensity, intensity_grid, total_mass
@@ -464,6 +465,7 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
     settings = {name: p.default for name, p in inspect.signature(cv).parameters.items()} | options
     _prior_and_config(*map(settings.get, ("prior", "clutter", "alpha", "sigma_obs")))
     check_threshold(settings["threshold"])
+    check_folds(settings["k_folds"], dict.fromkeys(("alpha", "beta"), n))  # each band's --n
     for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
     pd(out / "diagrams", manifest=sig_dir / "manifest.json")

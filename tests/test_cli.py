@@ -1676,7 +1676,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--prior", "nope.json", 2), ("--clutter", "clutter.json", 2), ("--alpha", "2", 1),
-        ("--sigma-obs", "0", 1), ("--threshold", "0", 1)])
+        ("--sigma-obs", "0", 1), ("--threshold", "0", 1),
+        # the base runs' --n 4, and cli_files' 4 diagrams a band, are fewer than 5 folds
+        ("--k-folds", "1", 1), ("--k-folds", "5", 1)])
     def test_cv_settings_refused_before_anything_is_written(self, cli_files, tmp_path, capsys,
                                                             flag, value, code):
         # clutter.json holds a weight of -1; each refusal is the one cv makes of the same setting
