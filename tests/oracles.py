@@ -21,8 +21,8 @@ sublevel_pd           -- the union-find sweep that filtration.sublevel_pd
                          indices and reached flags, and lexsort; its pairs must
                          match byte for byte
 bottleneck_distance   -- the search that filtration.bottleneck_distance replaced: a plain
-                         bisection over all candidate values, each test's graph a dense
-                         csr_matrix(adj[need]); its distances must match byte for byte
+                         bisection over all candidate values, unfiltered, each test's graph
+                         a dense csr_matrix(adj[need]); its distances must match byte for byte
 mixture_to_json       -- the wire formats of a mixture, a class model and a diagram, as dicts
 model_to_json            of Python values, written as topobayes wrote them before the CLI
 diagram_to_json          filled row templates; json.dumps(..., indent=2, sort_keys=True) of one
@@ -284,7 +284,9 @@ def sublevel_pd(signal) -> np.ndarray:
 def bottleneck_distance(d1, d2) -> float:
     """Bottleneck distance of two tilted diagrams by bisection over every sorted candidate
     value, as filtration.bottleneck_distance found it before it tested a lower bound first
-    and built its graphs' CSR arrays itself."""
+    and built its graphs' CSR arrays itself. It lacks the candidate filter: every one of the
+    n x m edge lengths is listed, not only those no longer than one end's diagonal cost, and
+    each test thresholds the whole matrix, not only the rows that it must saturate."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from topobayes import (
     ALPHA_BAND,
+    BETA_BAND,
     GaussianMixtureIntensity,
     PersistenceDiagram,
     ValidationError,
@@ -16,6 +19,7 @@ from topobayes import (
     untilt,
 )
 from topobayes.cli import diagram_from_json
+from topobayes import filtration
 from conftest import brute_bottleneck, brute_sublevel_pairs, random_distinct_signal
 import oracles
 from oracles import diagram_to_json
@@ -279,6 +283,29 @@ class TestBisectionOracle:
             got, want = bottleneck_distance(d1, d2), oracles.bottleneck_distance(d1, d2)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n1, n2)
 
+    # 4 s at 256 Hz and 5 dB, the diagrams benchmark's pairs: about 300 points a side, where the
+    # candidate filter and the tests of only the rows that must be matched cut the most
+    @pytest.mark.parametrize("kind, seed", [
+        *(("perturbed", seed) for seed in range(4)), *(("alpha-beta", seed) for seed in range(4)),
+    ])
+    def test_recording_pairs_match_the_oracle_byte_for_byte(self, kind, seed):
+        rng = np.random.default_rng([2026, seed, kind == "perturbed"])
+
+        def recording(band):
+            sig = generate_band_signal(band, 4.0, 256.0, int(rng.integers(2**62)))
+            return add_noise(sig, 5.0, int(rng.integers(2**62))).samples
+
+        if kind == "perturbed":  # a recording and its copy moved by less than 0.1 per sample
+            a = recording((ALPHA_BAND, BETA_BAND)[seed % 2])
+            b = a + rng.uniform(-0.1, 0.1, len(a))
+        else:
+            a, b = recording(ALPHA_BAND), recording(BETA_BAND)
+        d1, d2 = tilt(sublevel_pd(a)), tilt(sublevel_pd(b))
+        assert min(len(d1), len(d2)) > 200
+        for x, y in ((d1, d2), (d2, d1)):
+            got, want = bottleneck_distance(x, y), oracles.bottleneck_distance(x, y)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     @pytest.mark.parametrize("A, B, at_bound", [
         # the perturbed point's nearest match is its distance: the bound passes its one test
         ([(0.0, 2.0), (1.0, 1.5)], [(0.0, 2.1), (1.0, 1.5)], True),
@@ -292,6 +319,29 @@ class TestBisectionOracle:
         assert got == pytest.approx(brute_bottleneck(A, B), abs=1e-12)
         assert (got == _lower_bound(A, B)) is at_bound
         assert got >= _lower_bound(A, B)
+
+    @pytest.mark.parametrize("perturbed", [True, False], ids=["at_the_bound", "bisected"])
+    def test_peak_memory_per_pair_of_points(self, perturbed, monkeypatch):
+        # about 1,000 points a side; a perturbed copy's distance is the lower bound, which one
+        # test settles, while two independent signals need the bisection
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal(3000)
+        y = x + rng.uniform(-0.1, 0.1, 3000) if perturbed else rng.standard_normal(3000)
+        d1, d2 = tilt(sublevel_pd(x)), tilt(sublevel_pd(y))
+        tests = []
+        saturates = filtration._saturates
+        monkeypatch.setattr(filtration, "_saturates", lambda sub: tests.append(1) or saturates(sub))
+        import scipy.sparse.csgraph  # noqa: F401 -- loaded outside the trace, as in any process after it
+        tracemalloc.start()
+        try:
+            bottleneck_distance(d1, d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(tests) == 2) is perturbed  # the bound's one test checks both sides
+        # the n x m distances and one temporary while they are built; the full candidate list
+        # and three n x m float arrays at once took 33 B
+        assert peak <= 20 * len(d1) * len(d2), peak / (len(d1) * len(d2))
 
 
 class TestDiagramJSON:
