@@ -72,6 +72,19 @@ def log_bayes_factor(d: PersistenceDiagram, g_i: GaussianMixtureIntensity,
     return _log_ratio(diagram_log_density(d, g_i), diagram_log_density(d, g_j))
 
 
+def score(diagrams, models) -> list:
+    """Each diagram's {label: log density} under models, (label, posterior) pairs that may each be
+    made as it is drawn: a posterior scores every diagram, one diagram_log_density call each, and
+    goes before the next is made. A label already seen is refused before its posterior scores."""
+    by_label = {}
+    for label, g in models:
+        if label in by_label:
+            raise ValidationError("class labels must be distinct")
+        by_label[label] = [diagram_log_density(d, g) for d in diagrams]
+        del g  # a rebinding would keep it alive while the next is made
+    return [{label: ld[i] for label, ld in by_label.items()} for i in range(len(diagrams))]
+
+
 class ClassifyResult(NamedTuple):
     label: str
     votes: dict
@@ -146,19 +159,6 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def _fold_labels(fold, data: LabeledDataset, prior, cfg, threshold_c) -> list:
-    """Labels predicted for a fold's held-out entries, scored by one class's posterior at a time."""
-    train_idx, test_idx = fold
-    scores = [{} for _ in test_idx]
-    for lab in data.labels:
-        training = [data.entries[i][0] for i in train_idx if data.entries[i][1] == lab]
-        g = posterior_intensity(prior, training, cfg)
-        for ld, i in zip(scores, test_idx):
-            ld[lab] = diagram_log_density(data.entries[i][0], g)
-        del g  # a rebinding would keep it alive through the next class's fit
-    return [classify(ld, threshold_c).label for ld in scores]
-
-
 def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
                    cfg: PosteriorConfig, threshold_c: float = 1.0,
                    seed: int = 0) -> dict:
@@ -181,9 +181,13 @@ def cross_validate(data: LabeledDataset, prior: GaussianMixtureIntensity,
         raise ValidationError("cross validation needs at least two classes")
     check_threshold(threshold_c)  # before any posterior is fitted
     folds = stratified_folds(data, seed)
+    def fold_labels(fold):  # one class's posterior at a time, fitted on the fold's training part
+        train, test = ([data.entries[i] for i in idx] for idx in fold)
+        posteriors = ((lab, posterior_intensity(prior, [d for d, l in train if l == lab], cfg))
+                      for lab in labels)
+        return [classify(ld, threshold_c).label for ld in score([d for d, _ in test], posteriors)]
     with ThreadPoolExecutor(min(len(folds), usable_cpus())) as pool:
-        predicted = list(pool.map(
-            lambda fold: _fold_labels(fold, data, prior, cfg, threshold_c), folds))
+        predicted = list(pool.map(fold_labels, folds))
     truth = [[data.entries[i][1] for i in test_idx] for _, test_idx in folds]
     per_fold = [sum(a == b for a, b in zip(t, p)) / len(t) for t, p in zip(truth, predicted)]
     pairs = Counter(zip(itertools.chain(*truth), itertools.chain(*predicted)))

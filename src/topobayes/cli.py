@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import (LabeledDataset, check_folds, check_threshold,
-                         classify as classify_diagram, cross_validate, diagram_log_density,
-                         usable_cpus)
+                         classify as classify_diagram, cross_validate, score, usable_cpus)
 from .errors import MAX_SIZE, DataFileError, ValidationError
 from .filtration import PersistenceDiagram, sublevel_pd, tilt
 from .intensity import GaussianMixtureIntensity, intensity_grid, total_mass
@@ -404,14 +403,10 @@ def classify(models, diagram, threshold=1.0, out=None):
         parsing = pool.map(partial(_read, decode=model_arrays), models)
         import scipy.special  # building a model needs it, and the workers do not: loaded meanwhile
         parsed = list(parsing)  # a fault in a model file is reported before one in the diagram
-    d, log_densities = _read(diagram, diagram_from_json), {}
+    d = _read(diagram, diagram_from_json)
     check_threshold(threshold)  # before any model is built
-    for path in models:  # a model's arrays leave the list as it is built, and go with it
-        label, g = _decoded(Path(path), model_from_arrays, parsed.pop(0))
-        if label in log_densities:
-            raise ValidationError("class labels must be distinct")
-        log_densities[label] = diagram_log_density(d, g)
-        del g  # let go before the next model is built
+    [log_densities] = score([d], (_decoded(Path(p), model_from_arrays, parsed.pop(0))
+                                  for p in models))  # its arrays leave the list as a model is built
     result = classify_diagram(log_densities, threshold)
     # a zero density, the one non-finite value, is written as a string: strict JSON
     _emit({"label": result.label, "votes": result.votes, "threshold": threshold, "log_densities":
@@ -466,7 +461,8 @@ def pipeline(out, n=100, duration=2.0, rate=256.0, snr=5.0, seed=0, **options):
     _prior_and_config(*map(settings.get, ("prior", "clutter", "alpha", "sigma_obs")))
     check_threshold(settings["threshold"])
     check_folds(settings["k_folds"], dict.fromkeys(("alpha", "beta"), n))  # each band's --n
-    for band, seed_offset in (("alpha", 0), ("beta", 1_000_000)):
+    # beta first, its f_high the higher, and a negative --seed unoffset: refused before any write
+    for band, seed_offset in (("beta", 1_000_000 if seed >= 0 else 0), ("alpha", 0)):
         generate(band, n, sig_dir, duration=duration, rate=rate, snr=snr, seed=seed + seed_offset)
     pd(out / "diagrams", manifest=sig_dir / "manifest.json")
     report_path = out / "cv_report.json"

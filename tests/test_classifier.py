@@ -175,6 +175,39 @@ def scored(d, models):
     return {label: diagram_log_density(d, g) for label, g in models}
 
 
+class TestScore:
+    MODELS = (model_at((1.0, 1.0), "a"), model_at((4.0, 2.0), "b", lam=3.0),
+              ("empty", GaussianMixtureIntensity([], [], [])))
+
+    def test_list_and_one_pass_generator_give_each_density(self, rng):
+        diagrams = [sample_ppp_diagram(rng, self.MODELS[i % 2][1]) for i in range(5)] + [EMPTY]
+        from_list = classifier.score(diagrams, list(self.MODELS))
+        from_generator = classifier.score(diagrams, (m for m in self.MODELS))
+        assert len(from_list) == len(diagrams)
+        for d, got, again in zip(diagrams, from_list, from_generator, strict=True):
+            assert list(got) == list(again) == [label for label, _ in self.MODELS]
+            for label, g in self.MODELS:
+                want = diagram_log_density(d, g)
+                assert repr(got[label]) == repr(again[label]) == repr(want)
+        assert classifier.score([], iter(self.MODELS)) == []
+
+    def test_repeated_label_refused_before_it_scores(self, rng, monkeypatch):
+        diagrams = [sample_ppp_diagram(rng, self.MODELS[0][1]) for _ in range(3)]
+        density_once = classifier.diagram_log_density
+        calls = []
+
+        def counting(d, g):
+            calls.append(g)
+            return density_once(d, g)
+
+        monkeypatch.setattr(classifier, "diagram_log_density", counting)
+        a, b, _ = self.MODELS
+        repeated = ("a", mixture_at((9.0, 9.0)))
+        with pytest.raises(ValidationError, match=r"^class labels must be distinct$"):
+            classifier.score(diagrams, iter([a, b, repeated, b]))
+        assert [id(g) for g in calls] == [id(a[1])] * 3 + [id(b[1])] * 3
+
+
 class TestClassify:
     def test_two_class_margin(self, rng):
         a = model_at((1.0, 1.0), "a")
@@ -535,7 +568,13 @@ class TestFoldOracle:
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.1)
         report = cross_validate(data, prior, cfg, seed=6)
         folds = oracles.stratified_folds(data, 6)
-        predicted = [classifier._fold_labels(f, data, prior, cfg, 1.0) for f in folds]
+        predicted = []
+        for train, test in folds:  # each fold's class posteriors, fitted on its training entries
+            posteriors = [(lab, posterior_intensity(
+                prior, [data.entries[i][0] for i in train if data.entries[i][1] == lab], cfg))
+                for lab in data.labels]
+            scores = classifier.score([data.entries[i][0] for i in test], posteriors)
+            predicted.append([classify(ld).label for ld in scores])
         per_fold, confusion = oracles.cv_tally(data, folds, predicted)
         assert 0.0 < report["accuracy"] < 1.0
         assert report["per_fold"] == per_fold

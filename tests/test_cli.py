@@ -1691,6 +1691,20 @@ class TestPipeline:
         assert run(*_base_argv("cv", cli_files, tmp_path), flag, value) == code
         assert capsys.readouterr().err == err
 
+    # beta's f_high, 30 Hz, is above the Nyquist rate at 50 Hz and alpha's, 13 Hz, only at 20 Hz;
+    # beta's seed is --seed + 1000000, so a negative --seed is refused as generate refuses it
+    @pytest.mark.parametrize("flag, value", [("--rate", "50"), ("--rate", "20"), ("--seed", "-1")])
+    def test_sampling_refused_by_generate_before_anything_is_written(self, tmp_path, capsys,
+                                                                     flag, value):
+        assert run("pipeline", "--n", 4, "--k-folds", 2, flag, value,
+                   "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (tmp_path / "run").exists()
+        assert run("generate", "--band", "beta", "--n", 4, flag, value,
+                   "--out", tmp_path / "signals") == 1
+        assert capsys.readouterr().err == err
+
 
 # floats at the edges of their JSON and %.17g text: signed zero, the least subnormal, the
 # largest magnitudes, and the exponents where repr switches between plain and e-notation
