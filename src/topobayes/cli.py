@@ -399,6 +399,8 @@ def classify(models, diagram, threshold=1.0, out=None):
 
     The models are parsed in worker processes, then built one by one."""
     _check_out("classify", out, [out], *models, diagram)
+    if len(models) < 2:  # before any file is read: one model cannot be voted on
+        raise ValidationError("need at least 2 class models")
     with _pool(models) as pool:
         parsing = pool.map(partial(_read, decode=model_arrays), models)
         import scipy.special  # building a model needs it, and the workers do not: loaded meanwhile

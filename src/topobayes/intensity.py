@@ -6,15 +6,15 @@ to W and renormalized to unit mass there, so a component's weight is the
 expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
-All evaluation goes through one log-space kernel sum, log_eval_intensity;
-eval_intensity is its exp. It takes one matrix product per chunk of 2**17 / K
-rows, but at least two, into one work array reused by every chunk: 1 MB up to
-K = 2**16, and two rows of K above. Each point's (b, p, b^2 + p^2, 1) row and
-far test are made once per block of whole chunks, 2**15 points of 5 values or
-one chunk, which outweighs the array below K = 16: made per chunk, their small
-numpy calls would hold the GIL that cross_validate's fold threads queue for.
-Per-component constants are computed once, when the mixture is built.
-Everything is immutable or pure, so thread-safe.
+All evaluation goes through one log-space kernel sum, log_eval_intensity, one
+loop for every mixture, the empty one's too; eval_intensity is its exp. It takes
+one matrix product per chunk of 2**17 / K rows, but at least two, into one work
+array reused by every chunk: 1 MB up to K = 2**16, and two rows of K above. Each
+point's (b, p, b^2 + p^2, 1) row and far test are made once per block of whole
+chunks, 2**15 points of 5 values or one chunk, which outweighs the array below
+K = 16: made per chunk, their small numpy calls would hold the GIL that
+cross_validate's fold threads queue for. Per-component constants are computed
+once, when the mixture is built. All is immutable or pure, so thread-safe.
 """
 
 from dataclasses import dataclass
@@ -108,44 +108,43 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
     x may be one point or an array of shape (..., 2); returns a float or an array of shape
     x.shape[:-1]: -inf outside the wedge and for the empty mixture, else NaN at a NaN coordinate.
     Each chunk of rows takes one matrix product against the mixture's coefficients, then a
-    max-shifted log-sum-exp per row. A row whose product could overflow takes each kernel in its
-    own form instead. Rows and that test are built per block of whole chunks (at most 2**15
-    points x 5 values, or one chunk), so their small calls hold the GIL once a block, not a chunk.
+    max-shifted log-sum-exp per row; the empty mixture takes the same loop, its rows summing no
+    term. A row whose product could overflow takes each kernel in its own form instead. Rows and
+    that test are built per block of whole chunks, so their small calls hold the GIL once a block.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (2,):  # a reshape to pairs would silently regroup or drop coordinates
         raise ValidationError("points must have shape (..., 2)")
     pts = x.reshape(-1, 2)
-    out = np.full(len(pts), -np.inf)
-    if g.n_components:
-        coef, log_norm, reach = g._log_kernel_constants
-        step = max(2, _CHUNK_ELEMENTS // g.n_components)
-        block = max(step, 2 ** 15 // step * step)  # whole chunks, so the same products
-        # every chunk's product goes into this one array; a new array per chunk would be made
-        # while the last one is still alive, doubling the peak
-        work = np.empty((min(step, len(pts)), g.n_components))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, len(pts), block):
-                p, o = pts[start:start + block], out[start:start + block]
-                rows = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))])
-                # |b|, |p| <= max(b^2 + p^2, 1), so this bounds every term of a row's product: a
-                # far row, where a term could pass 2**1021 and a sum of four such overflow, has
-                # its terms overwritten by log_norm - |x - mu|^2 / (2 var), -inf at worst
-                far = np.maximum(rows[:, 2], 1.0) * reach > 2.0 ** 1021
-                for lo in range(0, len(p), step):
-                    r, f = rows[lo:lo + step], far[lo:lo + step]
-                    t = np.matmul(r, coef, out=work[:len(r)])
-                    if f.any():
-                        t[f] = log_norm - ((r[f, None, :2] - g.means) ** 2).sum(axis=2) / (
-                            2.0 * g.variances)
-                    # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
-                    np.minimum(t, log_norm, out=t)
-                    # a finite peak: a row of -inf terms sums to 0, scoring -inf, not NaN
-                    peak = t.max(axis=1, initial=np.finfo(float).min)
-                    t -= peak[:, None]
-                    np.exp(t, out=t)
-                    np.add(peak, np.log(t.sum(axis=1)), out=o[lo:lo + step])
-        out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
+    out = np.empty(len(pts))  # every row is written by the loop
+    coef, log_norm, reach = g._log_kernel_constants
+    step = max(2, _CHUNK_ELEMENTS // max(1, g.n_components))
+    block = max(step, 2 ** 15 // step * step)  # whole chunks, so the same products
+    # every chunk's product goes into this one array; a new array per chunk would be made
+    # while the last one is still alive, doubling the peak
+    work = np.empty((min(step, len(pts)), g.n_components))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(pts), block):
+            p, o = pts[start:start + block], out[start:start + block]
+            rows = np.column_stack([p, (p * p).sum(axis=1), np.ones(len(p))])
+            # |b|, |p| <= max(b^2 + p^2, 1), so this bounds every term of a row's product: a
+            # far row, where a term could pass 2**1021 and a sum of four such overflow, has
+            # its terms overwritten by log_norm - |x - mu|^2 / (2 var), -inf at worst
+            far = np.maximum(rows[:, 2], 1.0) * reach > 2.0 ** 1021
+            for lo in range(0, len(p), step):
+                r, f = rows[lo:lo + step], far[lo:lo + step]
+                t = np.matmul(r, coef, out=work[:len(r)])
+                if f.any():
+                    t[f] = log_norm - ((r[f, None, :2] - g.means) ** 2).sum(axis=2) / (
+                        2.0 * g.variances)
+                # |x - mu|^2 >= 0 caps each term at log_norm; cancellation can overshoot
+                np.minimum(t, log_norm, out=t)
+                # a finite peak: a row of -inf terms sums to 0, scoring -inf, not NaN
+                peak = t.max(axis=1, initial=np.finfo(float).min)
+                t -= peak[:, None]
+                np.exp(t, out=t)
+                np.add(peak, np.log(t.sum(axis=1)), out=o[lo:lo + step])
+    out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
     return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
 
@@ -181,10 +180,11 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
     """Scaled intensity map over a rectangle inside the wedge.
 
     bounds is (b_lo, p_lo, b_hi, p_hi); resolution the (nb, np) pair of axis
-    sizes, each at least 2. Samples the intensity on inclusive linspace axes
-    b_axis, p_axis and divides by its maximum, giving values in [0, 1]; an
-    identically zero field is returned as zeros. Entry [i, j] is the scaled
-    intensity at (b_axis[i], p_axis[j]). A peak past the float range is refused.
+    sizes, each at least 2. Samples the log intensity l on inclusive linspace
+    axes b_axis, p_axis and scales it in log space, exp(l - max l), into [0, 1]:
+    the peak cell is 1 even where the intensity under- or overflows, and only the
+    empty mixture's field is zeros. Entry [i, j] is the scaled value at
+    (b_axis[i], p_axis[j]).
     """
     b_lo, p_lo, b_hi, p_hi = wedge_rectangle(bounds)
     nb, npts = resolution
@@ -193,8 +193,5 @@ def intensity_grid(g: GaussianMixtureIntensity, bounds, resolution) -> np.ndarra
         raise ValidationError("grid resolution must be at least 2x2, and its grid fit an array")
     b_axis, p_axis = np.linspace(b_lo, b_hi, nb), np.linspace(p_lo, p_hi, npts)
     grid = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
-    vals = eval_intensity(g, grid)
-    peak = vals.max()
-    if not np.isfinite(peak):  # inf / inf would scale the grid to NaN
-        raise ValidationError("the intensity on the grid passes the float range")
-    return vals / peak if peak > 0 else vals  # vals >= 0, so a zero peak is a field of zeros
+    logs = log_eval_intensity(g, grid)
+    return np.exp(logs - logs.max(initial=np.finfo(float).min))

@@ -450,6 +450,14 @@ class TestFitClassifyRoundtrip:
         assert report["label"] == "alpha"
         assert report["votes"] == {"alpha": 0, "zeta": 0}
 
+    def test_one_model_is_refused_before_any_file_is_read(self, tmp_path, capsys):
+        # a lone model was parsed and built before the refusal; a fault in it was reported first
+        model = tmp_path / "m.json"
+        model.write_text("{not json")
+        assert run("classify", "--models", model, "--diagram", tmp_path / "missing.pd.json",
+                   "--threshold", 0) == 1
+        assert capsys.readouterr() == ("", "error: need at least 2 class models\n")
+
     def test_model_file_is_sorted_indented_json_of_the_model(self, dataset):
         manifest = dataset / "diagrams" / "manifest.json"
         model_path = dataset / "alpha.model.json"
@@ -640,6 +648,18 @@ class TestHeatmap:
         b = np.linspace(0, 3, 20)[i]
         p = np.linspace(0, 4, 30)[j]
         assert abs(b - 1.0) <= 3 / 19 and abs(p - 2.0) <= 4 / 29
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_intensity_past_the_float_range_is_drawn(self, tmp_path):
+        # a log peak of about 713, past log(max float): the run was refused, and before that
+        # the grid was scaled by inf / inf to NaN, written, and the run exited 0
+        model_path = _write(tmp_path / "m.json", {"label": "x", "lambda": 1e308, "posterior": {
+            "components": [{"w": 1e308, "mu": [0.0, 0.0], "var": 0.01}]}})
+        out = tmp_path / "hm"
+        assert run("heatmap", "--model", model_path, "--bounds", 0, 0, 1, 1, "--res", 2, 2,
+                   "--out", out) == 0
+        grid = np.loadtxt(out.with_suffix(".csv"), delimiter=",")
+        assert grid.shape == (2, 2) and np.all(np.isfinite(grid)) and grid.max() == 1.0
 
     def test_bad_bounds_exit_one(self, tmp_path):
         model_path = tmp_path / "m.json"
@@ -1008,13 +1028,11 @@ def _model_lambda_too_large_for_a_float(command):
     return _named(f"model_lambda_too_large_for_a_float_{command}", make)
 
 
-def _heatmap_intensity_past_the_float_range(d, files):
-    # a log peak of about 713, past log(max float): the grid was scaled by inf / inf to NaN,
-    # written, and the run exited 0
-    model = _write(d / "m.json", {"label": "x", "lambda": 1e308, "posterior": {
-        "components": [{"w": 1e308, "mu": [0.0, 0.0], "var": 0.01}]}})
-    return ("heatmap", "--model", model, "--bounds", 0, 0, 1, 1, "--res", 2, 2,
-            "--out", d / "hm"), 1, None
+def _classify_one_missing_model(d, files):
+    # one model cannot be voted on: refused before any file is read, so the missing one is
+    # not named; it was, with exit 2, after every file was parsed and the model built
+    return ("classify", "--models", d / "missing.json",
+            "--diagram", files / "diagrams" / "beta_000.pd.json"), 1, None
 
 
 def _classify_one_model_file_twice(d, files):
@@ -1454,8 +1472,8 @@ class TestExitCodes:
                      '{"rate": 1' + "0" * 5000 + ', "samples": [0, 1]}'),
         *[case for name, text in _BAD_RATES.items() for case in _bad_rate(name, text)],
         _model_lambda_too_large_for_a_float("classify"),
-        _model_lambda_too_large_for_a_float("heatmap"), _heatmap_intensity_past_the_float_range,
-        _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
+        _model_lambda_too_large_for_a_float("heatmap"),
+        _classify_one_missing_model, _classify_one_model_file_twice, _classify_bad_threshold_and_a_bad_model,
         _cv_one_fold, _heatmap_numbers_in_one_token,
         _signal_manifest("signal_manifest_lists_one_signal_twice", rate=128,
                          entries=[{"signal": "x.csv"}, {"signal": "x.csv", "label": "b"}]),

@@ -218,6 +218,16 @@ class TestLogKernelOracle:
         assert np.all(oracle_log_intensity(g, pts) == -np.inf)
         assert np.all(eval_intensity(g, pts) == 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_mixture_scores_minus_inf_everywhere(self):
+        # the empty mixture takes the scoring loop: its rows sum no term, inside the wedge and
+        # out, at NaN and at infinity alike
+        g = GaussianMixtureIntensity([], [], [])
+        pts = [[1.0, 1.0], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 0.0], [1e300, 1e300]]
+        assert log_eval_intensity(g, pts).tolist() == [-np.inf] * 5
+        assert [log_eval_intensity(g, p) for p in pts] == [-np.inf] * 5
+        assert log_eval_intensity(g, np.empty((0, 2))).shape == (0,)
+
     def test_scalar_input(self, rng):
         g = random_mixture(rng)
         got = log_eval_intensity(g, (1.25, 2.5))
@@ -523,11 +533,29 @@ class TestIntensityGrid:
         with pytest.raises(ValidationError):
             intensity_grid(g, (0, 0, 4, 4), (1, 1))
 
-    def test_a_peak_past_the_float_range_is_refused(self):
-        # inf / inf scaled such a grid to NaN, with warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_peak_past_the_float_range_is_scaled(self):
+        # a log peak of about 713, past log(max float): the grid was refused, where a linear
+        # scaling by inf / inf would have made it NaN
         g = GaussianMixtureIntensity.single(1e308, (0.0, 0.0), 0.01)
-        with pytest.raises(ValidationError, match="passes the float range"):
-            intensity_grid(g, (0, 0, 1, 1), (2, 2))
+        grid = intensity_grid(g, (0, 0, 1, 1), (2, 2))
+        logs = log_eval_intensity(g, [[[0, 0], [0, 1]], [[1, 0], [1, 1]]])
+        assert np.all(np.isfinite(grid)) and grid[0, 0] == grid.max() == 1.0
+        assert np.array_equal(grid, np.exp(logs - logs.max()))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_field_that_underflows_is_scaled_not_zero(self):
+        # the intensity underflows on every cell, and the linear grid was all zeros
+        g = GaussianMixtureIntensity.single(1.0, (10.0, 10.0), 0.01)
+        axis = np.linspace(0, 1, 3)
+        cells = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        assert np.all(eval_intensity(g, cells) == 0)
+        grid = intensity_grid(g, (0, 0, 1, 1), (3, 3))
+        logs = log_eval_intensity(g, cells)
+        assert grid[2, 2] == grid.max() == 1.0
+        # the peak's neighbours, (0.5, 1) and (1, 0.5), are exp(-9.25 / 0.02) = 1.38e-201
+        assert grid[1, 2] == grid[2, 1] == pytest.approx(1.38e-201, rel=1e-2)
+        assert np.array_equal(grid, np.exp(logs - logs.max()))
 
 
 class TestMixtureType:
