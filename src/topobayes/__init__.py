@@ -26,7 +26,6 @@ from .filtration import (
 )
 from .intensity import (
     GaussianMixtureIntensity,
-    eval_intensity,
     intensity_grid,
     log_eval_intensity,
     total_mass,

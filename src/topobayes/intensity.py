@@ -7,7 +7,7 @@ expected number of points it contributes and the total mass of a mixture is
 the plain sum of its weights.
 
 All evaluation goes through one log-space kernel sum, log_eval_intensity, one
-loop for every mixture, the empty one's too; eval_intensity is its exp. It takes
+loop for every mixture, the empty one's too; an intensity is its exp. It takes
 one matrix product per chunk of 2**17 / K rows, but at least two, into one work
 array reused by every chunk: 1 MB up to K = 2**16, and two rows of K above. Each
 point's (b, p, b^2 + p^2, 1) row and far test are made once per block of whole
@@ -93,10 +93,6 @@ class GaussianMixtureIntensity:
         object.__setattr__(self, "_log_kernel_constants",
                            (coef, log_norm, max(coef.max(initial=0.0), -coef.min(initial=0.0))))
 
-    @classmethod
-    def single(cls, weight, mean, var) -> "GaussianMixtureIntensity":
-        return cls(np.array([weight]), np.array([mean], dtype=float), np.array([var]))
-
     @property
     def n_components(self) -> int:
         return len(self.weights)
@@ -146,15 +142,6 @@ def log_eval_intensity(g: GaussianMixtureIntensity, x):
                 np.add(peak, np.log(t.sum(axis=1)), out=o[lo:lo + step])
     out[(pts[:, 0] < 0) | (pts[:, 1] < 0)] = -np.inf
     return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
-
-
-def eval_intensity(g: GaussianMixtureIntensity, x):
-    """Mixture intensity at x: sum_j c_j times the wedge-restricted N(mu_j, var_j*I) density.
-
-    Shapes and NaN as log_eval_intensity; exactly 0 outside the wedge, +inf past the float range.
-    """
-    with np.errstate(over="ignore"):  # +inf is the intensity's float limit, not a fault
-        return np.exp(log_eval_intensity(g, x))
 
 
 def total_mass(g: GaussianMixtureIntensity) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, pairs_array
-from .intensity import GaussianMixtureIntensity, eval_intensity, log_wedge_mass
+from .intensity import GaussianMixtureIntensity, log_eval_intensity, log_wedge_mass
 
 # a posterior gains prior components per observed point; components below this share of the
 # total mass are dropped, then at most this many of the heaviest are kept, bounding model size
@@ -39,12 +39,12 @@ _CHUNK_PAIRS = 2 ** 16
 
 def default_clutter() -> GaussianMixtureIntensity:
     """Broad, low-weight background for unassociated observed points."""
-    return GaussianMixtureIntensity.single(0.1, (3.0, 3.0), 20.0)
+    return GaussianMixtureIntensity([0.1], [(3.0, 3.0)], [20.0])
 
 
 def default_prior() -> GaussianMixtureIntensity:
     """Uninformative single-component prior, unit mass, centered at (3, 3)."""
-    return GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+    return GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,8 @@ def _kept_weights(prior, Y, cfg, v_post, m) -> tuple:
         log_2pi_v = np.log(2.0 * np.pi * (var + so))
         log_mass_prior = log_wedge_mass(mu[:, 0], mu[:, 1], var)
         log_mass_y = log_wedge_mass(Y[:, 0], Y[:, 1], so)
-        clutter = eval_intensity(cfg.clutter, Y)  # all at once: its bytes cannot move with chunks
+        with np.errstate(over="ignore"):  # all at once: its bytes cannot move with chunks
+            clutter = np.exp(log_eval_intensity(cfg.clutter, Y))  # +inf is its float limit
         step = max(1, _CHUNK_PAIRS // K)
         for lo in range(0, T, step):
             y = Y[lo:lo + step]

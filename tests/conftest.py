@@ -17,7 +17,7 @@ import pytest
 from hypothesis import settings
 from scipy.special import ndtr
 
-from topobayes import GaussianMixtureIntensity, PersistenceDiagram, eval_intensity
+from topobayes import GaussianMixtureIntensity, PersistenceDiagram, log_eval_intensity
 
 # selected in CI with --hypothesis-profile=ci: every run replays the same examples, so a
 # failure there reproduces from its log; local runs keep drawing new ones
@@ -93,14 +93,14 @@ def brute_bottleneck(pairs_a, pairs_b):
 
 
 def naive_grid_mass(mixture, box, n):
-    """Literal midpoint-rule integral of eval_intensity over [0, box]^2."""
+    """Literal midpoint-rule integral of the intensity, exp(log_eval_intensity), over [0, box]^2."""
     h = box / n
     axis = (np.arange(n) + 0.5) * h
     total = 0.0
     # chunk the grid rows to bound memory on fine grids
     for rows in np.array_split(axis, max(1, n // 64)):
         X = np.stack(np.meshgrid(rows, axis, indexing="ij"), axis=-1)
-        total += float(eval_intensity(mixture, X).sum())
+        total += float(np.exp(log_eval_intensity(mixture, X)).sum())
     return total * h * h
 
 

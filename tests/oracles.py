@@ -2,7 +2,7 @@
 the persistence sweep.
 
 restricted_normal_pdf -- one wedge-restricted Gaussian density, the
-                         one-component case of eval_intensity
+                         one-component case of exp(log_eval_intensity)
 quadrature_nodes      -- cell-center axes of posterior_quadrature's grid
 posterior_quadrature  -- the posterior intensity operator evaluated by direct
                          numerical integration, independent of the
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, eval_intensity
+from topobayes import GaussianMixtureIntensity, PosteriorConfig, ValidationError, log_eval_intensity
 from topobayes import posterior
 from topobayes.filtration import untilt
 from topobayes.intensity import log_wedge_mass, total_mass, wedge_rectangle
@@ -67,7 +67,7 @@ def restricted_normal_pdf(x, mean, var):
     Zero outside the wedge; x is one (b, p) point or an array of shape
     (..., 2). Raises ValidationError unless var > 0.
     """
-    return eval_intensity(GaussianMixtureIntensity.single(1.0, mean, var), x)
+    return np.exp(log_eval_intensity(GaussianMixtureIntensity([1.0], [mean], [var]), x))
 
 
 def quadrature_nodes(bounds, resolution):
@@ -101,7 +101,7 @@ def posterior_quadrature(prior: GaussianMixtureIntensity, observations,
     m = len(observations)
     Y = _flatten_observations(observations)
 
-    out = (1.0 - cfg.alpha) * eval_intensity(prior, X)
+    out = (1.0 - cfg.alpha) * np.exp(log_eval_intensity(prior, X))
     if cfg.alpha == 0.0 or len(Y) == 0:
         return out
 
@@ -118,13 +118,13 @@ def posterior_quadrature(prior: GaussianMixtureIntensity, observations,
     h = B / n_int
     axis = (np.arange(n_int) + 0.5) * h
     U = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    prior_at_U = eval_intensity(prior, U)
+    prior_at_U = np.exp(log_eval_intensity(prior, U))
 
-    prior_at_X = eval_intensity(prior, X)
+    prior_at_X = np.exp(log_eval_intensity(prior, X))
     for y in Y:
         kernel_at_U = restricted_normal_pdf(U, y, so)
         evidence = float((kernel_at_U * prior_at_U).sum() * h * h)
-        denom = eval_intensity(cfg.clutter, y) + cfg.alpha * evidence
+        denom = np.exp(log_eval_intensity(cfg.clutter, y)) + cfg.alpha * evidence
         if denom <= 0:
             continue
         out += (cfg.alpha / m) * restricted_normal_pdf(X, y, so) * prior_at_X / denom
@@ -169,7 +169,9 @@ def dense_posterior(prior: GaussianMixtureIntensity, observations,
         )
         q = np.exp(log_q)                                                 # (T,K)
 
-        denom = eval_intensity(cfg.clutter, Y) + cfg.alpha * (q * c).sum(axis=1)  # (T,)
+        with np.errstate(over="ignore"):  # +inf is the clutter's float limit, as in posterior
+            clutter = np.exp(log_eval_intensity(cfg.clutter, Y))
+        denom = clutter + cfg.alpha * (q * c).sum(axis=1)  # (T,)
         safe = denom > 0  # a point with zero clutter and zero evidence carries no update
         scale = np.zeros(T)
         with np.errstate(over="ignore"):

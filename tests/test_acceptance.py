@@ -24,9 +24,9 @@ from topobayes import (
     default_clutter,
     default_prior,
     diagram_log_density,
-    eval_intensity,
     generate_band_signal,
     log_bayes_factor,
+    log_eval_intensity,
     posterior_intensity,
     stratified_folds,
     sublevel_pd,
@@ -114,7 +114,7 @@ def test_criterion_1_posterior_oracle_equivalence():
         post = posterior_intensity(prior, obs, cfg)
         b_axis, p_axis = quadrature_nodes(bounds, res)
         X = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
-        closed = eval_intensity(post, X)
+        closed = np.exp(log_eval_intensity(post, X))
         rel = float(np.abs(closed - grid).max() / np.abs(grid).max())
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -35,7 +35,7 @@ from oracles import mixture_to_json, model_to_json
 
 
 def mixture_at(mean, lam=5.0, var=0.5):
-    return GaussianMixtureIntensity.single(lam, mean, var)
+    return GaussianMixtureIntensity([lam], [mean], [var])
 
 
 def model_at(mean, label="m", lam=5.0, var=0.5):
@@ -124,7 +124,7 @@ class TestLogBayesFactor:
 
 class TestFitClassModel:
     def setup_method(self):
-        self.prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        self.prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
 
     def test_alpha_zero_keeps_prior(self):
         cfg = PosteriorConfig(alpha=0.0, sigma_obs=1.0)
@@ -218,7 +218,7 @@ class TestClassify:
         assert result.votes == {"a": 1, "b": 0}
 
     def test_identical_models_tie_breaks_to_first_label(self):
-        g = GaussianMixtureIntensity.single(2.0, (2.0, 2.0), 1.0)
+        g = GaussianMixtureIntensity([2.0], [(2.0, 2.0)], [1.0])
         m1 = ("x", g)
         m2 = ("y", g)
         result = classify(scored(diagram((2.0, 2.0)), [m1, m2]))
@@ -298,7 +298,7 @@ class TestClassify:
 def clustered_dataset(rng, n_per_class, k, centers, var=0.05):
     entries = []
     for label, center in centers.items():
-        g = GaussianMixtureIntensity.single(6.0, center, var)
+        g = GaussianMixtureIntensity([6.0], [center], [var])
         for _ in range(n_per_class):
             entries.append((sample_ppp_diagram(rng, g), label))
     return LabeledDataset(tuple(entries), k)
@@ -306,7 +306,7 @@ def clustered_dataset(rng, n_per_class, k, centers, var=0.05):
 
 class TestCrossValidate:
     def setup_method(self):
-        self.prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        self.prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         self.cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.1)
 
     def test_separated_clusters_classify_perfectly(self, rng):
@@ -317,7 +317,7 @@ class TestCrossValidate:
         assert np.trace(np.array(report["confusion"])) == 40
 
     def test_identical_classes_near_chance(self, rng):
-        g = GaussianMixtureIntensity.single(6.0, (2.0, 2.0), 0.5)
+        g = GaussianMixtureIntensity([6.0], [(2.0, 2.0)], [0.5])
         entries = []
         for label in ("a", "b"):
             for _ in range(30):
@@ -473,7 +473,7 @@ class TestCrossValidate:
                                               rng.uniform(0.2, 6.0, (100, 2)),
                                               rng.uniform(0.5, 4.0, 100))
             long = [tb.PersistenceDiagram(rng.uniform(0.2, 6.0, (5_003, 2)))]
-            one = tb.GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+            one = tb.GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
             cfg = tb.PosteriorConfig(alpha=0.7, sigma_obs=0.2)
             for train, prior, scored in ((fold, prior, held_out), (training, one, tests),
                                          (long, big, tests)):
@@ -495,7 +495,7 @@ class TestCrossValidate:
         assert sizes[0] > 1000 and sizes[1:] == [90 * 156 + 1, 100_000]
 
     def test_undersized_class_rejected(self, rng):
-        g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)
+        g = GaussianMixtureIntensity([4.0], [(2.0, 2.0)], [0.5])
         entries = [(sample_ppp_diagram(rng, g), "a") for _ in range(3)]
         entries += [(sample_ppp_diagram(rng, g), "b") for _ in range(10)]
         with pytest.raises(ValidationError):
@@ -528,7 +528,7 @@ class TestCrossValidate:
             cross_validate(data, self.prior, self.cfg)
 
     def test_single_class_rejected(self, rng):
-        g = GaussianMixtureIntensity.single(4.0, (2.0, 2.0), 0.5)
+        g = GaussianMixtureIntensity([4.0], [(2.0, 2.0)], [0.5])
         entries = [(sample_ppp_diagram(rng, g), "a") for _ in range(10)]
         data = LabeledDataset(tuple(entries), 5)
         with pytest.raises(ValidationError):
@@ -561,10 +561,10 @@ class TestFoldOracle:
         entries = []
         for label, center, n in (("lo", (1.0, 1.0), 9), ("mid", (1.0, 1.2), 13),
                                  ("hi", (1.0, 1.4), 17)):
-            g = GaussianMixtureIntensity.single(6.0, center, 0.2)
+            g = GaussianMixtureIntensity([6.0], [center], [0.2])
             entries += [(sample_ppp_diagram(rng, g), label) for _ in range(n)]
         data = LabeledDataset(tuple(entries), 4)
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.1)
         report = cross_validate(data, prior, cfg, seed=6)
         folds = oracles.stratified_folds(data, 6)
@@ -586,7 +586,7 @@ class TestFoldOracle:
 
 class TestClassModelType:
     def test_lambda_must_match_mass(self):
-        g = GaussianMixtureIntensity.single(2.0, (1.0, 1.0), 1.0)
+        g = GaussianMixtureIntensity([2.0], [(1.0, 1.0)], [1.0])
         obj = {"label": "x", "posterior": mixture_to_json(g)}
         assert total_mass(model_from_arrays(model_arrays(obj))[1]) == 2.0
         assert total_mass(model_from_arrays(model_arrays({**obj, "lambda": 2.0}))[1]) == 2.0

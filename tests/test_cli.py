@@ -509,8 +509,8 @@ class TestFitClassifyRoundtrip:
                    "--label", "gamma", "--out", dataset / "m.json") == 1
 
     def test_fit_with_custom_prior_and_clutter_files(self, dataset):
-        prior = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 5.0)
-        clutter = GaussianMixtureIntensity.single(0.5, (2.0, 2.0), 10.0)
+        prior = GaussianMixtureIntensity([2.0], [(1.0, 2.0)], [5.0])
+        clutter = GaussianMixtureIntensity([0.5], [(2.0, 2.0)], [10.0])
         prior_path = dataset / "prior.json"
         clutter_path = dataset / "clutter.json"
         prior_path.write_text(json.dumps(mixture_to_json(prior)))
@@ -631,7 +631,7 @@ class TestCv:
 class TestHeatmap:
     def test_grid_shape_and_peak(self, dataset, tmp_path):
         model_path = tmp_path / "m.json"
-        g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
+        g = GaussianMixtureIntensity([2.0], [(1.0, 2.0)], [0.2])
         model_path.write_text(json.dumps(
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
         out = tmp_path / "hm"
@@ -663,7 +663,7 @@ class TestHeatmap:
 
     def test_bad_bounds_exit_one(self, tmp_path):
         model_path = tmp_path / "m.json"
-        g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
+        g = GaussianMixtureIntensity([2.0], [(1.0, 2.0)], [0.2])
         model_path.write_text(json.dumps(
             {"label": "x", "lambda": 2.0, "posterior": mixture_to_json(g)}))
         assert run("heatmap", "--model", model_path, "--bounds", 0, 0, 0, 4,
@@ -967,7 +967,7 @@ def _components_not_a_list(d, files):
 
 
 def _lambda_not_a_number(d, files):
-    g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.2)
+    g = GaussianMixtureIntensity([2.0], [(1.0, 2.0)], [0.2])
     model = _write(d / "m.json", {"label": "x", "lambda": "x", "posterior": mixture_to_json(g)})
     return ("classify", "--models", model, model,
             "--diagram", _write(d / "d.json", {"points": [[1.0, 1.0]]})), 2, model

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from topobayes import (
     GaussianMixtureIntensity,
     ValidationError,
-    eval_intensity,
     intensity_grid,
     log_eval_intensity,
     total_mass,
@@ -85,14 +84,13 @@ class TestRestrictedNormal:
 class TestEvalIntensity:
     def test_empty_mixture_is_zero(self):
         g = GaussianMixtureIntensity([], [], [])
-        assert eval_intensity(g, (1.0, 1.0)) == 0.0
         assert total_mass(g) == 0.0
         assert log_eval_intensity(g, (1.0, 1.0)) == -np.inf
 
     def test_weight_scales_linearly(self):
-        g1 = GaussianMixtureIntensity.single(2.0, (2.0, 3.0), 1.5)
+        g1 = GaussianMixtureIntensity([2.0], [(2.0, 3.0)], [1.5])
         x = (1.0, 2.5)
-        assert eval_intensity(g1, x) == pytest.approx(
+        assert np.exp(log_eval_intensity(g1, x)) == pytest.approx(
             2.0 * restricted_normal_pdf(x, (2.0, 3.0), 1.5), rel=1e-12
         )
 
@@ -101,8 +99,8 @@ class TestEvalIntensity:
             [1.0, 1.0], [[1.0, 4.0], [4.0, 1.0]], [0.8, 0.8]
         )
         for x in [(0.5, 2.0), (3.0, 1.0), (2.2, 2.9)]:
-            assert eval_intensity(g, x) == pytest.approx(
-                eval_intensity(g, (x[1], x[0])), rel=1e-12
+            assert log_eval_intensity(g, x) == pytest.approx(
+                log_eval_intensity(g, (x[1], x[0])), abs=1e-12
             )
 
     def test_concatenation_is_pointwise_sum(self, rng):
@@ -115,30 +113,27 @@ class TestEvalIntensity:
         )
         pts = rng.uniform(0, 8, (40, 2))
         assert np.allclose(
-            eval_intensity(both, pts),
-            eval_intensity(g1, pts) + eval_intensity(g2, pts),
-            rtol=1e-12,
+            log_eval_intensity(both, pts),
+            np.logaddexp(log_eval_intensity(g1, pts), log_eval_intensity(g2, pts)),
+            rtol=0, atol=1e-12,
         )
 
     def test_nonnegative_and_zero_outside(self, rng):
         g = random_mixture(rng)
         pts = rng.uniform(-4, 8, (200, 2))
-        vals = eval_intensity(g, pts)
-        assert np.all(vals >= 0)
+        logs = log_eval_intensity(g, pts)
+        assert not np.any(np.isnan(logs))  # the log of a non-negative intensity
         outside = (pts[:, 0] < 0) | (pts[:, 1] < 0)
-        assert np.all(vals[outside] == 0)
+        assert np.all(logs[outside] == -np.inf)
 
     def test_log_survives_underflow(self):
-        g = GaussianMixtureIntensity.single(1.0, (1.0, 1.0), 0.01)
+        g = GaussianMixtureIntensity([1.0], [(1.0, 1.0)], [0.01])
         far = (400.0, 400.0)
-        assert eval_intensity(g, far) == 0.0  # linear evaluation underflows
+        assert np.exp(log_eval_intensity(g, far)) == 0.0  # linear evaluation underflows
         assert np.isfinite(log_eval_intensity(g, far))
-
-    def test_past_the_float_range_is_plus_inf_quietly(self):
-        # a finite log peak of about 713.3, past log(max float): exp overflowed with a warning
-        g = GaussianMixtureIntensity.single(1e308, (0.0, 0.0), 0.01)
+        # a finite log peak of about 713.3, past log(max float), where the linear value overflows
+        g = GaussianMixtureIntensity([1e308], [(0.0, 0.0)], [0.01])
         assert 709.8 < log_eval_intensity(g, (0.0, 0.0)) < np.inf
-        assert eval_intensity(g, (0.0, 0.0)) == np.inf
 
 
 def oracle_log_intensity(g, pts):
@@ -178,8 +173,6 @@ class TestLogKernelOracle:
             pts = rng.uniform(0, 8, (60, 2))
             assert np.allclose(log_eval_intensity(g, pts), oracle_log_intensity(g, pts),
                                rtol=0, atol=1e-12)
-            assert np.allclose(eval_intensity(g, pts), np.exp(oracle_log_intensity(g, pts)),
-                               rtol=1e-12, atol=0)
 
     def test_far_outside_the_support(self):
         g = GaussianMixtureIntensity([1.0, 2.0], [[1.0, 1.0], [2.0, 0.5]], [0.01, 0.02])
@@ -187,14 +180,14 @@ class TestLogKernelOracle:
         got = log_eval_intensity(g, far)
         assert np.all(np.isfinite(got))
         assert np.allclose(got, oracle_log_intensity(g, far), rtol=1e-12, atol=0)
-        assert np.all(eval_intensity(g, far) == 0.0)
+        assert np.all(np.exp(got) == 0.0)  # linear evaluation underflows
 
     def test_at_a_mean_with_large_coordinates(self, rng):
         # |x|^2 ~ 1e8 here, so the expanded distance is off by ~1e-8 and may
         # come out negative; clamped, no term can exceed its value at the mean
         means = rng.uniform(1e3, 1e4, (40, 2))
         for mean in means:
-            g = GaussianMixtureIntensity.single(1.5, mean, 0.5)
+            g = GaussianMixtureIntensity([1.5], [mean], [0.5])
             got = log_eval_intensity(g, mean)
             want = float(oracle_log_intensity(g, mean)[0])
             assert got <= want + 1e-13
@@ -208,7 +201,6 @@ class TestLogKernelOracle:
         assert np.all(np.isfinite(got[:3]))
         assert np.allclose(got[:3], want[:3], rtol=0, atol=1e-12)
         assert np.all(got[3:] == -np.inf) and np.all(want[3:] == -np.inf)
-        assert np.all(eval_intensity(g, pts[3:]) == 0.0)
 
     def test_empty_mixture(self):
         g = GaussianMixtureIntensity([], [], [])
@@ -216,7 +208,6 @@ class TestLogKernelOracle:
         assert log_eval_intensity(g, pts).shape == (3, 4)
         assert np.all(log_eval_intensity(g, pts) == -np.inf)
         assert np.all(oracle_log_intensity(g, pts) == -np.inf)
-        assert np.all(eval_intensity(g, pts) == 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_empty_mixture_scores_minus_inf_everywhere(self):
@@ -237,8 +228,6 @@ class TestLogKernelOracle:
         for bad in ([1.0, 2.0, 3.0, 4.0], np.ones((3, 3)), np.ones((0,)), 1.0, np.ones((2, 1))):
             with pytest.raises(ValidationError, match="shape"):
                 log_eval_intensity(g, bad)
-            with pytest.raises(ValidationError, match="shape"):
-                eval_intensity(g, bad)
 
     @pytest.mark.parametrize("n_points", [5, 6, 7, 12, 13, 19])
     def test_point_counts_straddling_a_chunk(self, rng, monkeypatch, n_points):
@@ -309,10 +298,9 @@ class TestFarRows:
         assert got == pytest.approx(-(1.3e154 - 3.0) ** 2 / 40.0, rel=1e-12)
 
     def test_a_row_whose_every_term_is_minus_inf(self):
-        narrow = GaussianMixtureIntensity.single(1.0, (1.0, 2.0), 0.2)
+        narrow = GaussianMixtureIntensity([1.0], [(1.0, 2.0)], [0.2])
         got = log_eval_intensity(narrow, np.array([[1.0, 1.3e154], [1e154, 1e154]]))
         assert got.tolist() == [-np.inf, -np.inf]
-        assert eval_intensity(narrow, (1.0, 1.3e154)) == 0.0
 
     @pytest.mark.parametrize("chunk", [2 ** 18, 4, 6])  # 2 and 3 rows a chunk
     def test_other_rows_keep_their_bytes(self, rng, monkeypatch, chunk):
@@ -326,7 +314,7 @@ class TestFarRows:
 
     def test_a_row_whose_product_overflows_and_whose_term_does_not(self):
         # -|x|^2 / (2 var) is below -1.8e308 here, and -|x - mu|^2 / (2 var) is -4.2e305
-        g = GaussianMixtureIntensity.single(1.0, (1e150, 1.0), 3e-9)
+        g = GaussianMixtureIntensity([1.0], [(1e150, 1.0)], [3e-9])
         want = g._log_kernel_constants[1][0] - (1.05e150 - 1e150) ** 2 / 6e-9
         assert log_eval_intensity(g, (1.05e150, 1.0)) == pytest.approx(want, rel=1e-12)
 
@@ -342,11 +330,10 @@ def test_scoring_memory_is_bounded():
     tracemalloc.start()
     try:
         logs = log_eval_intensity(g, pts)
-        vals = eval_intensity(g, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.all(np.isfinite(logs)) and np.all(vals > 0)
+    assert np.all(np.isfinite(logs)) and np.all(np.exp(logs) > 0)
     assert peak < 1.25 * 2 * k * 8
 
 
@@ -355,7 +342,7 @@ def test_one_component_scoring_memory_is_bounded():
     # array; b^2 + p^2 alone bounds a row's terms, so no (rows, 4) table of absolute values is
     # made beside the row table
     rng = np.random.default_rng(9)
-    g = GaussianMixtureIntensity.single(2.0, (1.0, 2.0), 0.5)
+    g = GaussianMixtureIntensity([2.0], [(1.0, 2.0)], [0.5])
     pts = rng.uniform(0, 6, (120_000, 2))
     tracemalloc.start()
     try:
@@ -503,7 +490,7 @@ class TestTotalMass:
 
 class TestIntensityGrid:
     def test_peak_cell_is_one(self):
-        g = GaussianMixtureIntensity.single(3.0, (2.0, 2.0), 0.5)
+        g = GaussianMixtureIntensity([3.0], [(2.0, 2.0)], [0.5])
         grid = intensity_grid(g, (0, 0, 4, 4), (33, 33))
         assert grid.max() == 1.0
 
@@ -512,7 +499,7 @@ class TestIntensityGrid:
         assert np.all(grid == 0)
 
     def test_argmax_cell_near_mean(self):
-        g = GaussianMixtureIntensity.single(1.0, (1.5, 2.5), 0.3)
+        g = GaussianMixtureIntensity([1.0], [(1.5, 2.5)], [0.3])
         nb = npts = 41
         grid = intensity_grid(g, (0, 0, 4, 4), (nb, npts))
         i, j = np.unravel_index(np.argmax(grid), grid.shape)
@@ -523,7 +510,7 @@ class TestIntensityGrid:
         assert abs(p_axis[j] - 2.5) <= cell
 
     def test_degenerate_bounds_rejected(self):
-        g = GaussianMixtureIntensity.single(1.0, (1, 1), 1.0)
+        g = GaussianMixtureIntensity([1.0], [(1, 1)], [1.0])
         with pytest.raises(ValidationError):
             intensity_grid(g, (0, 0, 0, 4), (16, 16))
         with pytest.raises(ValidationError):
@@ -537,7 +524,7 @@ class TestIntensityGrid:
     def test_a_peak_past_the_float_range_is_scaled(self):
         # a log peak of about 713, past log(max float): the grid was refused, where a linear
         # scaling by inf / inf would have made it NaN
-        g = GaussianMixtureIntensity.single(1e308, (0.0, 0.0), 0.01)
+        g = GaussianMixtureIntensity([1e308], [(0.0, 0.0)], [0.01])
         grid = intensity_grid(g, (0, 0, 1, 1), (2, 2))
         logs = log_eval_intensity(g, [[[0, 0], [0, 1]], [[1, 0], [1, 1]]])
         assert np.all(np.isfinite(grid)) and grid[0, 0] == grid.max() == 1.0
@@ -546,12 +533,12 @@ class TestIntensityGrid:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_field_that_underflows_is_scaled_not_zero(self):
         # the intensity underflows on every cell, and the linear grid was all zeros
-        g = GaussianMixtureIntensity.single(1.0, (10.0, 10.0), 0.01)
+        g = GaussianMixtureIntensity([1.0], [(10.0, 10.0)], [0.01])
         axis = np.linspace(0, 1, 3)
         cells = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        assert np.all(eval_intensity(g, cells) == 0)
-        grid = intensity_grid(g, (0, 0, 1, 1), (3, 3))
         logs = log_eval_intensity(g, cells)
+        assert np.all(np.exp(logs) == 0)
+        grid = intensity_grid(g, (0, 0, 1, 1), (3, 3))
         assert grid[2, 2] == grid.max() == 1.0
         # the peak's neighbours, (0.5, 1) and (1, 0.5), are exp(-9.25 / 0.02) = 1.38e-201
         assert grid[1, 2] == grid[2, 1] == pytest.approx(1.38e-201, rel=1e-2)
@@ -581,7 +568,7 @@ class TestMixtureType:
     def test_rejects_component_whose_log_kernel_overflows(self, mean, var):
         # each scored NaN at every point when the mixture accepted it
         with pytest.raises(ValidationError, match="log kernel"):
-            GaussianMixtureIntensity.single(1.0, mean, var)
+            GaussianMixtureIntensity([1.0], [mean], [var])
 
     def test_json_roundtrip(self, rng):
         g = random_mixture(rng)

@@ -13,8 +13,9 @@ from topobayes import (
     PersistenceDiagram,
     PosteriorConfig,
     ValidationError,
+    default_clutter,
     default_prior,
-    eval_intensity,
+    log_eval_intensity,
     posterior_intensity,
     total_mass,
 )
@@ -23,7 +24,7 @@ from oracles import concatenated_posterior, dense_posterior, posterior_quadratur
 
 
 def tiny_clutter():
-    return GaussianMixtureIntensity.single(1e-12, (3.0, 3.0), 20.0)
+    return GaussianMixtureIntensity([1e-12], [(3.0, 3.0)], [20.0])
 
 
 def diagram(*points):
@@ -35,6 +36,16 @@ def components_multiset(g):
         (round(w, 12), round(m[0], 12), round(m[1], 12), round(v, 12))
         for w, m, v in zip(g.weights, g.means, g.variances)
     )
+
+
+@pytest.mark.parametrize("make, weight", [(default_prior, 1.0), (default_clutter, 0.1)])
+def test_default_mixtures_are_pinned(make, weight):
+    # every model file is fitted with these two: each array's dtype, shape and bytes
+    g = make()
+    for got, want in ((g.weights, [weight]), (g.means, [[3.0, 3.0]]), (g.variances, [20.0])):
+        want = np.array(want, dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPosteriorIdentities:
@@ -61,7 +72,7 @@ class TestPosteriorIdentities:
         # one feature at (5,5), certain observation at (6,6), no clutter:
         # the posterior is dominated by one component at the precision-
         # weighted midpoint, up to wedge-boundary corrections
-        prior = GaussianMixtureIntensity.single(1.0, (5.0, 5.0), 1.0)
+        prior = GaussianMixtureIntensity([1.0], [(5.0, 5.0)], [1.0])
         cfg = PosteriorConfig(alpha=1.0, sigma_obs=1.0, clutter=tiny_clutter())
         post = posterior_intensity(prior, [diagram((6.0, 6.0))], cfg)
         j = int(np.argmax(post.weights))
@@ -79,7 +90,8 @@ class TestPosteriorStructure:
         post = posterior_intensity(prior, [diagram((2.5, 2.5), (4.0, 4.0))], cfg)
         pts = rng.uniform(0, 8, (100, 2))
         assert np.all(
-            eval_intensity(post, pts) >= (1 - 0.6) * eval_intensity(prior, pts) - 1e-15
+            np.exp(log_eval_intensity(post, pts))
+            >= (1 - 0.6) * np.exp(log_eval_intensity(prior, pts)) - 1e-15
         )
 
     def test_total_mass_bound(self, rng):
@@ -121,11 +133,11 @@ class TestPosteriorStructure:
         assert components_multiset(a) == components_multiset(b)
 
     def test_clutter_damps_every_update_weight(self):
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 1.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [1.0])
         obs = [diagram((3.5, 3.5))]
 
         def update_weights(clutter_w):
-            clutter = GaussianMixtureIntensity.single(clutter_w, (3.0, 3.0), 20.0)
+            clutter = GaussianMixtureIntensity([clutter_w], [(3.0, 3.0)], [20.0])
             cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5, clutter=clutter)
             post = posterior_intensity(prior, obs, cfg)
             return post.weights[1:]  # group (ii) weights
@@ -147,20 +159,20 @@ class TestPosteriorStructure:
 
     def test_component_cap(self, monkeypatch):
         monkeypatch.setattr(posterior, "_MAX_COMPONENTS", 5)
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.3)
         obs = [diagram(*[(1.0 + 0.1 * i, 1.0 + 0.05 * i) for i in range(20)])]
         post = posterior_intensity(prior, obs, cfg)
         assert post.n_components == 5
 
     def test_rejects_no_observations(self):
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
         with pytest.raises(ValidationError):
             posterior_intensity(prior, [], cfg)
 
     def test_rejects_points_outside_wedge(self):
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
         fake = SimpleNamespace(points=np.array([[-1.0, 2.0]]))
         with pytest.raises(ValidationError):
@@ -168,7 +180,7 @@ class TestPosteriorStructure:
 
     def test_rejects_points_that_are_not_pairs(self):
         # a (2, 3) array of points was regrouped into 3 observed points
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
         fake = SimpleNamespace(points=np.arange(6.0).reshape(2, 3))
         with pytest.raises(ValidationError, match=r"^observed points must have shape \(n, 2\)$"):
@@ -196,7 +208,7 @@ class TestPosteriorStructure:
     ])
     def test_an_update_that_overflows_is_rejected(self, mean, var, point, sigma_obs):
         # var * sigma_obs overflowed v_post: it warned and returned the (1 - alpha) prior alone
-        prior = GaussianMixtureIntensity.single(1.0, mean, var)
+        prior = GaussianMixtureIntensity([1.0], [mean], [var])
         with pytest.raises(ValidationError, match="overflow"):
             posterior_intensity(prior, [diagram(point)], PosteriorConfig(0.7, sigma_obs))
 
@@ -216,7 +228,7 @@ class TestFarPoints:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("weight", [1.0, 10.0])  # 10: scale finite, scale * c not
     def test_far_point_weighs_one_over_m(self, m, weight):
-        prior = GaussianMixtureIntensity.single(weight, (3.0, 3.0), 1.0)
+        prior = GaussianMixtureIntensity([weight], [(3.0, 3.0)], [1.0])
         obs = [diagram((3.0, 3.0), (32.5, 32.5))] + [diagram((3.0, 3.0))] * (m - 1)
         post = self.update(prior, obs)
         assert post.n_components == 2 + m and np.all(np.isfinite(post.weights))
@@ -226,12 +238,12 @@ class TestFarPoints:
 
     def test_point_too_far_for_its_squared_distance_gets_no_weight(self):
         # ((y - mu) ** 2).sum() overflowed and warned; the pair's q is 0, its limit
-        prior = GaussianMixtureIntensity.single(1.0, (1.3e154, 0.0), 1.0)
+        prior = GaussianMixtureIntensity([1.0], [(1.3e154, 0.0)], [1.0])
         post = self.update(prior, [diagram((0.0, 1.3e154))])
         assert post.weights.tolist() == [pytest.approx(0.3)] and np.all(np.isfinite(post.means))
 
     def test_other_components_keep_their_bytes(self):
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 1.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [1.0])
         near = self.update(prior, [diagram((3.0, 3.0), (4.0, 2.0))])
         both = self.update(prior, [diagram((3.0, 3.0), (4.0, 2.0), (32.5, 32.5))])
         assert both.weights[:3].tobytes() == near.weights.tobytes()
@@ -248,7 +260,7 @@ class TestQuadratureOracle:
         grid = posterior_quadrature(prior, [diagram((2.0, 2.0))], cfg, bounds, res)
         b_axis, p_axis = quadrature_nodes(bounds, res)
         X = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
-        assert np.array_equal(grid, eval_intensity(prior, X))
+        assert np.array_equal(grid, np.exp(log_eval_intensity(prior, X)))
 
     def test_closed_form_matches_quadrature(self):
         # the oracle contract: direct numerical evaluation of the posterior
@@ -263,22 +275,22 @@ class TestQuadratureOracle:
         post = posterior_intensity(prior, obs, cfg)
         b_axis, p_axis = quadrature_nodes(bounds, res)
         X = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
-        closed = eval_intensity(post, X)
+        closed = np.exp(log_eval_intensity(post, X))
         rel = np.abs(closed - grid).max() / np.abs(grid).max()
         assert rel < 1e-3
 
     def test_growing_clutter_shrinks_update_term(self):
-        prior = GaussianMixtureIntensity.single(1.0, (4.0, 4.0), 1.0)
+        prior = GaussianMixtureIntensity([1.0], [(4.0, 4.0)], [1.0])
         obs = [diagram((4.2, 4.2))]
         bounds, res = (0, 0, 9, 9), 48
         b_axis, p_axis = quadrature_nodes(bounds, res)
         X = np.stack(np.meshgrid(b_axis, p_axis, indexing="ij"), axis=-1)
 
         def update_part(clutter_w):
-            clutter = GaussianMixtureIntensity.single(clutter_w, (4.0, 4.0), 10.0)
+            clutter = GaussianMixtureIntensity([clutter_w], [(4.0, 4.0)], [10.0])
             cfg = PosteriorConfig(alpha=0.7, sigma_obs=0.5, clutter=clutter)
             grid = posterior_quadrature(prior, obs, cfg, bounds, res)
-            return grid - (1 - 0.7) * eval_intensity(prior, X)
+            return grid - (1 - 0.7) * np.exp(log_eval_intensity(prior, X))
 
         small = update_part(0.05)
         large = update_part(0.5)
@@ -291,7 +303,7 @@ class TestQuadratureOracle:
                 quadrature_nodes((0, 0, 5, 5), res)
 
     def test_coarse_grid_rejected(self):
-        prior = GaussianMixtureIntensity.single(1.0, (3.0, 3.0), 20.0)
+        prior = GaussianMixtureIntensity([1.0], [(3.0, 3.0)], [20.0])
         cfg = PosteriorConfig(alpha=0.5, sigma_obs=1.0)
         with pytest.raises(ValidationError):
             posterior_quadrature(prior, [diagram((1.0, 1.0))], cfg, (0, 0, 5, 5), 16)

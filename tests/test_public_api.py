@@ -33,7 +33,6 @@ from topobayes import (
     default_clutter,
     default_prior,
     diagram_log_density,
-    eval_intensity,
     generate_band_signal,
     intensity_grid,
     log_bayes_factor,
@@ -74,15 +73,6 @@ def dataset(diagrams, k_folds):
 
 def _is_float(x):
     return type(x) is float
-
-
-def _check_wedge_map(result, x, empty):
-    """log_eval_intensity's documented values at the points x, an array of shape (..., 2)."""
-    assert result.shape == x.shape[:-1]
-    outside = (x[..., 0] < 0) | (x[..., 1] < 0)
-    nan = np.isnan(x).any(axis=-1) & ~outside & ~empty
-    assert np.array_equal(np.isnan(result), nan)
-    assert np.all(result[outside] == -INF) and not np.any(result == INF)
 
 
 # name -> (strategy of the raw arguments, the call on them that checks what it returns)
@@ -164,17 +154,12 @@ def call_untilt(d):
 @calls(_MIXTURE, _PAIRS)
 def call_log_eval_intensity(g, x):
     g, x = mixture(*g), np.array(x, dtype=float).reshape(-1, 2)
-    _check_wedge_map(log_eval_intensity(g, x), x, g.n_components == 0)
-
-
-@calls(_MIXTURE, _PAIRS)
-def call_eval_intensity(g, x):
-    g, x = mixture(*g), np.array(x, dtype=float).reshape(-1, 2)
-    values = eval_intensity(g, x)
-    # +inf is the float limit of a log intensity past log(max float), about 709.78
-    assert np.all(log_eval_intensity(g, x)[values == INF] > 709.0)
-    with np.errstate(divide="ignore"):  # log 0 is the -inf that eval_intensity's 0 stands for
-        _check_wedge_map(np.log(np.minimum(values, np.finfo(float).max)), x, g.n_components == 0)
+    result = log_eval_intensity(g, x)
+    assert result.shape == x.shape[:-1]
+    outside = (x[..., 0] < 0) | (x[..., 1] < 0)
+    nan = np.isnan(x).any(axis=-1) & ~outside & (g.n_components > 0)
+    assert np.array_equal(np.isnan(result), nan)
+    assert np.all(result[outside] == -INF) and not np.any(result == INF)
 
 
 @calls(_MIXTURE, st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), st.tuples(_NUMBER, _NUMBER))
@@ -240,9 +225,9 @@ def test_every_exported_function_is_called():
 @example(("add_noise", ([0, INF, 2], 0, 2)))  # its noise was inf - inf
 @example(("add_noise", ([NAN, 2], 0, 0)))  # NaN samples came back
 @example(("add_noise", ([], 0, 0)))  # np.mean's "Mean of empty slice"
-# a sum of three log intensities of about -8.5e307, and a log intensity of about 713, past 709.78
+# a sum of three log intensities of about -8.5e307, and a grid whose log peak is about 713, past
+# log(max float), 709.78
 @example(("diagram_log_density", (([(1.3e154, 0)] * 3, 0), ([1.0], [(0, 0)], [1.0]))))
-@example(("eval_intensity", (([1e308], [(0, 0)], [0.01]), [(0, 0)])))
 @example(("intensity_grid", (([1e308], [(0, 0)], [0.01]), (0, 0, 1, 1), (2, 2))))
 @example(("sublevel_pd", ([[1.0, 1.0, 1.0]] * 3,)))
 @example(("tilt", ([],)))

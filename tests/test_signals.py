@@ -63,6 +63,16 @@ class TestGenerateBandSignal:
         with pytest.raises(ValidationError):
             generate_band_signal((0.0, 8.0), 2.0, 256.0, seed=0)
 
+    def test_identically_zero_draw_rejected(self, monkeypatch):
+        # no seed is known to draw such a signal, so a generator that draws only zeros stands in
+        class Zeros:
+            def uniform(self, low, high, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr("topobayes.signals.seeded_rng", lambda seed: Zeros())
+        with pytest.raises(ValidationError, match="generated signal is identically zero"):
+            generate_band_signal(ALPHA_BAND, 2.0, 256.0, seed=0)
+
 
 class TestGenerateBandSignalOracle:
     """generate_band_signal against tests/oracles.py's generator of the BandSpec dataclass, which
