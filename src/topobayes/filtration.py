@@ -58,12 +58,12 @@ class PersistenceDiagram:
 def sublevel_pd(signal) -> np.ndarray:
     """Persistence pairs of the sublevel-set filtration of a sampled signal.
 
-    Accepts a Signal or any 1-D value sequence. Returns an (n, 2) float array
-    of (birth, death) pairs, one per local minimum of the piecewise-linear
-    interpolation, the global minimum being paired with the global maximum.
-    Pairs are sorted by (birth, death). Runs in O(n) plus the final sort, via
-    a stack over the alternating local extrema; of equal values the later
-    vertex is the younger. This is the one check of samples: 1-D, at least 2, all finite.
+    Accepts a Signal or any 1-D value sequence. Returns an (n, 2) float array of (birth, death)
+    pairs, one per local minimum of the piecewise-linear interpolation, the global minimum being
+    paired with the global maximum. Pairs are sorted by (birth, death) in one stable sort of their
+    complex view, which numpy orders by (real, imag). Runs in O(n) plus that sort, via a stack over
+    the alternating local extrema; of equal values the later vertex is the younger. This is the
+    one check of samples: 1-D, at least 2, all finite.
     """
     values = np.asarray(getattr(signal, "samples", signal), dtype=float)
     if values.ndim != 1:
@@ -101,8 +101,8 @@ def sublevel_pd(signal) -> np.ndarray:
         b, c = c, M
     flat += float(w.min()), float(w.max())  # essential component
 
-    arr = np.array(flat).reshape(-1, 2)  # one flat list builds faster than a list of pairs
-    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    arr = np.fromiter(flat, float, len(flat)).reshape(-1, 2)  # one flat list builds fastest
+    return arr[np.argsort(arr.view(complex)[:, 0], kind="stable")]
 
 
 def tilt(pairs) -> PersistenceDiagram:
@@ -130,46 +130,51 @@ def untilt(diagram: PersistenceDiagram) -> np.ndarray:
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Bottleneck distance, computed in (birth, death) coordinates.
 
-    Points may be matched to each other at their l-infinity distance or left
-    unmatched and charged their l-infinity distance to the diagonal,
-    (death - birth) / 2. Symmetric; zero for equal multisets (and for
-    diagrams that differ only in zero-persistence points, which sit on the
-    diagonal). Solved exactly as the smallest feasible candidate value, each test
-    a bipartite matching (Hopcroft-Karp) of the points the diagonal does not take:
-    a lower bound is tested first, then a bisection over the usable candidates
-    above it. Peak memory is about 16 B per pair of points: n x m distances, one temporary.
+    Points may be matched to each other at their l-infinity distance or left unmatched and
+    charged their l-infinity distance to the diagonal, (death - birth) / 2. Symmetric; zero for
+    equal multisets (and for diagrams that differ only in zero-persistence points, which sit on
+    the diagonal). Solved exactly as the smallest feasible candidate value, each test a bipartite
+    matching (Hopcroft-Karp) of one side's points that the diagonal does not take. A lower bound
+    is tested on both sides first. Only the sides short there are then bisected over the usable
+    candidates above it: first the one with more points unmatched, most often the one with the
+    larger least value, and then the other above that answer if it is still short there. Peak
+    memory is about 16 B per pair of points: n x m distances, one temporary.
     """
     A, B = untilt(d1), untilt(d2)
     diag_a = (A[:, 1] - A[:, 0]) / 2.0
     diag_b = (B[:, 1] - B[:, 0]) / 2.0
-    direct = np.abs(np.subtract.outer(A[:, 0], B[:, 0]))
-    gap = np.subtract.outer(A[:, 1], B[:, 1])
-    np.maximum(direct, np.abs(gap, out=gap), out=direct)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf, its float limit
+        direct = np.abs(np.subtract.outer(A[:, 0], B[:, 0]))
+        gap = np.subtract.outer(A[:, 1], B[:, 1])
+        np.maximum(direct, np.abs(gap, out=gap), out=direct)
     del gap  # built in place, so at most two n x m float arrays exist at once
 
-    def feasible(t):
-        # a matching saturating both sides exists iff each side can be saturated on its own
-        # (Mendelsohn-Dulmage); a point that the diagonal takes at t needs no match
-        return _saturates(direct[diag_a > t] <= t) and _saturates((direct[:, diag_b > t] <= t).T)
-
+    # both sides can be saturated at once iff each can on its own (Mendelsohn-Dulmage), so the
+    # answer is the larger of their least values; a point the diagonal takes at t needs no match
+    sides = (lambda t: -_unmatched(direct[diag_a > t] <= t),  # rises to 0 as t grows
+             lambda t: -_unmatched((direct[:, diag_b > t] <= t).T))
     # every point is matched, at no less than its nearest distance across, or sent to the
     # diagonal, so the largest of each point's smaller cost is a lower bound and a candidate
     low = max(np.minimum(diag_a, direct.min(axis=1, initial=np.inf)).max(initial=0.0),
               np.minimum(diag_b, direct.min(axis=0, initial=np.inf)).max(initial=0.0))
-    if feasible(low):
+    short = [side(low) for side in sides]
+    if not any(short):
         return float(low)
     # a test sees only edges from points whose diagonal cost exceeds t, so the least feasible
     # t is a diagonal cost or an edge within one end's; the largest, a diagonal cost, is untested
     candidates = direct[((direct <= diag_a[:, None]) | (direct <= diag_b)) & (direct > low)]
     candidates = np.concatenate([candidates, diag_a[diag_a > low], diag_b[diag_b > low]])
     candidates.sort()  # in place, and repeats left in: neither changes the least feasible value
-    i = bisect.bisect_left(candidates, True, hi=len(candidates) - 1, key=feasible)
+    i = -1  # low, where each short side fails
+    for k in sorted((0, 1), key=short.__getitem__):  # most rows unmatched first
+        if short[k] and (i < 0 or sides[k](candidates[i])):
+            i = bisect.bisect_left(candidates, 0, i + 1, len(candidates) - 1, key=sides[k])
     return float(candidates[i])
 
 
-def _saturates(sub: np.ndarray) -> bool:
-    """Can every row of the boolean matrix sub be matched to a distinct column? Its CSR graph
-    is built from the flat indices of sub's True entries, which run row by row."""
+def _unmatched(sub: np.ndarray) -> int:
+    """Rows of the boolean matrix sub that a maximum matching to distinct columns leaves unmatched:
+    0 when all are. Its CSR graph is built from sub's True entries' flat indices, row by row."""
     # imported here: csgraph adds ~0.1 s and ~10 MB to `import topobayes`, and only this needs it
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -177,4 +182,4 @@ def _saturates(sub: np.ndarray) -> bool:
     edges = np.flatnonzero(sub)
     indptr = np.searchsorted(edges, np.arange(len(sub) + 1) * sub.shape[1])
     graph = csr_matrix((np.ones(len(edges), bool), edges % sub.shape[1], indptr), sub.shape)
-    return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
+    return int(np.count_nonzero(maximum_bipartite_matching(graph, perm_type="column") < 0))

@@ -133,7 +133,10 @@ class TestSweepOracle:
         np.array([(-1.0) ** i * i for i in range(4000)])[::-1],
         # a recording as long as the diagrams benchmark's, 200 s at 256 Hz
         add_noise(generate_band_signal(ALPHA_BAND, 200.0, 256.0, 0), 5.0, 1).samples,
-    ], ids=["growing", "shrinking", "recording"])
+        # 200 pairs that tie at (0, 1), their births -0.0 or 0.0: only a stable sort keeps the
+        # order in which the stack emits them, as the oracle's does
+        np.array([v for i in range(200) for v in (-0.0 if i % 3 else 0.0, 1.0)]),
+    ], ids=["growing", "shrinking", "recording", "signed_zero_ties"])
     def test_deep_stacks_match_the_oracle_byte_for_byte(self, x):
         got, want = sublevel_pd(x), oracles.sublevel_pd(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -249,6 +252,14 @@ class TestBottleneck:
         assert dist == bottleneck_distance(d2, d1)
         assert dist <= gap + 1e-12
 
+    def test_distances_past_the_float_range_are_quiet(self):
+        # every distance across is inf and every point sits on the diagonal: the answer is 0,
+        # and the inf distances, the float limit, raise no overflow warning
+        d1 = PersistenceDiagram([[0.0, 1.0], [2.0, 3.0]], 1.7e308)
+        d2 = PersistenceDiagram([[0.0, 1.0]], -1.7e308)
+        want = brute_bottleneck(untilt(d1).tolist(), untilt(d2).tolist())  # floats overflow quietly
+        assert bottleneck_distance(d1, d2) == bottleneck_distance(d2, d1) == want == 0.0
+
 
 def _lower_bound(A, B):
     """The largest, over both sides' points, of the smaller of its diagonal cost and its nearest
@@ -269,6 +280,26 @@ def _random_pairs(family, n, rng):
     return np.column_stack([b, b + p])
 
 
+def _recording_pair(kind, seed):
+    """Diagrams of two 4 s recordings at 256 Hz and 5 dB, as the diagrams benchmark pairs them:
+    a recording and its copy moved by less than 0.1 per sample, or an alpha and a beta one."""
+    rng = np.random.default_rng([2026, seed, kind == "perturbed"])
+
+    def recording(band):
+        sig = generate_band_signal(band, 4.0, 256.0, int(rng.integers(2**62)))
+        return add_noise(sig, 5.0, int(rng.integers(2**62))).samples
+
+    if kind == "perturbed":
+        a = recording((ALPHA_BAND, BETA_BAND)[seed % 2])
+        b = a + rng.uniform(-0.1, 0.1, len(a))
+    else:
+        a, b = recording(ALPHA_BAND), recording(BETA_BAND)
+    return tilt(sublevel_pd(a)), tilt(sublevel_pd(b))
+
+
+_RECORDING_PAIRS = [*(("perturbed", s) for s in range(4)), *(("alpha-beta", s) for s in range(4))]
+
+
 class TestBisectionOracle:
     """bottleneck_distance against tests/oracles.py's plain bisection over every candidate, each
     test's graph a dense csr_matrix: the same float, byte for byte."""
@@ -285,40 +316,59 @@ class TestBisectionOracle:
 
     # 4 s at 256 Hz and 5 dB, the diagrams benchmark's pairs: about 300 points a side, where the
     # candidate filter and the tests of only the rows that must be matched cut the most
-    @pytest.mark.parametrize("kind, seed", [
-        *(("perturbed", seed) for seed in range(4)), *(("alpha-beta", seed) for seed in range(4)),
-    ])
+    @pytest.mark.parametrize("kind, seed", _RECORDING_PAIRS)
     def test_recording_pairs_match_the_oracle_byte_for_byte(self, kind, seed):
-        rng = np.random.default_rng([2026, seed, kind == "perturbed"])
-
-        def recording(band):
-            sig = generate_band_signal(band, 4.0, 256.0, int(rng.integers(2**62)))
-            return add_noise(sig, 5.0, int(rng.integers(2**62))).samples
-
-        if kind == "perturbed":  # a recording and its copy moved by less than 0.1 per sample
-            a = recording((ALPHA_BAND, BETA_BAND)[seed % 2])
-            b = a + rng.uniform(-0.1, 0.1, len(a))
-        else:
-            a, b = recording(ALPHA_BAND), recording(BETA_BAND)
-        d1, d2 = tilt(sublevel_pd(a)), tilt(sublevel_pd(b))
+        d1, d2 = _recording_pair(kind, seed)
         assert min(len(d1), len(d2)) > 200
         for x, y in ((d1, d2), (d2, d1)):
             got, want = bottleneck_distance(x, y), oracles.bottleneck_distance(x, y)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.parametrize("A, B, at_bound", [
-        # the perturbed point's nearest match is its distance: the bound passes its one test
-        ([(0.0, 2.0), (1.0, 1.5)], [(0.0, 2.1), (1.0, 1.5)], True),
-        # both points' nearest match is the one point across, so one goes to the diagonal at 5:
-        # the bound 0 fails, and the bisection runs above it
-        ([(0.0, 10.0), (0.0, 10.0)], [(0.0, 10.0)], False),
-    ], ids=["distance_is_the_bound", "distance_above_the_bound"])
-    def test_both_branches(self, A, B, at_bound):
-        got = bottleneck_distance(tilt(A), tilt(B))
-        assert got == oracles.bottleneck_distance(tilt(A), tilt(B))
-        assert got == pytest.approx(brute_bottleneck(A, B), abs=1e-12)
-        assert (got == _lower_bound(A, B)) is at_bound
-        assert got >= _lower_bound(A, B)
+    @pytest.mark.parametrize("kind, seed", _RECORDING_PAIRS)
+    def test_recording_pairs_need_few_matchings(self, kind, seed, monkeypatch):
+        # the two tests at the bound, then one bisection over at most n m + n + m candidates; a
+        # second short side is tested at the first side's answer and most often saturates there
+        unmatched = filtration._unmatched
+        tests = []
+        monkeypatch.setattr(filtration, "_unmatched", lambda sub: tests.append(1) or unmatched(sub))
+        d1, d2 = _recording_pair(kind, seed)
+        n, m = len(d1), len(d2)
+        for x, y in ((d1, d2), (d2, d1)):
+            tests.clear()
+            bottleneck_distance(x, y)
+            assert 2 <= len(tests) <= 2 + np.ceil(np.log2(n * m + n + m)), len(tests)
+
+    @pytest.mark.parametrize("A, B, short", [
+        # the perturbed point's nearest match is its distance: the bound passes its two tests
+        ([(0.0, 2.0), (1.0, 1.5)], [(0.0, 2.1), (1.0, 1.5)], (0, 0)),
+        # both of A's points' nearest match is B's one point, so one goes to the diagonal at 5:
+        # the bound 0 leaves one of A's points unmatched, and only A is bisected above it
+        ([(0.0, 10.0), (0.0, 10.0)], [(0.0, 10.0)], (1, 0)),
+        ([(0.0, 10.0)], [(0.0, 10.0), (0.0, 10.0)], (0, 1)),
+        # each side has a twin whose one match across is taken at the bound 0; A's twins reach
+        # the diagonal at 5 and B's at 2 (then the reverse), so each side is short by one there
+        ([(0.0, 10.0), (0.0, 10.0), (20.0, 24.0)], [(0.0, 10.0), (20.0, 24.0), (20.0, 24.0)],
+         (1, 1)),
+        ([(0.0, 4.0), (0.0, 4.0), (20.0, 30.0)], [(0.0, 4.0), (20.0, 30.0), (20.0, 30.0)],
+         (1, 1)),
+    ], ids=["distance_is_the_bound", "only_a_short", "only_b_short", "both_short_a_larger",
+            "both_short_b_larger"])
+    def test_both_branches(self, A, B, short, monkeypatch):
+        unmatched, tests = filtration._unmatched, []
+
+        def recorded(sub):
+            tests.append(unmatched(sub))
+            return tests[-1]
+
+        monkeypatch.setattr(filtration, "_unmatched", recorded)
+        for P, Q, short_here in ((A, B, short), (B, A, short[::-1])):
+            tests.clear()
+            got = bottleneck_distance(tilt(P), tilt(Q))
+            assert tuple(tests[:2]) == short_here  # each side's unmatched rows at the bound
+            assert got == oracles.bottleneck_distance(tilt(P), tilt(Q))
+            assert got == pytest.approx(brute_bottleneck(P, Q), abs=1e-12)
+            assert (got == _lower_bound(P, Q)) is (short == (0, 0))
+            assert got >= _lower_bound(P, Q)
 
     @pytest.mark.parametrize("perturbed", [True, False], ids=["at_the_bound", "bisected"])
     def test_peak_memory_per_pair_of_points(self, perturbed, monkeypatch):
@@ -329,8 +379,8 @@ class TestBisectionOracle:
         y = x + rng.uniform(-0.1, 0.1, 3000) if perturbed else rng.standard_normal(3000)
         d1, d2 = tilt(sublevel_pd(x)), tilt(sublevel_pd(y))
         tests = []
-        saturates = filtration._saturates
-        monkeypatch.setattr(filtration, "_saturates", lambda sub: tests.append(1) or saturates(sub))
+        unmatched = filtration._unmatched
+        monkeypatch.setattr(filtration, "_unmatched", lambda sub: tests.append(1) or unmatched(sub))
         import scipy.sparse.csgraph  # noqa: F401 -- loaded outside the trace, as in any process after it
         tracemalloc.start()
         try:
